@@ -175,14 +175,13 @@ def remove_silence(clip: AudioClip, cfg: SilenceConfig = SilenceConfig()) -> Aud
     win = int(round(cfg.window_seconds * clip.sample_rate))
     if win <= 0:
         raise ValueError("silence window shorter than one sample")
-    kept = []
-    for start in range(0, len(clip.samples), win):
-        chunk = clip.samples[start : start + win]
-        if chunk.size and rms(chunk) >= cfg.threshold:
-            kept.append(chunk)
-    if not kept:
-        return AudioClip(np.empty(0), clip.sample_rate)
-    return AudioClip(np.concatenate(kept), clip.sample_rate)
+    samples = clip.samples
+    full = len(samples) - len(samples) % win
+    levels = np.sqrt(np.mean(np.square(samples[:full].reshape(-1, win)), axis=1))
+    if full < len(samples):
+        levels = np.append(levels, rms(samples[full:]))
+    keep = np.repeat(levels >= cfg.threshold, win)[: len(samples)]
+    return AudioClip(samples[keep], clip.sample_rate)
 
 
 def segment(

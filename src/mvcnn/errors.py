@@ -123,5 +123,9 @@ class Truncated(MvcnnError):
     """Byte frame is shorter than its declared layout."""
 
 
+class TrailingBytes(MvcnnError, ValueError):
+    """Byte frame is longer than its declared layout."""
+
+
 class InvalidScenario(MvcnnError):
     """Simulation scenario is inconsistent or unparseable."""

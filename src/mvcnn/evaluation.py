@@ -29,6 +29,7 @@ from .errors import (
 from .knn import KnnModel, knn_classify_batch, tune_k
 from .model import ModelConfig, TrainConfig, build, predict, train
 from .spectral import (
+    MFCC_COEFFS,
     add_noise_snr,
     fit_normalizer,
     hamming_coefficients,
@@ -296,14 +297,12 @@ class PipelineConfig:
     silence: SilenceConfig = SilenceConfig()
     feature_len: int = 512
     feature_kind: str = "spectrum"  # "spectrum" or "mfcc"
-    mfcc_filters: int = 26
-    mfcc_coeffs: int = 13
     snr_db: float | None = None
     noise_seed: int = 0
 
     @property
     def feature_dim(self) -> int:
-        return self.feature_len if self.feature_kind == "spectrum" else self.mfcc_coeffs
+        return self.feature_len if self.feature_kind == "spectrum" else MFCC_COEFFS
 
 
 def clip_frame_features(dataset: ClipDataset, pipeline: PipelineConfig) -> list:
@@ -333,10 +332,7 @@ def clip_frame_features(dataset: ClipDataset, pipeline: PipelineConfig) -> list:
         elif pipeline.feature_kind == "mfcc":
             mat = np.stack([f.values for f in frames])
             mat = mat * hamming_coefficients(mat.shape[1])
-            out.append(
-                mfcc_features(mat, clip.sample_rate, pipeline.mfcc_filters,
-                              pipeline.mfcc_coeffs)
-            )
+            out.append(mfcc_features(mat, clip.sample_rate))
         else:
             raise ValueError(f"unknown feature kind {pipeline.feature_kind!r}")
     return out

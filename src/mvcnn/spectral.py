@@ -4,15 +4,14 @@ FFT magnitude spectra, bin-averaged feature vectors, log/z-score
 normalization, a Butterworth high-pass for wind rejection, MFCCs for
 the baseline classifiers, and SNR-controlled Gaussian noise injection.
 
-The FFT is an iterative radix-2 transform evaluated over whole frame
-batches at once; no external DSP library is used.
+Frames must have a power-of-two length. Every transform goes through
+power_spectra, which runs numpy's real FFT over a whole frame batch.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +30,8 @@ from .errors import (
 NORM_MAGIC = b"NRM1"
 STD_FLOOR = 1e-8
 LOG_FLOOR = 1e-10
+MFCC_FILTERS = 26
+MFCC_COEFFS = 13
 
 
 @dataclass(frozen=True)
@@ -49,57 +50,29 @@ class Spectrum:
 
 # --- FFT ---
 
-@lru_cache(maxsize=None)
-def _bit_reversal(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    return rev
-
-
-def _fft(x: np.ndarray) -> np.ndarray:
-    """Radix-2 decimation-in-time FFT along the last axis (power-of-two only)."""
-    n = x.shape[-1]
-    a = np.ascontiguousarray(np.asarray(x, dtype=np.complex128)[..., _bit_reversal(n)])
-    size = 2
-    while size <= n:
-        half = size // 2
-        twiddle = np.exp(-2j * np.pi * np.arange(half) / size)
-        blocks = a.reshape(a.shape[:-1] + (n // size, size))
-        even = blocks[..., :half].copy()
-        odd = blocks[..., half:] * twiddle
-        blocks[..., :half] = even + odd
-        blocks[..., half:] = even - odd
-        size *= 2
-    return a
-
-
 def _check_power_of_two(n: int):
     if n < 1 or n & (n - 1):
         raise NonPowerOfTwo(f"frame length {n} is not a power of two")
+
+
+def power_spectra(frames: np.ndarray) -> np.ndarray:
+    """Half-spectrum |X[k]|^2, bins 0..N/2, of a [..., N] batch of frames.
+
+    Raises:
+        NonPowerOfTwo: frame length N is not a power of two.
+    """
+    _check_power_of_two(frames.shape[-1])
+    half = np.fft.rfft(frames)
+    return half.real**2 + half.imag**2
 
 
 def fft_magnitude(frame: Frame, sample_rate: int = 24000) -> Spectrum:
     """Magnitude spectrum of a (windowed) frame, bins 0..N/2 inclusive.
 
     Raises:
-        NonPowerOfTwo: frame length unsuitable for the radix-2 transform.
+        NonPowerOfTwo: frame length is not a power of two.
     """
-    n = len(frame.values)
-    _check_power_of_two(n)
-    full = _fft(frame.values)
-    return Spectrum(np.abs(full[: n // 2 + 1]), n, sample_rate)
-
-
-def power_spectra(frames: np.ndarray) -> np.ndarray:
-    """Half-spectrum |X[k]|^2 for a [n_frames, N] batch of frames."""
-    n = frames.shape[-1]
-    _check_power_of_two(n)
-    full = _fft(frames)
-    half = full[..., : n // 2 + 1]
-    return (half * half.conj()).real
+    return Spectrum(np.sqrt(power_spectra(frame.values)), len(frame.values), sample_rate)
 
 
 # --- feature vectors ---
@@ -112,6 +85,15 @@ def _group_starts(count: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     return starts, sizes
 
 
+def _average_groups(values: np.ndarray, L: int) -> np.ndarray:
+    """Average the last axis over L contiguous, near-equal bin groups."""
+    count = values.shape[-1]
+    if not 1 <= L <= count:
+        raise InvalidLength(f"feature length {L} outside [1, {count}] spectrum bins")
+    starts, sizes = _group_starts(count, L)
+    return np.add.reduceat(values, starts, axis=-1) / sizes
+
+
 def bin_average(spec: Spectrum, L: int) -> np.ndarray:
     """Compress a spectrum to L values by averaging contiguous bin groups.
 
@@ -121,11 +103,7 @@ def bin_average(spec: Spectrum, L: int) -> np.ndarray:
     Raises:
         InvalidLength: L outside [1, bin count].
     """
-    count = len(spec.bins)
-    if not 1 <= L <= count:
-        raise InvalidLength(f"L must be in [1, {count}], got {L}")
-    starts, sizes = _group_starts(count, L)
-    return np.add.reduceat(spec.bins, starts) / sizes
+    return _average_groups(spec.bins, L)
 
 
 def spectrum_features(frames: list[Frame], feature_len: int = 512) -> np.ndarray:
@@ -138,12 +116,7 @@ def spectrum_features(frames: list[Frame], feature_len: int = 512) -> np.ndarray
         return np.empty((0, feature_len))
     n = len(frames[0].values)
     mat = np.stack([f.values for f in frames]) * hamming_coefficients(n)
-    mags = np.sqrt(power_spectra(mat))
-    count = mags.shape[1]
-    if not 1 <= feature_len <= count:
-        raise InvalidLength(f"feature_len must be in [1, {count}], got {feature_len}")
-    starts, sizes = _group_starts(count, feature_len)
-    return np.add.reduceat(mags, starts, axis=1) / sizes
+    return _average_groups(np.sqrt(power_spectra(mat)), feature_len)
 
 
 # --- normalization ---
@@ -368,8 +341,8 @@ def dct_matrix(n: int) -> np.ndarray:
 def mfcc(
     frame: Frame,
     sample_rate: int = 24000,
-    n_filters: int = 26,
-    n_coeffs: int = 13,
+    n_filters: int = MFCC_FILTERS,
+    n_coeffs: int = MFCC_COEFFS,
 ) -> np.ndarray:
     """Mel-frequency cepstral coefficients of a Hamming-windowed frame.
 
@@ -380,8 +353,6 @@ def mfcc(
         NonPowerOfTwo: frame length unsuitable for the FFT.
         InvalidCounts: n_coeffs exceeds n_filters.
     """
-    if n_coeffs > n_filters:
-        raise InvalidCounts(f"n_coeffs {n_coeffs} > n_filters {n_filters}")
     return mfcc_features(
         frame.values[None, :], sample_rate, n_filters, n_coeffs
     )[0]
@@ -390,8 +361,8 @@ def mfcc(
 def mfcc_features(
     frames: np.ndarray,
     sample_rate: int = 24000,
-    n_filters: int = 26,
-    n_coeffs: int = 13,
+    n_filters: int = MFCC_FILTERS,
+    n_coeffs: int = MFCC_COEFFS,
 ) -> np.ndarray:
     """Batched MFCC over a [n_frames, N] matrix of windowed frames."""
     if n_coeffs > n_filters:

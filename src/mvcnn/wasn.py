@@ -33,6 +33,7 @@ from .errors import (
     CrcMismatch,
     InvalidScenario,
     LengthMismatch,
+    TrailingBytes,
     Truncated,
 )
 from .evaluation import SyntheticSpec, generate_synthetic
@@ -86,6 +87,7 @@ def decode(blob: bytes) -> SpectrumMessage:
     Raises:
         Truncated: fewer bytes than the declared layout.
         BadMagic: wrong leading magic.
+        TrailingBytes: more bytes than the declared layout.
         CrcMismatch: checksum does not cover the content.
     """
     if len(blob) < _HEADER_LEN + 4:
@@ -97,7 +99,7 @@ def decode(blob: bytes) -> SpectrumMessage:
     if len(blob) < total:
         raise Truncated(f"need {total} bytes for {feature_len} features, got {len(blob)}")
     if len(blob) > total:
-        raise ValueError(f"{len(blob) - total} bytes of trailing garbage")
+        raise TrailingBytes(f"{len(blob) - total} bytes of trailing garbage")
     (crc,) = struct.unpack_from("<I", blob, total - 4)
     if crc != zlib.crc32(blob[: total - 4]):
         raise CrcMismatch("checksum failure")
@@ -115,7 +117,6 @@ class NodeConfig:
     overlap: float = 0.5
     silence: SilenceConfig = SilenceConfig()
     highpass_hz: float = 200.0
-    highpass_order: int = 4
 
 
 def node_process(
@@ -127,7 +128,7 @@ def node_process(
     Hamming windowing, FFT magnitudes, bin averaging. Message timestamps
     mark when each window is fully captured, relative to start_ms.
     """
-    filtered = highpass_butterworth(clip, cfg.highpass_hz, cfg.highpass_order)
+    filtered = highpass_butterworth(clip, cfg.highpass_hz)
     active = remove_silence(filtered, cfg.silence)
     if len(active) == 0:
         return []
@@ -278,6 +279,11 @@ _SCENARIO_FIELDS = {
     "seed": ("seed", int),
 }
 
+_NODE_FIELDS = {
+    "clock_skew_ms": int,
+    "fallback_classes": lambda text: tuple(int(v) for v in text.split(",") if v.strip()),
+}
+
 
 def parse_scenario(text: str) -> Scenario:
     """Parse the key-value scenario format; see the module docstring."""
@@ -319,12 +325,11 @@ def parse_scenario(text: str) -> Scenario:
             section = node_sections[current]
             if key == "link_outage":
                 section["outages"].append(_parse_range(value, f"line {lineno}"))
-            elif key == "clock_skew_ms":
-                section["fields"]["clock_skew_ms"] = int(value)
-            elif key == "fallback_classes":
-                section["fields"]["fallback_classes"] = tuple(
-                    int(v) for v in value.split(",") if v.strip()
-                )
+            elif key in _NODE_FIELDS:
+                try:
+                    section["fields"][key] = _NODE_FIELDS[key](value)
+                except ValueError as exc:
+                    raise InvalidScenario(f"line {lineno}: {exc}") from None
             else:
                 raise InvalidScenario(f"line {lineno}: unknown node key {key!r}")
 
@@ -396,6 +401,18 @@ def scenario_clips(scenario: Scenario):
     return by_node
 
 
+def _node_config(scenario: Scenario, node_id: int) -> NodeConfig:
+    """The node pipeline settings a scenario gives every node."""
+    return NodeConfig(
+        node_id=node_id,
+        feature_len=scenario.feature_len,
+        window_len=scenario.window_len,
+        overlap=scenario.overlap,
+        silence=SilenceConfig(threshold=scenario.silence_threshold),
+        highpass_hz=scenario.highpass_hz,
+    )
+
+
 def simulate(
     scenario: Scenario,
     server_model: MultiViewCnn,
@@ -440,18 +457,6 @@ def simulate(
                 f"scenario lists {len(subset)}"
             )
 
-    node_cfgs = [
-        NodeConfig(
-            node_id=num,
-            feature_len=scenario.feature_len,
-            window_len=scenario.window_len,
-            overlap=scenario.overlap,
-            silence=SilenceConfig(threshold=scenario.silence_threshold),
-            highpass_hz=scenario.highpass_hz,
-        )
-        for num in range(1, scenario.n_nodes + 1)
-    ]
-
     clip_ms = int(round(scenario.clip_seconds * 1000))
     records = []
     events = []
@@ -459,8 +464,8 @@ def simulate(
         events.append((start, "server_down"))
         events.append((end, "server_up"))
 
-    for num, (cfg, clips) in enumerate(zip(node_cfgs, scenario_clips(scenario)),
-                                       start=1):
+    for num, clips in enumerate(scenario_clips(scenario), start=1):
+        cfg = _node_config(scenario, num)
         spec = scenario.nodes[num - 1]
         for start, end in spec.link_outages:
             events.append((start, f"link_down node={num}"))
@@ -534,14 +539,7 @@ def _scenario_training_frames(scenario: Scenario, clips_per_class: int, seed: in
             seed=seed + 7919,
         )
     )
-    cfg = NodeConfig(
-        node_id=0,
-        feature_len=scenario.feature_len,
-        window_len=scenario.window_len,
-        overlap=scenario.overlap,
-        silence=SilenceConfig(threshold=scenario.silence_threshold),
-        highpass_hz=scenario.highpass_hz,
-    )
+    cfg = _node_config(scenario, node_id=0)
     frames = []
     labels = []
     for clip, label in zip(dataset.clips, dataset.labels):

@@ -164,6 +164,28 @@ class TestRemoveSilence:
         )
         np.testing.assert_array_equal(out.samples, expected)
 
+    def test_matches_per_window_rms_oracle(self):
+        """Thresholds sit exactly on one window's RMS, so a reduction that is
+        not bit-identical to rms() of each window keeps or drops it wrongly."""
+        rng = np.random.Generator(np.random.PCG64(11))
+        for _ in range(400):
+            sr = int(rng.choice([1000, 8000, 24000]))
+            win = int(round(rng.uniform(0.002, 0.05) * sr))
+            # up to six full windows, then half the time a partial one
+            tail = int(rng.integers(0, win)) if rng.random() < 0.5 else 0
+            n = int(rng.integers(0, 7)) * win + tail
+            loudness = rng.uniform(0, 0.4, n // win + 1) * (rng.random(n // win + 1) < 0.8)
+            samples = rng.normal(0, 1, n) * np.repeat(loudness, win)[:n]
+            chunks = [samples[s : s + win] for s in range(0, n, win)]
+            levels = [rms(c) for c in chunks if rms(c) <= 0.5]
+            threshold = float(rng.choice(levels)) if levels else 0.1
+            cfg = SilenceConfig(threshold=threshold, window_seconds=win / sr)
+            expected = [c for c in chunks if rms(c) >= threshold]
+            out = remove_silence(AudioClip(samples, sr), cfg)
+            np.testing.assert_array_equal(
+                out.samples, np.concatenate(expected) if expected else np.empty(0)
+            )
+
 
 class TestSegment:
     def test_three_frames_half_overlap(self):

@@ -177,6 +177,20 @@ def test_simulate_end_to_end(tmp_path):
     assert node1 and all(r[3] == "server" for r in node1)
 
 
+def test_bad_scenario_value_is_one_error_line(tmp_path):
+    scn = tmp_path / "bad.scn"
+    scn.write_text("nodes = 2\n[node 2]\nclock_skew_ms = abc\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvcnn", "simulate", "--scenario", str(scn),
+         "--out", str(tmp_path / "records.csv")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: line 3:")
+
+
 def test_runtime_error_exits_1(tmp_path, capsys):
     code = dispatch([
         "eval", "--manifest", str(tmp_path / "missing.csv"), "--method",

@@ -7,6 +7,8 @@ from mvcnn.errors import (
     CrcMismatch,
     InvalidScenario,
     LengthMismatch,
+    MvcnnError,
+    TrailingBytes,
     Truncated,
 )
 from mvcnn.model import ModelConfig, build
@@ -60,6 +62,13 @@ class TestProtocol:
                 corrupted[byte_index] ^= 1 << bit
                 with pytest.raises((CrcMismatch, BadMagic, Truncated, ValueError)):
                     decode(bytes(corrupted))
+
+    def test_single_trailing_byte(self):
+        rng = np.random.Generator(np.random.PCG64(4))
+        blob = encode(random_message(rng, feature_len=8)) + b"\x00"
+        with pytest.raises(TrailingBytes, match="1 bytes of trailing") as exc:
+            decode(blob)
+        assert isinstance(exc.value, MvcnnError)
 
     def test_payload_bit_flip_is_crc_mismatch(self):
         rng = np.random.Generator(np.random.PCG64(2))
@@ -385,6 +394,13 @@ class TestScenarioParsing:
     def test_skew_beyond_sync_accuracy(self):
         with pytest.raises(InvalidScenario):
             parse_scenario("nodes = 1\n[node 1]\nclock_skew_ms = 26\n")
+
+    @pytest.mark.parametrize(
+        "line", ["clock_skew_ms = abc", "clock_skew_ms = 1.5", "fallback_classes = 0, x"]
+    )
+    def test_bad_node_value_names_its_line(self, line):
+        with pytest.raises(InvalidScenario, match="line 3"):
+            parse_scenario(f"nodes = 1\n[node 1]\n{line}\n")
 
     def test_section_outside_node_range(self):
         with pytest.raises(InvalidScenario):
