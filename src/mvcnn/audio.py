@@ -15,7 +15,9 @@ import numpy as np
 from .errors import (
     EmptyInput,
     InvalidOverlap,
+    InvalidSetting,
     MalformedWav,
+    NonPowerOfTwo,
     UnsupportedFormat,
 )
 
@@ -36,7 +38,7 @@ class AudioClip:
 
     def __post_init__(self):
         if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+            raise InvalidSetting(f"sample_rate must be positive, got {self.sample_rate}")
         object.__setattr__(
             self, "samples", np.asarray(self.samples, dtype=np.float64)
         )
@@ -76,9 +78,9 @@ class SilenceConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.threshold <= 0.5:
-            raise ValueError(f"threshold must be in [0, 0.5], got {self.threshold}")
+            raise InvalidSetting(f"threshold must be in [0, 0.5], got {self.threshold}")
         if self.window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
+            raise InvalidSetting("window_seconds must be positive")
 
 
 def load_wav(path) -> AudioClip:
@@ -174,7 +176,7 @@ def remove_silence(clip: AudioClip, cfg: SilenceConfig = SilenceConfig()) -> Aud
     """
     win = int(round(cfg.window_seconds * clip.sample_rate))
     if win <= 0:
-        raise ValueError("silence window shorter than one sample")
+        raise InvalidSetting("silence window shorter than one sample")
     samples = clip.samples
     full = len(samples) - len(samples) % win
     levels = np.sqrt(np.mean(np.square(samples[:full].reshape(-1, win)), axis=1))
@@ -195,11 +197,12 @@ def segment(
 
     Raises:
         InvalidOverlap: overlap_fraction outside [0, 1).
+        NonPowerOfTwo: window_len is not a power of two.
     """
     if not 0.0 <= overlap_fraction < 1.0:
         raise InvalidOverlap(f"overlap must be in [0, 1), got {overlap_fraction}")
     if window_len < 1 or window_len & (window_len - 1):
-        raise ValueError(f"window_len must be a power of two, got {window_len}")
+        raise NonPowerOfTwo(f"window_len must be a power of two, got {window_len}")
     n = len(clip.samples)
     if n < window_len:
         return []

@@ -9,6 +9,10 @@ class MvcnnError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidSetting(MvcnnError, ValueError):
+    """A setting is out of range or not one of the known choices."""
+
+
 # --- audio ingestion / framing ---
 
 class MalformedWav(MvcnnError):
@@ -29,8 +33,8 @@ class InvalidOverlap(MvcnnError):
 
 # --- spectral features ---
 
-class NonPowerOfTwo(MvcnnError):
-    """Frame length must be a power of two for the FFT."""
+class NonPowerOfTwo(MvcnnError, ValueError):
+    """Frame or window length must be a power of two."""
 
 
 class InvalidLength(MvcnnError):

@@ -23,6 +23,7 @@ from .audio import AudioClip, SilenceConfig, load_wav, remove_silence, rms, save
 from .errors import (
     EmptyDataset,
     EmptyMatrix,
+    InvalidSetting,
     InvalidSpec,
     TooFewSamples,
 )
@@ -190,7 +191,7 @@ def stratified_fraction_split(labels, train_fraction: float, seed: int = 0):
     """
     labels = np.asarray(labels)
     if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
+        raise InvalidSetting("train_fraction must be in (0, 1)")
     rng = np.random.Generator(np.random.PCG64(seed))
     train, test = [], []
     for cls in np.unique(labels):
@@ -260,22 +261,12 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
     diag = np.diag(counts).astype(np.float64)
     col_sums = counts.sum(axis=0).astype(np.float64)
     row_sums = counts.sum(axis=1).astype(np.float64)
-    flagged = []
     n = counts.shape[0]
-    precision = np.zeros(n)
-    recall = np.zeros(n)
-    f1 = np.zeros(n)
-    for c in range(n):
-        if col_sums[c] > 0:
-            precision[c] = diag[c] / col_sums[c]
-        else:
-            flagged.append(c)
-        if row_sums[c] > 0:
-            recall[c] = diag[c] / row_sums[c]
-        elif c not in flagged:
-            flagged.append(c)
-        if precision[c] + recall[c] > 0:
-            f1[c] = 2 * precision[c] * recall[c] / (precision[c] + recall[c])
+    precision = np.divide(diag, col_sums, out=np.zeros(n), where=col_sums > 0)
+    recall = np.divide(diag, row_sums, out=np.zeros(n), where=row_sums > 0)
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=np.zeros(n), where=both > 0)
+    flagged = np.flatnonzero((col_sums == 0) | (row_sums == 0))
     return MetricsReport(
         accuracy=float(diag.sum() / total),
         macro_precision=float(precision.mean()),
@@ -284,7 +275,7 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
         per_class_precision=precision,
         per_class_recall=recall,
         per_class_f1=f1,
-        flagged_classes=tuple(sorted(flagged)),
+        flagged_classes=tuple(flagged.tolist()),
     )
 
 
@@ -334,7 +325,7 @@ def clip_frame_features(dataset: ClipDataset, pipeline: PipelineConfig) -> list:
             mat = mat * hamming_coefficients(mat.shape[1])
             out.append(mfcc_features(mat, clip.sample_rate))
         else:
-            raise ValueError(f"unknown feature kind {pipeline.feature_kind!r}")
+            raise InvalidSetting(f"unknown feature kind {pipeline.feature_kind!r}")
     return out
 
 
@@ -350,13 +341,13 @@ class FoldData:
 
 def prepare_fold(per_clip, labels, train_idx, test_idx, normalize_features: bool) -> FoldData:
     """Stack training frames and fit normalization on them alone."""
-    train_parts = [per_clip[i] for i in train_idx if len(per_clip[i])]
-    train_y = np.concatenate(
-        [np.full(len(per_clip[i]), labels[i]) for i in train_idx if len(per_clip[i])]
-    ) if train_parts else np.empty(0, dtype=np.int64)
-    if not train_parts:
+    with_frames = [i for i in train_idx if len(per_clip[i])]
+    if not with_frames:
         raise EmptyDataset("no training frames in fold")
-    train_X = np.vstack(train_parts)
+    train_X = np.vstack([per_clip[i] for i in with_frames])
+    train_y = np.concatenate(
+        [np.full(len(per_clip[i]), labels[i]) for i in with_frames]
+    )
     stats = None
     test_feats = [per_clip[i] for i in test_idx]
     if normalize_features:
@@ -440,7 +431,7 @@ def make_method(
         )
     if name in ("knn_spectrum", "knn_mfcc"):
         return KnnClassifier(k_candidates, seed)
-    raise ValueError(f"unknown method {name!r}; expected one of {METHOD_NAMES}")
+    raise InvalidSetting(f"unknown method {name!r}; expected one of {METHOD_NAMES}")
 
 
 def pipeline_for_method(method: str, base: PipelineConfig) -> PipelineConfig:
@@ -465,13 +456,11 @@ def evaluate_split(per_clip, labels, test_idx, fold: FoldData, classifier,
     for clip_i, feats in zip(test_idx, fold.test_features):
         if len(feats) == 0:
             continue
-        preds = classifier.predict(feats)
+        votes = np.bincount(classifier.predict(feats), minlength=n_classes)
         if clip_level:
-            votes = np.bincount(preds, minlength=n_classes)
             cm.add(int(labels[clip_i]), int(np.argmax(votes)))
         else:
-            for p in preds:
-                cm.add(int(labels[clip_i]), int(p))
+            cm.counts[labels[clip_i]] += votes
     return cm
 
 
@@ -492,15 +481,30 @@ def run_cv(
     method_factory overrides the named method with a custom
     factory(n_classes, feature_dim, seed) -> classifier.
     """
+    all_idx = np.arange(len(dataset.labels))
+    splits = [
+        (np.setdiff1d(all_idx, test_idx), test_idx)
+        for test_idx in kfold_split(dataset.labels, k, seed)
+    ]
+    return _run_splits(
+        dataset, method, splits, seed, pipeline, clip_level, method_factory,
+        method_params,
+    )
+
+
+def _run_splits(dataset, method, splits, seed, pipeline, clip_level,
+                method_factory, method_params) -> CvResult:
+    """Fit and score one classifier per (train_idx, test_idx) split.
+
+    Features are extracted once; split f seeds its classifier with seed * 101 + f.
+    """
     pipe = pipeline_for_method(method, pipeline)
     per_clip = clip_frame_features(dataset, pipe)
     labels = dataset.labels
-    folds = kfold_split(labels, k, seed)
     normalize_features = pipe.feature_kind == "spectrum"
     pooled = ConfusionMatrix.zeros(dataset.n_classes)
     fold_metrics = []
-    for f, test_idx in enumerate(folds):
-        train_idx = np.setdiff1d(np.arange(len(labels)), test_idx)
+    for f, (train_idx, test_idx) in enumerate(splits):
         fold = prepare_fold(per_clip, labels, train_idx, test_idx, normalize_features)
         if method_factory is not None:
             clf = method_factory(dataset.n_classes, pipe.feature_dim, seed * 101 + f)
@@ -549,7 +553,7 @@ class SweepSpec:
         if self.grid:
             return self.grid
         if self.axis not in DEFAULT_GRIDS:
-            raise ValueError(f"unknown sweep axis {self.axis!r}")
+            raise InvalidSetting(f"unknown sweep axis {self.axis!r}")
         return DEFAULT_GRIDS[self.axis]
 
 
@@ -567,7 +571,7 @@ def _sweep_point(axis, value, pipeline, method_params, seed):
         return pipeline, {**method_params, "learning_rate": float(value)}
     if axis == "train_fraction":
         return pipeline, method_params
-    raise ValueError(f"unknown sweep axis {axis!r}")
+    raise InvalidSetting(f"unknown sweep axis {axis!r}")
 
 
 def run_sweep(
@@ -592,18 +596,20 @@ def run_sweep(
                     spec.axis, value, pipeline, method_params, seed
                 )
                 if spec.axis == "train_fraction":
-                    fold_rows = _fraction_splits(
-                        spec, dataset, float(value), method, seed, pipe,
-                        clip_level, params,
+                    splits = [
+                        stratified_fraction_split(
+                            dataset.labels, float(value), seed=seed * 1009 + rep
+                        )
+                        for rep in range(spec.k)
+                    ]
+                    result = _run_splits(
+                        dataset, method, splits, seed, pipe, clip_level, None, params
                     )
                 else:
                     result = run_cv(
                         dataset, method, spec.k, seed, pipe, clip_level, **params
                     )
-                    fold_rows = [
-                        (f, m) for f, m in enumerate(result.report.fold_metrics)
-                    ]
-                for fold, (acc, prec, rec, f1) in fold_rows:
+                for fold, (acc, prec, rec, f1) in enumerate(result.report.fold_metrics):
                     rows.append({
                         "axis": spec.axis, "value": value, "method": method,
                         "fold": fold, "seed": seed, "accuracy": acc,
@@ -611,28 +617,6 @@ def run_sweep(
                     })
     rows.sort(key=lambda r: (float(r["value"]), r["method"], r["fold"], r["seed"]))
     return rows
-
-
-def _fraction_splits(spec, dataset, fraction, method, seed, pipe, clip_level, params):
-    pipe = pipeline_for_method(method, pipe)
-    per_clip = clip_frame_features(dataset, pipe)
-    labels = dataset.labels
-    normalize_features = pipe.feature_kind == "spectrum"
-    out = []
-    for rep in range(spec.k):
-        train_idx, test_idx = stratified_fraction_split(
-            labels, fraction, seed=seed * 1009 + rep
-        )
-        fold = prepare_fold(per_clip, labels, train_idx, test_idx, normalize_features)
-        clf = make_method(
-            method, dataset.n_classes, pipe.feature_dim, seed * 101 + rep, **params
-        )
-        cm = evaluate_split(
-            per_clip, labels, test_idx, fold, clf, dataset.n_classes, clip_level
-        )
-        m = compute_metrics(cm)
-        out.append((rep, (m.accuracy, m.macro_precision, m.macro_recall, m.macro_f1)))
-    return out
 
 
 def write_results_csv(path, rows, meta=()) -> None:
@@ -668,15 +652,9 @@ def tune_silence_threshold(windows) -> float:
         raise EmptyDataset("no labeled windows to tune on")
     levels = np.array([rms(w) for w, _ in windows])
     truth = np.array([bool(a) for _, a in windows])
-    best_rho = 0.0
-    best_acc = -1.0
-    for i in range(51):
-        rho = i / 100.0
-        acc = float(np.mean((levels >= rho) == truth))
-        if acc > best_acc:
-            best_acc = acc
-            best_rho = rho
-    return best_rho
+    rhos = np.arange(51) / 100.0
+    acc = np.mean((levels >= rhos[:, None]) == truth, axis=1)
+    return float(rhos[np.argmax(acc)])  # first max = smallest threshold
 
 
 # --- dataset I/O ---

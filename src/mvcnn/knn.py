@@ -2,7 +2,8 @@
 
 Brute-force Euclidean search with deterministic tie rules: equal
 distances prefer the lower training index, vote ties prefer the lowest
-class id.
+class id. One ranking of a query set, nearest first, serves both
+classification and k tuning: every candidate k votes over a prefix of it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDataset, LengthMismatch
+from .errors import EmptyDataset, InvalidSetting, LengthMismatch
 
 
 @dataclass(frozen=True)
@@ -28,34 +29,43 @@ class KnnModel:
         if len(labels) != len(feats):
             raise LengthMismatch("one label per training row required")
         if not 1 <= self.k <= len(feats):
-            raise ValueError(f"k must be in [1, {len(feats)}], got {self.k}")
+            raise InvalidSetting(f"k must be in [1, {len(feats)}], got {self.k}")
         object.__setattr__(self, "training_features", feats)
         object.__setattr__(self, "training_labels", labels)
 
 
-def knn_classify(model: KnnModel, query: np.ndarray) -> int:
-    """Majority vote over the k nearest training points.
+def _nearest_labels(model: KnnModel, queries: np.ndarray, depth: int) -> np.ndarray:
+    """[m, depth] labels of each query's nearest training rows, nearest first."""
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != model.training_features.shape[1]:
+        raise LengthMismatch(f"query shape {queries.shape} != [m, training width]")
+    order = np.empty((len(queries), depth), dtype=np.int64)
+    for row, query in zip(order, queries):
+        dists = np.linalg.norm(model.training_features - query, axis=1)
+        # stable sort keeps lower training indices first on distance ties
+        row[:] = np.argsort(dists, kind="stable")[:depth]
+    return model.training_labels[order]
 
-    Raises:
-        LengthMismatch: query length differs from training features.
-    """
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (model.training_features.shape[1],):
-        raise LengthMismatch(
-            f"query length {query.shape} != training width "
-            f"{model.training_features.shape[1]}"
-        )
-    dists = np.linalg.norm(model.training_features - query, axis=1)
-    # stable sort keeps lower training indices first on distance ties
-    nearest = np.argsort(dists, kind="stable")[: model.k]
-    votes = np.bincount(model.training_labels[nearest])
-    return int(np.argmax(votes))  # first max = lowest class id
+
+def _vote(nearest: np.ndarray, k: int) -> np.ndarray:
+    """Majority label among the first k of each row of nearest labels."""
+    first = nearest[:, :k]
+    votes = (first[:, :, None] == np.arange(first.max(initial=0) + 1)).sum(axis=1)
+    return np.argmax(votes, axis=1)  # first max = lowest class id
 
 
 def knn_classify_batch(model: KnnModel, queries: np.ndarray) -> np.ndarray:
-    """Classify a [m, L] batch of queries."""
-    queries = np.asarray(queries, dtype=np.float64)
-    return np.array([knn_classify(model, q) for q in queries], dtype=np.int64)
+    """Majority vote over the k nearest training points, per row of [m, L].
+
+    Raises:
+        LengthMismatch: query width differs from training features.
+    """
+    return _vote(_nearest_labels(model, queries, model.k), model.k)
+
+
+def knn_classify(model: KnnModel, query: np.ndarray) -> int:
+    """Classify one query as a one-row batch."""
+    return int(knn_classify_batch(model, np.reshape(query, (1, -1)))[0])
 
 
 def tune_k(
@@ -80,12 +90,7 @@ def tune_k(
     usable = sorted(k for k in candidates if 1 <= k <= len(train_labels))
     if not usable:
         raise EmptyDataset("no candidate k fits the training set size")
-    best_k = usable[0]
-    best_acc = -1.0
-    for k in usable:
-        model = KnnModel(train_features, train_labels, k)
-        acc = float(np.mean(knn_classify_batch(model, val_features) == val_labels))
-        if acc > best_acc:
-            best_acc = acc
-            best_k = k
-    return best_k
+    model = KnnModel(train_features, train_labels, usable[-1])
+    nearest = _nearest_labels(model, val_features, model.k)  # one ranking for all k
+    # max() keeps the first of equal accuracies, i.e. the smallest k
+    return max(usable, key=lambda k: float(np.mean(_vote(nearest, k) == val_labels)))

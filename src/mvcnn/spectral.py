@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -313,12 +314,14 @@ def inverse_mel(mel):
     return 700.0 * (10.0 ** (np.asarray(mel) / 2595.0) - 1.0)
 
 
+@lru_cache(maxsize=8)
 def mel_filterbank(n_filters: int, n_fft: int, sample_rate: int) -> np.ndarray:
     """Triangular mel filters over bins 0..n_fft/2, spanning 0 Hz..Nyquist.
 
-    Returns an [n_filters, n_fft/2 + 1] weight matrix. Filter i rises
-    from mel point i to i+1 and falls to i+2, evaluated at exact bin
-    frequencies (no integer-bin snapping).
+    Returns a read-only [n_filters, n_fft/2 + 1] weight matrix, built once
+    per argument triple because mfcc_features asks for it for every clip.
+    Filter i rises from mel point i to i+1 and falls to i+2, evaluated at
+    exact bin frequencies (no integer-bin snapping).
     """
     edges_hz = inverse_mel(np.linspace(0.0, mel_scale(sample_rate / 2), n_filters + 2))
     bin_freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
@@ -327,7 +330,9 @@ def mel_filterbank(n_filters: int, n_fft: int, sample_rate: int) -> np.ndarray:
     upper = edges_hz[2:, None]
     rising = (bin_freqs - lower) / (center - lower)
     falling = (upper - bin_freqs) / (upper - center)
-    return np.clip(np.minimum(rising, falling), 0.0, None)
+    fbank = np.clip(np.minimum(rising, falling), 0.0, None)
+    fbank.flags.writeable = False
+    return fbank
 
 
 def dct_matrix(n: int) -> np.ndarray:

@@ -227,6 +227,10 @@ class Scenario:
                 f"fallback_policy must be 'local' or 'buffer', "
                 f"got {self.fallback_policy!r}"
             )
+        if not 0.0 <= self.silence_threshold <= 0.5:
+            raise InvalidScenario("silence_threshold must be in [0, 0.5]")
+        if self.window_len < 1 or self.window_len & (self.window_len - 1):
+            raise InvalidScenario(f"window_len {self.window_len} is not a power of two")
         for start, end in self.server_outages:
             if not 0 <= start < end:
                 raise InvalidScenario(f"bad server outage window {start}..{end}")

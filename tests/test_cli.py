@@ -191,6 +191,34 @@ def test_bad_scenario_value_is_one_error_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: line 3:")
 
 
+@pytest.mark.parametrize(
+    "argv, scenario",
+    [
+        (["prep", *SMALL_DATA, *SMALL_PIPE, "--silence-threshold", "0.9"], None),
+        (["simulate"], "silence_threshold = 0.9\n"),
+        (["simulate"], "window_len = 1000\n"),
+        (["sweep", *SMALL_DATA, *SMALL_PIPE, "--axis", "snr", "--grid", "0",
+          "--methods", "knn_bogus", "--k", "2"], None),
+        (["sweep", *SMALL_DATA, *SMALL_PIPE, "--axis", "train_fraction",
+          "--grid", "1.5", "--methods", "knn_spectrum", "--k", "2"], None),
+    ],
+    ids=["prep-threshold", "scenario-threshold", "scenario-window", "sweep-method",
+         "sweep-fraction"],
+)
+def test_bad_setting_is_one_error_line(tmp_path, argv, scenario):
+    argv = [*argv, "--out", str(tmp_path / "out")]
+    if scenario is not None:
+        (tmp_path / "bad.scn").write_text(scenario)
+        argv += ["--scenario", str(tmp_path / "bad.scn")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvcnn", *argv], capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_runtime_error_exits_1(tmp_path, capsys):
     code = dispatch([
         "eval", "--manifest", str(tmp_path / "missing.csv"), "--method",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,11 @@ from mvcnn.evaluation import (
     SyntheticSpec,
     clip_frame_features,
     compute_metrics,
+    evaluate_split,
     generate_synthetic,
     kfold_split,
     load_manifest,
+    make_method,
     prepare_fold,
     run_cv,
     run_sweep,
@@ -298,6 +302,46 @@ class TestSweep:
         rows = run_sweep(spec, ds, pipeline=SMALL_PIPE)
         assert len(rows) == 3
         assert {r["fold"] for r in rows} == {0, 1, 2}
+
+    @pytest.mark.parametrize("clip_level", (True, False))
+    def test_train_fraction_rows_match_per_split_reference(self, clip_level):
+        ds = small_dataset()
+        params = dict(iterations=3, batch_size=8)
+        spec = SweepSpec(
+            "train_fraction", grid=(0.3, 0.6),
+            methods=("knn_spectrum", "knn_mfcc", "single_view_cnn"), seeds=(0, 2), k=3,
+        )
+        rows = run_sweep(spec, ds, pipeline=SMALL_PIPE, clip_level=clip_level, **params)
+        expected = []
+        for method in spec.methods:
+            kind = "mfcc" if method == "knn_mfcc" else "spectrum"
+            pipe = replace(SMALL_PIPE, feature_kind=kind)
+            per_clip = clip_frame_features(ds, pipe)
+            for value in spec.grid:
+                for seed in spec.seeds:
+                    for rep in range(spec.k):
+                        train_idx, test_idx = stratified_fraction_split(
+                            ds.labels, value, seed=seed * 1009 + rep
+                        )
+                        fold = prepare_fold(
+                            per_clip, ds.labels, train_idx, test_idx, kind == "spectrum"
+                        )
+                        clf = make_method(
+                            method, ds.n_classes, pipe.feature_dim, seed * 101 + rep,
+                            **params,
+                        )
+                        m = compute_metrics(evaluate_split(
+                            per_clip, ds.labels, test_idx, fold, clf, ds.n_classes,
+                            clip_level,
+                        ))
+                        expected.append({
+                            "axis": "train_fraction", "value": value, "method": method,
+                            "fold": rep, "seed": seed, "accuracy": m.accuracy,
+                            "precision": m.macro_precision, "recall": m.macro_recall,
+                            "f1": m.macro_f1,
+                        })
+        expected.sort(key=lambda r: (r["value"], r["method"], r["fold"], r["seed"]))
+        assert rows == expected
 
     def test_rows_sorted_and_complete(self):
         ds = small_dataset()

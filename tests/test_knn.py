@@ -18,6 +18,26 @@ def oracle_classify(features, labels, query, k):
     return min(c for c, v in votes.items() if v == top)
 
 
+def reference_tune_k(train_f, train_y, val_f, val_y, candidates):
+    """A fresh model and a full oracle search for every usable candidate k."""
+    best_k, best_acc = None, -1.0
+    for k in sorted(c for c in candidates if 1 <= c <= len(train_y)):
+        model = KnnModel(train_f, train_y, k=k)
+        preds = [
+            oracle_classify(model.training_features, model.training_labels, q, k)
+            for q in val_f
+        ]
+        acc = float(np.mean(np.array(preds) == val_y))
+        if acc > best_acc:
+            best_k, best_acc = k, acc
+    return best_k
+
+
+def grid_points(rng, n):
+    """Points on a 3x3x3 integer grid: repeated rows and equal distances abound."""
+    return rng.integers(0, 3, size=(n, 3)).astype(np.float64), rng.integers(0, 4, n)
+
+
 class TestKnnClassify:
     def test_exact_training_point_k1(self):
         feats = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
@@ -116,3 +136,27 @@ class TestTuneK:
     def test_empty_sets(self):
         with pytest.raises(EmptyDataset):
             tune_k(np.zeros((0, 2)), np.zeros(0), np.zeros((1, 2)), np.zeros(1))
+
+
+class TestTies:
+    def test_batch_matches_oracle_on_integer_grid(self):
+        rng = np.random.Generator(np.random.PCG64(7))
+        for _ in range(8):
+            feats, labels = grid_points(rng, 40)
+            queries, _ = grid_points(rng, 30)
+            for k in range(1, 8):
+                got = knn_classify_batch(KnnModel(feats, labels, k=k), queries)
+                want = [oracle_classify(feats, labels, q, k) for q in queries]
+                np.testing.assert_array_equal(got, want)
+
+    def test_tune_k_matches_per_k_search_on_integer_grid(self):
+        rng = np.random.Generator(np.random.PCG64(8))
+        chosen = set()
+        for n_train in (3, 6, 12, 40) * 5:
+            train_f, train_y = grid_points(rng, n_train)
+            val_f, val_y = grid_points(rng, 15)
+            candidates = range(1, 8)
+            k = tune_k(train_f, train_y, val_f, val_y, candidates=candidates)
+            assert k == reference_tune_k(train_f, train_y, val_f, val_y, candidates)
+            chosen.add(k)
+        assert len(chosen) > 2  # the comparison covers more than k=1

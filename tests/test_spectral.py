@@ -347,6 +347,13 @@ class TestMfcc:
         # every filter has some mass
         assert np.all(fbank.sum(axis=1) > 0)
 
+    def test_filterbank_is_shared_and_read_only(self):
+        # one matrix per argument triple serves every clip, so no caller may edit it
+        fbank = mel_filterbank(26, 2048, 24000)
+        assert mel_filterbank(26, 2048, 24000) is fbank
+        with pytest.raises(ValueError):
+            fbank[0, 0] = 1.0
+
     def test_dct_matrix_orthonormal(self):
         mat = dct_matrix(26)
         np.testing.assert_allclose(mat @ mat.T, np.eye(26), atol=1e-12)
