@@ -23,6 +23,7 @@ from .errors import (
     ChannelMismatch,
     InputTooShort,
     InvalidProbability,
+    InvalidSetting,
     NotOneHot,
     ShapeMismatch,
 )
@@ -169,7 +170,7 @@ def maxpool1d(x: Tensor, window: int = 3, stride: int = 3) -> Tensor:
     gradient routes to the first maximal position of each window.
     """
     if window != stride:
-        raise ValueError("only window == stride pooling is supported")
+        raise InvalidSetting("only window == stride pooling is supported")
     if x.data.ndim != 3:
         raise ShapeMismatch(f"pool input must be [B, L, C], got {x.shape}")
     batch, length, channels = x.data.shape

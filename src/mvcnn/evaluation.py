@@ -550,11 +550,9 @@ class SweepSpec:
     k: int = 10
 
     def resolved_grid(self) -> tuple:
-        if self.grid:
-            return self.grid
         if self.axis not in DEFAULT_GRIDS:
             raise InvalidSetting(f"unknown sweep axis {self.axis!r}")
-        return DEFAULT_GRIDS[self.axis]
+        return self.grid or DEFAULT_GRIDS[self.axis]
 
 
 def _sweep_point(axis, value, pipeline, method_params, seed):
@@ -587,9 +585,18 @@ def run_sweep(
     feature extraction). The train_fraction axis replaces k-fold CV with
     k stratified train/test splits at the given fraction, indexed by the
     fold column. Rows come back sorted by (value, method, fold, seed).
+
+    Raises:
+        InvalidSetting: unknown axis or method, before any feature extraction.
     """
+    grid = spec.resolved_grid()
+    for method in spec.methods:
+        if method not in METHOD_NAMES:
+            raise InvalidSetting(
+                f"unknown method {method!r}; expected one of {METHOD_NAMES}"
+            )
     rows = []
-    for value in spec.resolved_grid():
+    for value in grid:
         for method in spec.methods:
             for seed in spec.seeds:
                 pipe, params = _sweep_point(

@@ -6,6 +6,12 @@ the baseline classifiers, and SNR-controlled Gaussian noise injection.
 
 Frames must have a power-of-two length. Every transform goes through
 power_spectra, which runs numpy's real FFT over a whole frame batch.
+
+The high-pass runs each biquad as a block state-space recurrence: within
+a block of HIGHPASS_BLOCK samples a section is a few matmuls with
+operators built once per design, and only the 2-vector section state
+steps from block to block (Blelloch, "Prefix Sums and Their
+Applications", 1990; Martin & Cundy, arXiv:1709.04057).
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .errors import (
     InvalidCounts,
     InvalidCutoff,
     InvalidLength,
+    InvalidSetting,
     LengthMismatch,
     NonPowerOfTwo,
     ZeroPowerSignal,
@@ -33,6 +40,7 @@ STD_FLOOR = 1e-8
 LOG_FLOOR = 1e-10
 MFCC_FILTERS = 26
 MFCC_COEFFS = 13
+HIGHPASS_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -46,7 +54,7 @@ class Spectrum:
     def __post_init__(self):
         object.__setattr__(self, "bins", np.asarray(self.bins, dtype=np.float64))
         if len(self.bins) != self.source_len // 2 + 1:
-            raise ValueError("bin count must be source_len/2 + 1")
+            raise InvalidSetting("bin count must be source_len/2 + 1")
 
 
 # --- FFT ---
@@ -207,13 +215,14 @@ def design_highpass(cutoff_hz: float, sample_rate: int, order: int = 4) -> np.nd
 
     Raises:
         InvalidCutoff: cutoff outside (0, Nyquist).
+        InvalidSetting: order is not a positive even integer.
     """
     if not 0 < cutoff_hz < sample_rate / 2:
         raise InvalidCutoff(
             f"cutoff {cutoff_hz} Hz outside (0, {sample_rate / 2}) at fs={sample_rate}"
         )
     if order < 2 or order % 2:
-        raise ValueError(f"order must be a positive even integer, got {order}")
+        raise InvalidSetting(f"order must be a positive even integer, got {order}")
 
     warped = np.tan(np.pi * cutoff_hz / sample_rate)
     sections = np.empty((order // 2, 6))
@@ -244,27 +253,79 @@ def sos_response(sections: np.ndarray, freq_hz: float, sample_rate: int) -> comp
     return resp
 
 
-def _sosfilt(sections: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply a biquad cascade (transposed direct form II, zero initial state)."""
-    y = np.array(x, dtype=np.float64)
-    for b0, b1, b2, _, a1, a2 in sections:
-        z1 = 0.0
-        z2 = 0.0
-        for i in range(len(y)):
-            xi = y[i]
-            yi = b0 * xi + z1
-            z1 = b1 * xi - a1 * yi + z2
-            z2 = b2 * xi - a2 * yi
-            y[i] = yi
-    return y
+def _section_operators(section: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Block operators of one biquad as a 2-state system over HIGHPASS_BLOCK samples.
+
+    Transposed direct form II is s' = A s + B x, y = b0 x + s[0] with
+    A = [[-a1, 1], [-a2, 0]] and B = [b1 - a1 b0, b2 - a2 b0]. Returns
+    (toeplitz, state_out, end_state, carry): the [L, L] lower-triangular
+    impulse response (row i holds h[i - j]), the [L, 2] rows c A^i that map
+    a block's start state to its outputs, the [L, 2] rows (A^(L-1-j) B)^T
+    that map its inputs to its end state, and A^L.
+    """
+    b0, b1, b2, _, a1, a2 = section
+    a = np.array([[-a1, 1.0], [-a2, 0.0]])
+    powers = np.empty((HIGHPASS_BLOCK + 1, 2, 2))
+    powers[0] = np.eye(2)
+    for i in range(HIGHPASS_BLOCK):
+        powers[i + 1] = a @ powers[i]
+    impulse_states = powers[:-1] @ np.array([b1 - a1 * b0, b2 - a2 * b0])
+    # h[0] = b0, h[k] = c A^(k-1) B; row i of the windows reversed is h[i - j]
+    padded = np.concatenate([np.zeros(HIGHPASS_BLOCK - 1), [b0], impulse_states[:-1, 0]])
+    toeplitz = np.lib.stride_tricks.sliding_window_view(padded, HIGHPASS_BLOCK)[:, ::-1]
+    ops = (toeplitz, powers[:-1, 0, :], impulse_states[::-1], powers[-1])
+    ops = tuple(np.ascontiguousarray(op) for op in ops)
+    for op in ops:
+        op.flags.writeable = False
+    return ops
+
+
+@lru_cache(maxsize=8)
+def _highpass_operators(cutoff_hz: float, sample_rate: int, order: int) -> tuple:
+    """Per-section block operators of one Butterworth design, built once per
+    argument triple because highpass_butterworth runs on every node clip."""
+    return tuple(
+        _section_operators(section)
+        for section in design_highpass(cutoff_hz, sample_rate, order)
+    )
+
+
+def _sosfilt(operators: tuple, x: np.ndarray) -> np.ndarray:
+    """Apply a biquad cascade (transposed direct form II, zero initial state).
+
+    Each section runs block by block: the signal is zero-padded to
+    [n_blocks, HIGHPASS_BLOCK], one matmul gives every block's zero-state
+    outputs and one its zero-state end state, a loop over blocks carries
+    the 2-vector state with A^L, and a last matmul adds each block's
+    carried-in state to its outputs. Sums run in another order than the
+    per-sample recurrence, so the two differ in rounding: against a
+    long-double recurrence on 48 000 samples of noise, both are within
+    ~5e-15 of max|y| at 200 Hz; at 1 Hz and 48 kHz the block form is within
+    4e-12 and the loop 4e-11; a 3990 Hz cutoff at 8 kHz costs the block
+    form 2e-12 against 5e-13 for the loop.
+    """
+    n = len(x)
+    n_blocks = -(-n // HIGHPASS_BLOCK)
+    y = np.zeros(n_blocks * HIGHPASS_BLOCK)
+    y[:n] = x
+    y = y.reshape(n_blocks, HIGHPASS_BLOCK)
+    for toeplitz, state_out, end_state, carry in operators:
+        (p00, p01), (p10, p11) = carry.tolist()
+        s0 = s1 = 0.0
+        starts = []
+        for e0, e1 in (y @ end_state).tolist():
+            starts.append((s0, s1))
+            s0, s1 = p00 * s0 + p01 * s1 + e0, p10 * s0 + p11 * s1 + e1
+        y = y @ toeplitz.T + np.reshape(starts, (-1, 2)) @ state_out.T
+    return y.reshape(-1)[:n]
 
 
 def highpass_butterworth(
     clip: AudioClip, cutoff_hz: float = 200.0, order: int = 4
 ) -> AudioClip:
     """High-pass filter a clip through cascaded Butterworth biquads."""
-    sections = design_highpass(cutoff_hz, clip.sample_rate, order)
-    return AudioClip(_sosfilt(sections, clip.samples), clip.sample_rate)
+    operators = _highpass_operators(cutoff_hz, clip.sample_rate, order)
+    return AudioClip(_sosfilt(operators, clip.samples), clip.sample_rate)
 
 
 # --- noise injection ---

@@ -21,6 +21,7 @@ from mvcnn.errors import (
     ChannelMismatch,
     InputTooShort,
     InvalidProbability,
+    InvalidSetting,
     NotOneHot,
     ShapeMismatch,
 )
@@ -105,6 +106,10 @@ class TestMaxpool:
         x = Tensor(np.array([1, 5, 2, 4, 4, 4], dtype=float).reshape(1, 6, 1))
         out = maxpool1d(x)
         np.testing.assert_allclose(out.data[0, :, 0], [5, 4])
+
+    def test_window_must_equal_stride(self):
+        with pytest.raises(InvalidSetting):
+            maxpool1d(Tensor(np.zeros((1, 9, 1))), window=3, stride=2)
 
     def test_constant_input(self):
         out = maxpool1d(Tensor(np.full((1, 9, 2), 3.25)))

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from mvcnn.audio import AudioClip
-from mvcnn.errors import EmptyDataset, EmptyMatrix, InvalidSpec, TooFewSamples
+from mvcnn import evaluation
+from mvcnn.errors import (
+    EmptyDataset,
+    EmptyMatrix,
+    InvalidSetting,
+    InvalidSpec,
+    TooFewSamples,
+)
 from mvcnn.evaluation import (
     ClassSignature,
     ClipDataset,
@@ -285,6 +292,22 @@ class TestSweep:
             2048, 4096, 8192, 16384, 32768,
         )
         assert SweepSpec("snr").resolved_grid() == (-6.0, -3.0, 0.0, 3.0, 6.0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        (
+            SweepSpec("snr", grid=(0.0,), methods=("knn_spectrum", "knn_bogus"), k=2),
+            SweepSpec("bogus_axis", grid=(0.0,), methods=("knn_spectrum",), k=2),
+        ),
+        ids=("method", "axis"),
+    )
+    def test_bad_spec_rejected_before_features(self, monkeypatch, spec):
+        def fail(*args, **kwargs):
+            raise AssertionError("features extracted before the spec was checked")
+
+        monkeypatch.setattr(evaluation, "clip_frame_features", fail)
+        with pytest.raises(InvalidSetting):
+            run_sweep(spec, small_dataset(), pipeline=SMALL_PIPE)
 
     def test_row_count_is_cartesian_product(self):
         ds = small_dataset()

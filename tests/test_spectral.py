@@ -7,11 +7,13 @@ from mvcnn.errors import (
     InvalidCounts,
     InvalidCutoff,
     InvalidLength,
+    InvalidSetting,
     LengthMismatch,
     NonPowerOfTwo,
     ZeroPowerSignal,
 )
 from mvcnn.spectral import (
+    HIGHPASS_BLOCK,
     NormStats,
     Spectrum,
     add_noise_snr,
@@ -27,6 +29,7 @@ from mvcnn.spectral import (
     normalize,
     sos_response,
     spectrum_features,
+    _highpass_operators,
 )
 
 
@@ -36,6 +39,20 @@ def naive_dft_magnitudes(x):
     k = np.arange(n)
     mat = np.exp(-2j * np.pi * np.outer(k, k) / n)
     return np.abs(mat @ x)[: n // 2 + 1]
+
+
+def tdf2_reference(sections, x):
+    """Per-sample transposed direct form II recurrence, section by section."""
+    y = np.array(x, dtype=np.float64)
+    for b0, b1, b2, _, a1, a2 in sections:
+        z1 = z2 = 0.0
+        for i in range(len(y)):
+            xi = y[i]
+            yi = b0 * xi + z1
+            z1 = b1 * xi - a1 * yi + z2
+            z2 = b2 * xi - a2 * yi
+            y[i] = yi
+    return y
 
 
 class TestFftMagnitude:
@@ -91,6 +108,10 @@ class TestBinAverage:
     def _spec(self, bins):
         bins = np.asarray(bins, dtype=float)
         return Spectrum(bins, (len(bins) - 1) * 2, 24000)
+
+    def test_bin_count_must_match_source_len(self):
+        with pytest.raises(InvalidSetting):
+            Spectrum(np.ones(9), 20, 24000)
 
     def test_all_ones(self):
         spec = self._spec(np.ones(9))
@@ -221,6 +242,47 @@ class TestHighpass:
     def test_odd_order_rejected(self):
         with pytest.raises(ValueError):
             design_highpass(200.0, 24000, 3)
+
+    def test_odd_order_is_invalid_setting(self):
+        with pytest.raises(InvalidSetting):
+            design_highpass(200.0, 24000, 3)
+
+    @pytest.mark.parametrize("order", (2, 4, 8))
+    @pytest.mark.parametrize("sr", (1000, 8000, 24000, 44100))
+    def test_block_filter_matches_per_sample_recurrence(self, sr, order):
+        # block edges, a partial last block, and one 2 s clip at 24 kHz
+        rng = np.random.Generator(np.random.PCG64(sr + order))
+        sections = design_highpass(200.0, sr, order)
+        L = HIGHPASS_BLOCK
+        for n in (0, 1, L - 1, L, L + 1, 3 * L + 5, 48000):
+            x = rng.normal(size=n)
+            got = highpass_butterworth(AudioClip(x, sr), 200.0, order).samples
+            want = tdf2_reference(sections, x)
+            assert got.shape == want.shape
+            scale = np.max(np.abs(want), initial=0.0)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("cutoff, sr", ((3990.0, 8000), (1.0, 48000)))
+    def test_block_filter_at_extreme_cutoffs(self, cutoff, sr):
+        # Poles near the unit circle (1 Hz at 48 kHz) or near z = -1 (3990 Hz
+        # at 8 kHz) make the two summation orders round differently: here
+        # they differ by ~4e-11 and ~3e-12 of max|y|. Against a long-double
+        # recurrence the loop is 4e-11 and 5e-13 off, the block form 4e-12
+        # and 2e-12. Hence a looser bound than at 200 Hz.
+        x = np.random.Generator(np.random.PCG64(3)).normal(size=48000)
+        got = highpass_butterworth(AudioClip(x, sr), cutoff, 4).samples
+        want = tdf2_reference(design_highpass(cutoff, sr, 4), x)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-7 * np.max(np.abs(want)))
+
+    def test_operators_are_shared_and_read_only(self):
+        # one operator set per design serves every clip, so no caller may edit it
+        ops = _highpass_operators(200.0, 24000, 4)
+        assert _highpass_operators(200.0, 24000, 4) is ops
+        assert len(ops) == 2
+        for section in ops:
+            for op in section:
+                with pytest.raises(ValueError):
+                    op.flat[0] = 1.0
 
     def test_linear_time_invariant(self):
         sr = 8000
