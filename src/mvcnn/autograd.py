@@ -109,6 +109,22 @@ class ConvFilterBank:
         return self.weights.data.shape[2]
 
 
+def _im2col(data: np.ndarray, w: int, pad_left: int) -> np.ndarray:
+    """[B, L, C] -> [B*L, w*C]: row (b, l) holds zero-padded rows l..l+w-1.
+
+    The input is copied once into a zeroed [B, L+w-1, C] buffer with
+    pad_left leading rows; each output row is then one contiguous run of
+    that buffer, so the final reshape copies whole rows.
+    """
+    batch, length, channels = data.shape
+    padded = np.zeros((batch, length + w - 1, channels), dtype=data.dtype)
+    padded[:, pad_left : pad_left + length] = data
+    windows = np.lib.stride_tricks.as_strided(
+        padded, (batch, length, w * channels), padded.strides, writeable=False
+    )
+    return windows.reshape(batch * length, w * channels)
+
+
 def conv1d_same(x: Tensor, bank: ConvFilterBank) -> Tensor:
     """Zero-padded stride-1 cross-correlation, pre-activation.
 
@@ -123,32 +139,27 @@ def conv1d_same(x: Tensor, bank: ConvFilterBank) -> Tensor:
             f"input has {x.data.shape[2]} channels, bank expects {bank.in_channels}"
         )
     batch, length, c_in = x.data.shape
+    c_out = bank.out_channels
     w = bank.width
     left = (w - 1) // 2
     right = w - 1 - left
 
-    padded = np.pad(x.data, ((0, 0), (left, right), (0, 0)))
-    # [B, L, C_in, w]: window j of patch l reads padded position l + j
-    patches = np.lib.stride_tricks.sliding_window_view(padded, w, axis=1)
-    flat = patches.reshape(batch * length, c_in * w)
-    # weight layout [out, in, w] -> [in*w, out] to match patch flattening
-    wmat = bank.weights.data.transpose(1, 2, 0).reshape(c_in * w, bank.out_channels)
-    out_data = (flat @ wmat).reshape(batch, length, bank.out_channels)
+    flat = _im2col(x.data, w, left)
+    # row features are tap-major (j, ci), so [out, in, w] -> [w*in, out]
+    wmat = bank.weights.data.transpose(2, 1, 0).reshape(w * c_in, c_out)
+    out_data = (flat @ wmat).reshape(batch, length, c_out)
     out_data += bank.biases.data
 
     def backward(grad):
-        grad2d = grad.reshape(batch * length, bank.out_channels)
-        _accumulate(bank.biases, grad.sum(axis=(0, 1)))
+        grad2d = grad.reshape(batch * length, c_out)
+        _accumulate(bank.biases, np.ones(batch * length, dtype=grad.dtype) @ grad2d)
         dwmat = flat.T @ grad2d
-        _accumulate(
-            bank.weights,
-            dwmat.reshape(c_in, w, bank.out_channels).transpose(2, 0, 1),
-        )
-        dpatches = (grad2d @ wmat.T).reshape(batch, length, c_in, w)
-        dpadded = np.zeros_like(padded)
-        for j in range(w):
-            dpadded[:, j : j + length, :] += dpatches[:, :, :, j]
-        _accumulate(x, dpadded[:, left : left + length, :])
+        _accumulate(bank.weights, dwmat.reshape(w, c_in, c_out).transpose(2, 1, 0))
+        # transposed convolution: correlate the gradient, padded the other
+        # way round, with the flipped filters [w*out, in]
+        wflip = bank.weights.data[:, :, ::-1].transpose(2, 0, 1).reshape(w * c_out, c_in)
+        dx = _im2col(grad, w, right) @ wflip
+        _accumulate(x, dx.reshape(batch, length, c_in))
 
     return Tensor(out_data, parents=(x,), backward=backward)
 
@@ -183,13 +194,16 @@ def maxpool1d(x: Tensor, window: int = 3, stride: int = 3) -> Tensor:
     out_data = trimmed.max(axis=2)
 
     def backward(grad):
-        winners = trimmed.argmax(axis=2)  # first occurrence on ties
-        dtrim = np.zeros_like(trimmed)
-        np.put_along_axis(dtrim, winners[:, :, None, :], grad[:, :, None, :], axis=2)
-        dx = np.zeros_like(x.data)
-        dx[:, : pooled_len * window, :] = dtrim.reshape(
-            batch, pooled_len * window, channels
+        dx = np.zeros(x.data.shape, dtype=x.data.dtype)
+        taps = dx[:, : pooled_len * window].reshape(
+            batch, pooled_len, window, channels
         )
+        # the first tap equal to the window max takes the gradient
+        unrouted = np.ones(out_data.shape, dtype=bool)
+        for k in range(window):
+            hit = unrouted & (trimmed[:, :, k] == out_data)
+            np.multiply(grad, hit, out=taps[:, :, k])
+            unrouted &= ~hit
         _accumulate(x, dx)
 
     return Tensor(out_data, parents=(x,), backward=backward)

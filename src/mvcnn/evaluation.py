@@ -673,24 +673,42 @@ def load_manifest(path) -> ClipDataset:
 
     Raises:
         EmptyDataset: manifest has no rows.
+        InvalidSpec: not UTF-8 CSV, no path,label header, a row without
+            a label, or a row whose clip cannot be read.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames[:2]] != ["path", "label"]:
-            raise InvalidSpec(f"{path}: manifest must have a path,label header")
-        entries = [(row["path"].strip(), row["label"].strip()) for row in reader]
+    entries = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = csv.reader(fh)
+            header = next(rows, None)
+            if header is None or [c.strip() for c in header[:2]] != ["path", "label"]:
+                raise InvalidSpec(f"{path}: manifest must have a path,label header")
+            for fields in rows:
+                if not fields:
+                    continue
+                where = f"{path}: line {rows.line_num}"
+                if len(fields) < 2:
+                    raise InvalidSpec(f"{where}: row has no label")
+                if "\0" in fields[0]:
+                    raise InvalidSpec(f"{where}: NUL byte in clip path")
+                entries.append((fields[0].strip(), fields[1].strip(), where))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InvalidSpec(f"{path}: not a UTF-8 CSV manifest ({exc})") from None
     if not entries:
         raise EmptyDataset(f"{path}: empty manifest")
-    names = sorted({label for _, label in entries})
+    names = sorted({label for _, label, _ in entries})
     ids = {name: i for i, name in enumerate(names)}
     clips = []
     labels = []
-    for rel, label in entries:
+    for rel, label, where in entries:
         clip_path = Path(rel)
         if not clip_path.is_absolute():
             clip_path = path.parent / clip_path
-        clips.append(load_wav(clip_path))
+        try:
+            clips.append(load_wav(clip_path))
+        except OSError as exc:
+            raise InvalidSpec(f"{where}: cannot read clip {rel!r}: {exc.strerror}") from None
         labels.append(ids[label])
     return ClipDataset(clips, np.array(labels), len(names), names)
 
@@ -700,7 +718,7 @@ def save_dataset(dataset: ClipDataset, out_dir) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = out_dir / "manifest.csv"
-    with open(manifest, "w", newline="") as fh:
+    with open(manifest, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["path", "label"])
         for i, (clip, label) in enumerate(zip(dataset.clips, dataset.labels)):

@@ -328,6 +328,8 @@ def load(path) -> MultiViewCnn:
         raise BadMagic(f"expected {MODEL_MAGIC!r}, got {magic!r}")
     if version != MODEL_VERSION:
         raise VersionMismatch(f"unsupported model version {version}")
+    if n_views == 0:
+        raise BadMagic("model file declares no views")
 
     widths = []
     views = []

@@ -155,6 +155,8 @@ class NormStats:
     def from_bytes(cls, blob: bytes) -> "NormStats":
         if blob[:4] != NORM_MAGIC:
             raise BadMagic("not a NRM1 block")
+        if len(blob) < 8:
+            raise LengthMismatch("NRM1 block shorter than its header")
         (length,) = struct.unpack_from("<I", blob, 4)
         need = 8 + 16 * length
         if len(blob) < need:

@@ -368,3 +368,100 @@ class TestGradCheck:
     def test_doubled_gradient_reports_half(self):
         g = np.array([0.4, -1.2, 3.0])
         assert max_relative_error(2 * g, g) == pytest.approx(0.5, abs=1e-12)
+
+
+def _conv_reference(x, w, b, grad):
+    """Per-tap float64 conv1d_same forward and backward, written directly.
+
+    out[b, l, o] = bias[o] + sum_j sum_i w[o, i, j] * x[b, l + j - left, i],
+    with x zero outside [0, L); the gradients follow from the same sum.
+    """
+    batch, length, c_in = x.shape
+    c_out, _, width = w.shape
+    left = (width - 1) // 2
+    out = np.broadcast_to(b, (batch, length, c_out)).copy()
+    dx = np.zeros_like(x)
+    dw = np.zeros_like(w)
+    for j in range(width):
+        shift = j - left
+        lo, hi = max(0, -shift), min(length, length - shift)
+        if lo >= hi:
+            continue
+        src = x[:, lo + shift : hi + shift, :]
+        out[:, lo:hi, :] += src @ w[:, :, j].T
+        dx[:, lo + shift : hi + shift, :] += grad[:, lo:hi, :] @ w[:, :, j]
+        dw[:, :, j] += np.einsum("blo,bli->oi", grad[:, lo:hi, :], src)
+    return out, dx, dw, grad.sum(axis=(0, 1))
+
+
+class TestConvOracle:
+    @pytest.mark.parametrize("width", [1, 2, 3, 10, 15, 20])
+    @pytest.mark.parametrize("channels", [(1, 2), (2, 4), (4, 8), (3, 1)])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_forward_and_gradients_match_per_tap_reference(
+        self, width, channels, batch
+    ):
+        c_in, c_out = channels
+        rng = np.random.Generator(np.random.PCG64(100 * width + 10 * c_in + batch))
+        x = rng.normal(size=(batch, 23, c_in))
+        w = rng.normal(size=(c_out, c_in, width))
+        b = rng.normal(size=c_out)
+        grad = rng.normal(size=(batch, 23, c_out))
+        xt, fb = Tensor(x.copy()), bank(w, b)
+        out = conv1d_same(xt, fb)
+        out._backward(grad)
+        ref_out, ref_dx, ref_dw, ref_db = _conv_reference(x, w, b, grad)
+        np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(xt.grad, ref_dx, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fb.weights.grad, ref_dw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fb.biases.grad, ref_db, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("width", [15, 20])
+    def test_input_shorter_than_filter(self, width):
+        rng = np.random.Generator(np.random.PCG64(width))
+        x = rng.normal(size=(2, 4, 2))
+        w = rng.normal(size=(3, 2, width))
+        b = rng.normal(size=3)
+        grad = rng.normal(size=(2, 4, 3))
+        xt, fb = Tensor(x.copy()), bank(w, b)
+        out = conv1d_same(xt, fb)
+        out._backward(grad)
+        ref_out, ref_dx, ref_dw, ref_db = _conv_reference(x, w, b, grad)
+        np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(xt.grad, ref_dx, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fb.weights.grad, ref_dw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fb.biases.grad, ref_db, rtol=0, atol=1e-12)
+
+    def test_shared_input_accumulates_both_views(self):
+        # the three views read one input tensor, so its gradient is the sum
+        rng = np.random.Generator(np.random.PCG64(77))
+        x = rng.normal(size=(3, 31, 1))
+        xt = Tensor(x.copy())
+        expect = np.zeros_like(x)
+        for width in (10, 15):
+            w = rng.normal(size=(2, 1, width))
+            b = rng.normal(size=2)
+            grad = rng.normal(size=(3, 31, 2))
+            conv1d_same(xt, bank(w, b))._backward(grad)
+            expect += _conv_reference(x, w, b, grad)[1]
+        np.testing.assert_allclose(xt.grad, expect, rtol=0, atol=1e-12)
+
+
+def test_maxpool_backward_matches_per_window_reference_with_ties():
+    rng = np.random.Generator(np.random.PCG64(41))
+    # few distinct values force ties inside windows; L = 10 leaves a remainder
+    data = rng.integers(0, 3, size=(3, 10, 5)).astype(np.float64)
+    grad = rng.normal(size=(3, 3, 5))
+    x = Tensor(data.copy())
+    maxpool1d(x)._backward(grad)
+    expect = np.zeros_like(data)
+    ties = 0
+    for b in range(3):
+        for p in range(3):
+            for c in range(5):
+                window = list(data[b, 3 * p : 3 * p + 3, c])
+                top = max(window)
+                ties += window.count(top) > 1
+                expect[b, 3 * p + window.index(top), c] = grad[b, p, c]
+    assert ties > 0
+    np.testing.assert_array_equal(x.grad, expect)

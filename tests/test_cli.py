@@ -7,7 +7,7 @@ import pytest
 from mvcnn.audio import AudioClip, save_wav
 from mvcnn.cli import dispatch
 from mvcnn.evaluation import load_manifest
-from mvcnn.model import load
+from mvcnn.model import ModelConfig, build, load, save
 
 SMALL_DATA = ["--classes", "3", "--clips-per-class", "4", "--clip-seconds", "0.5"]
 SMALL_PIPE = ["--window", "2048", "--feature-len", "64"]
@@ -189,6 +189,25 @@ def test_bad_scenario_value_is_one_error_line(tmp_path):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: line 3:")
+
+
+def test_model_without_views_is_one_error_line(tmp_path):
+    path = tmp_path / "zero.mvc"
+    save(build(ModelConfig(input_len=6, n_classes=2, layer_depths=(1, 1, 1))), path)
+    blob = bytearray(path.read_bytes())
+    blob[14:18] = (0).to_bytes(4, "little")  # n_views
+    path.write_bytes(bytes(blob))
+    (tmp_path / "s.scn").write_text("nodes = 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvcnn", "simulate", "--scenario",
+         str(tmp_path / "s.scn"), "--model", str(path),
+         "--out", str(tmp_path / "records.csv")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0] == "error: model file declares no views"
 
 
 @pytest.mark.parametrize(

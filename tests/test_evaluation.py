@@ -448,3 +448,21 @@ class TestDatasetIo:
         bad.write_text("path,label\n")
         with pytest.raises(EmptyDataset):
             load_manifest(bad)
+
+    def test_row_without_label(self, tmp_path):
+        bad = tmp_path / "nolabel.csv"
+        bad.write_text("path,label\nfoo.wav\n")
+        with pytest.raises(InvalidSpec, match="line 2: row has no label"):
+            load_manifest(bad)
+
+    def test_missing_clip_names_its_line(self, tmp_path):
+        bad = tmp_path / "missing.csv"
+        bad.write_text("path,label\n\nfoo.wav,frog\n")
+        with pytest.raises(InvalidSpec, match="line 3: cannot read clip 'foo.wav'"):
+            load_manifest(bad)
+
+    def test_not_utf8(self, tmp_path):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"path,label\nfoo.wav,gr\xfcn\n")
+        with pytest.raises(InvalidSpec, match="UTF-8"):
+            load_manifest(bad)

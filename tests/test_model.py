@@ -214,6 +214,15 @@ class TestSerialization:
         with pytest.raises(VersionMismatch):
             load(path)
 
+    def test_zero_views_rejected(self, tmp_path):
+        path = tmp_path / "zero.mvc"
+        save(build(tiny_config()), path)
+        blob = bytearray(path.read_bytes())
+        blob[14:18] = (0).to_bytes(4, "little")  # n_views
+        path.write_bytes(bytes(blob))
+        with pytest.raises(BadMagic, match="no views"):
+            load(path)
+
     def test_single_view_round_trip(self, tmp_path):
         model = build(tiny_config(view_widths=(10,), dtype=np.float32))
         path = tmp_path / "sv.mvc"

@@ -208,6 +208,11 @@ class TestNormalizer:
         with pytest.raises(LengthMismatch):
             normalize(np.ones(5), stats)
 
+    def test_block_cut_inside_header(self):
+        for cut in range(4, 8):
+            with pytest.raises(LengthMismatch):
+                NormStats.from_bytes(NormStats.identity(2).to_bytes()[:cut])
+
 
 class TestHighpass:
     def test_dc_rejection(self):

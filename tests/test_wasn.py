@@ -383,6 +383,12 @@ class TestScenarioParsing:
         path.write_text(SCENARIO_TEXT)
         assert load_scenario(path) == parse_scenario(SCENARIO_TEXT)
 
+    def test_load_rejects_non_utf8(self, tmp_path):
+        path = tmp_path / "latin1.scn"
+        path.write_bytes(b"# gr\xfcn\nnodes = 2\n")
+        with pytest.raises(InvalidScenario, match="not UTF-8"):
+            load_scenario(path)
+
     def test_unknown_key(self):
         with pytest.raises(InvalidScenario):
             parse_scenario("bogus = 3\n")
