@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -214,10 +215,17 @@ def segment(
     ]
 
 
+@lru_cache(maxsize=8)
 def hamming_coefficients(n: int) -> np.ndarray:
-    """Periodic Hamming window: w[k] = 0.54 - 0.46*cos(2*pi*k/n)."""
+    """Periodic Hamming window: w[k] = 0.54 - 0.46*cos(2*pi*k/n).
+
+    Returns a read-only array, built once per n because every clip's
+    frames are windowed with it.
+    """
     k = np.arange(n)
-    return 0.54 - 0.46 * np.cos(2.0 * np.pi * k / n)
+    window = 0.54 - 0.46 * np.cos(2.0 * np.pi * k / n)
+    window.flags.writeable = False
+    return window
 
 
 def apply_hamming(frame: Frame) -> Frame:

@@ -7,14 +7,19 @@ Tensors carry a [batch, ...] leading axis; the network in this package
 uses [B, L, C] for convolutional activations and [B, F] after
 flattening.
 
-Graphs are built define-by-run: every op returns a new Tensor holding a
-closure that routes its output gradient to its parents. Calling
-``backward()`` on a scalar loss fills ``.grad`` on every tensor that
-participated in producing it.
+Graphs are built define-by-run, and only while gradients are enabled
+(the default): every op then returns a new Tensor holding a closure that
+routes its output gradient to its parents. Calling ``backward()`` on a
+scalar loss fills ``.grad`` on every tensor that participated in
+producing it. Inside ``with no_grad():`` every op returns a bare Tensor
+with no parents and no closure, so nothing an op computes for its
+backward pass (an im2col buffer, a pooling mask) outlives the op.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,26 +64,68 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeMismatch("backward() requires a scalar loss")
         topo = []
-        seen = set()
-
-        def visit(node):
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for parent in node._parents:
-                visit(parent)
-            topo.append(node)
-
-        visit(self)
+        _post_order(self, set(), topo)
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
 
 
+def _post_order(node: Tensor, seen: set, topo: list):
+    """Append every node reachable from node to topo, each after its parents.
+
+    Module-level on purpose: a recursive closure refers to itself, and that
+    cycle would keep every node of the graph alive after backward() returns,
+    until the cyclic garbage collector happens to run.
+    """
+    if id(node) in seen:
+        return
+    seen.add(id(node))
+    for parent in node._parents:
+        _post_order(parent, seen, topo)
+    topo.append(node)
+
+
+class _GradMode(threading.local):
+    """Per-thread, so inference on one thread leaves training on another intact."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Build no graph inside the block; the previous state returns on exit.
+
+    Separate from the ops' ``train`` flags: dropout's mode says what the
+    forward pass computes, this switch only whether it can be differentiated.
+    """
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
+
+
+def _node(data, parents: tuple, backward) -> Tensor:
+    """An op's output: a graph node, or a bare Tensor under no_grad()."""
+    if _grad_mode.enabled:
+        return Tensor(data, parents=parents, backward=backward)
+    return Tensor(data)
+
+
 def _accumulate(tensor: Tensor, grad: np.ndarray):
+    """Add grad into tensor.grad, keeping grad itself on the first store.
+
+    A view (a reshape, a split piece) is copied, because a later += would
+    write through it into the array it views. Backward closures hand over
+    arrays they have just computed, never one they captured.
+    """
     if tensor.grad is None:
-        tensor.grad = grad.copy()
+        tensor.grad = grad if grad.flags.owndata else grad.copy()
     else:
         tensor.grad += grad
 
@@ -158,10 +205,12 @@ def conv1d_same(x: Tensor, bank: ConvFilterBank) -> Tensor:
         # transposed convolution: correlate the gradient, padded the other
         # way round, with the flipped filters [w*out, in]
         wflip = bank.weights.data[:, :, ::-1].transpose(2, 0, 1).reshape(w * c_out, c_in)
-        dx = _im2col(grad, w, right) @ wflip
-        _accumulate(x, dx.reshape(batch, length, c_in))
+        # an array of its own, so _accumulate keeps it without a copy
+        dx = np.empty(x.data.shape, dtype=np.result_type(grad, wflip))
+        np.matmul(_im2col(grad, w, right), wflip, out=dx.reshape(batch * length, c_in))
+        _accumulate(x, dx)
 
-    return Tensor(out_data, parents=(x,), backward=backward)
+    return _node(out_data, (x,), backward)
 
 
 def tanh_act(x: Tensor) -> Tensor:
@@ -171,7 +220,7 @@ def tanh_act(x: Tensor) -> Tensor:
     def backward(grad):
         _accumulate(x, grad * (1.0 - out_data * out_data))
 
-    return Tensor(out_data, parents=(x,), backward=backward)
+    return _node(out_data, (x,), backward)
 
 
 def maxpool1d(x: Tensor, window: int = 3, stride: int = 3) -> Tensor:
@@ -206,7 +255,7 @@ def maxpool1d(x: Tensor, window: int = 3, stride: int = 3) -> Tensor:
             unrouted &= ~hit
         _accumulate(x, dx)
 
-    return Tensor(out_data, parents=(x,), backward=backward)
+    return _node(out_data, (x,), backward)
 
 
 def concat_channels(tensors: list[Tensor]) -> Tensor:
@@ -222,7 +271,7 @@ def concat_channels(tensors: list[Tensor]) -> Tensor:
         for t, piece in zip(tensors, np.split(grad, splits, axis=2)):
             _accumulate(t, piece)
 
-    return Tensor(out_data, parents=tuple(tensors), backward=backward)
+    return _node(out_data, tuple(tensors), backward)
 
 
 def flatten(x: Tensor) -> Tensor:
@@ -233,7 +282,7 @@ def flatten(x: Tensor) -> Tensor:
     def backward(grad):
         _accumulate(x, grad.reshape(x.data.shape))
 
-    return Tensor(out_data, parents=(x,), backward=backward)
+    return _node(out_data, (x,), backward)
 
 
 def dense_softmax(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
@@ -262,7 +311,7 @@ def dense_softmax(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
         _accumulate(bias, dlogits.sum(axis=0))
         _accumulate(x, dlogits @ weights.data.T)
 
-    return Tensor(probs, parents=(x, weights, bias), backward=backward)
+    return _node(probs, (x, weights, bias), backward)
 
 
 def dropout(x: Tensor, keep_prob: float, train: bool, seed: int = 0) -> Tensor:
@@ -285,7 +334,7 @@ def dropout(x: Tensor, keep_prob: float, train: bool, seed: int = 0) -> Tensor:
     def backward(grad):
         _accumulate(x, grad * mask * scale)
 
-    return Tensor(out_data, parents=(x,), backward=backward)
+    return _node(out_data, (x,), backward)
 
 
 PROB_FLOOR = 1e-12
@@ -323,8 +372,7 @@ def cross_entropy(probs: Tensor, one_hot) -> Tensor:
         dp = -(labels * inside) / clipped / batch
         _accumulate(probs, dp * grad)
 
-    return Tensor(np.asarray(loss, dtype=probs.data.dtype),
-                  parents=(probs,), backward=backward)
+    return _node(np.asarray(loss, dtype=probs.data.dtype), (probs,), backward)
 
 
 # --- optimizer ---

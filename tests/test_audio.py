@@ -241,3 +241,10 @@ class TestHamming:
     def test_empty_frame_raises(self):
         with pytest.raises(EmptyInput):
             apply_hamming(Frame(np.empty(0)))
+
+    def test_cached_read_only_and_equal_to_formula(self):
+        w = hamming_coefficients(512)
+        assert hamming_coefficients(512) is w
+        assert not w.flags.writeable
+        k = np.arange(512)
+        np.testing.assert_array_equal(w, 0.54 - 0.46 * np.cos(2.0 * np.pi * k / 512))

@@ -1,3 +1,6 @@
+import gc
+import threading
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from mvcnn.autograd import (
     AdamState,
     ConvFilterBank,
     Tensor,
+    _accumulate,
     adam_step,
     concat_channels,
     conv1d_same,
@@ -15,6 +19,7 @@ from mvcnn.autograd import (
     grad_check,
     max_relative_error,
     maxpool1d,
+    no_grad,
     tanh_act,
 )
 from mvcnn.errors import (
@@ -286,6 +291,25 @@ class TestBackward:
 
         np.testing.assert_array_equal(run(), run())
 
+    def test_graph_freed_without_cyclic_collector(self):
+        # a graph that only reference counting frees is gone as soon as the
+        # loss is dropped, not one or two training steps later
+        rng = np.random.Generator(np.random.PCG64(7))
+        fb = bank(rng.normal(size=(2, 1, 3)))
+        gc.collect()
+        gc.disable()
+        try:
+            h = tanh_act(conv1d_same(Tensor(rng.normal(size=(2, 12, 1))), fb))
+            probs = dense_softmax(
+                flatten(maxpool1d(h)), Tensor(np.ones((8, 3))), Tensor(np.zeros(3))
+            )
+            loss = cross_entropy(probs, np.eye(3)[[1, 2]])
+            loss.backward()
+            del h, probs, loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_fanout_accumulates(self):
         # the same tensor consumed twice must receive both contributions
         x = Tensor(np.ones((1, 3, 1)))
@@ -465,3 +489,88 @@ def test_maxpool_backward_matches_per_window_reference_with_ties():
                 expect[b, 3 * p + window.index(top), c] = grad[b, p, c]
     assert ties > 0
     np.testing.assert_array_equal(x.grad, expect)
+
+
+def _op_cases():
+    rng = np.random.Generator(np.random.PCG64(50))
+    x = Tensor(rng.normal(size=(2, 9, 2)))
+    fb = bank(rng.normal(size=(3, 2, 4)), rng.normal(size=3))
+    flat = Tensor(rng.normal(size=(2, 6)))
+    w, b = Tensor(rng.normal(size=(6, 3))), Tensor(rng.normal(size=3))
+    probs = Tensor(np.full((2, 3), 1.0 / 3.0))
+    return {
+        "conv1d_same": lambda: conv1d_same(x, fb),
+        "tanh_act": lambda: tanh_act(x),
+        "maxpool1d": lambda: maxpool1d(x),
+        "concat_channels": lambda: concat_channels([x, x]),
+        "flatten": lambda: flatten(x),
+        "dense_softmax": lambda: dense_softmax(flat, w, b),
+        "dropout": lambda: dropout(flat, 0.5, train=True, seed=3),
+        "cross_entropy": lambda: cross_entropy(probs, np.eye(3)[[0, 2]]),
+    }
+
+
+class TestNoGrad:
+    @pytest.mark.parametrize("name", sorted(_op_cases()))
+    def test_op_builds_no_node_and_same_data(self, name):
+        op = _op_cases()[name]
+        graph = op()
+        assert graph._parents and graph._backward is not None
+        with no_grad():
+            bare = op()
+        assert bare._parents == () and bare._backward is None
+        np.testing.assert_array_equal(bare.data, graph.data)
+
+    def test_nested_blocks_restore_outer_state(self):
+        op = _op_cases()["tanh_act"]
+        with no_grad():
+            with no_grad():
+                pass
+            assert op()._backward is None
+        assert op()._backward is not None
+
+    def test_switch_is_per_thread(self):
+        op = _op_cases()["tanh_act"]
+        built = []
+        with no_grad():
+            worker = threading.Thread(target=lambda: built.append(op()._backward))
+            worker.start()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert built[0] is not None
+
+    def test_restored_after_exception(self):
+        op = _op_cases()["tanh_act"]
+        with pytest.raises(ShapeMismatch):
+            with no_grad():
+                conv1d_same(Tensor(np.ones((2, 3))), bank(np.ones((1, 1, 2))))
+        assert op()._backward is not None
+
+
+class TestAccumulate:
+    def test_fresh_gradient_kept_without_copy(self):
+        t = Tensor(np.zeros((2, 3)))
+        grad = np.ones((2, 3))
+        _accumulate(t, grad)
+        assert t.grad is grad
+
+    def test_view_copied_so_later_sums_stay_local(self):
+        base = np.arange(6.0).reshape(2, 3)
+        t = Tensor(np.zeros(3))
+        _accumulate(t, base[0])
+        _accumulate(t, base[1])
+        np.testing.assert_array_equal(base, np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(t.grad, [3.0, 5.0, 7.0])
+
+    def test_split_pieces_do_not_write_into_merged_gradient(self):
+        rng = np.random.Generator(np.random.PCG64(51))
+        x = Tensor(rng.normal(size=(1, 3, 2)))
+        merged = concat_channels([x, x])
+        flat = flatten(merged)
+        w = Tensor(rng.normal(size=(12, 2)))
+        probs = dense_softmax(flat, w, Tensor(np.zeros(2)))
+        cross_entropy(probs, [[1, 0]]).backward()
+        assert not np.shares_memory(flat.grad, merged.grad)
+        expect = merged.grad[..., :2] + merged.grad[..., 2:]
+        assert np.any(merged.grad[..., 2:] != 0)
+        np.testing.assert_array_equal(x.grad, expect)

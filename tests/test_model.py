@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mvcnn import model as model_module
 from mvcnn.errors import (
     BadMagic,
     EmptyDataset,
@@ -276,3 +277,66 @@ def test_predict_batches_match_single(tmp_path):
     batched = predict(model, X, chunk=7)
     single = np.array([int(np.argmax(forward(model, x))) for x in X])
     np.testing.assert_array_equal(batched, single)
+
+
+class TestNoGraphInference:
+    """forward and predict run under no_grad(): same numbers, no graph."""
+
+    def _model_and_rows(self, n):
+        model = build(tiny_config(dtype=np.float32))
+        rng = np.random.Generator(np.random.PCG64(11))
+        return model, rng.normal(size=(n, 32))
+
+    def test_forward_equals_graph_path(self):
+        model, X = self._model_and_rows(5)
+        for x in X:
+            graph = forward_batch(model, x[None, :]).data[0]
+            np.testing.assert_array_equal(forward(model, x), graph)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    def test_predict_equals_graph_path(self, chunk):
+        # 263 rows: neither 7 nor 256 divides it, so the last chunk is short
+        model, X = self._model_and_rows(263)
+        graph = np.concatenate([
+            np.argmax(forward_batch(model, X[i : i + chunk]).data, axis=1)
+            for i in range(0, len(X), chunk)
+        ])
+        np.testing.assert_array_equal(predict(model, X, chunk=chunk), graph)
+
+    def test_forward_and_predict_build_no_graph(self, monkeypatch):
+        model, X = self._model_and_rows(3)
+        outputs = []
+
+        def recording(*args, **kwargs):
+            outputs.append(forward_batch(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(model_module, "forward_batch", recording)
+        predict(model, X, chunk=2)
+        forward(model, X[0])
+        assert len(outputs) == 3
+        assert all(t._parents == () and t._backward is None for t in outputs)
+        assert forward_batch(model, X)._backward is not None
+
+    def test_validation_leaves_training_unchanged(self):
+        # accuracy() runs mid-training under no_grad(); were the switch left
+        # off, later steps would get no gradients and the runs would diverge
+        X, y = separable_dataset()
+
+        def run(validation):
+            model = build(tiny_config(n_classes=2, dtype=np.float32))
+            hist = train(model, X, y, TrainConfig(iterations=25, seed=3),
+                         validation=validation)
+            return [r.loss for r in hist], [p.data.copy() for p in model.parameters()]
+
+        (loss_a, params_a), (loss_b, params_b) = run((X, y)), run(None)
+        assert loss_a == loss_b
+        for a, b in zip(params_a, params_b):
+            np.testing.assert_array_equal(a, b)
+
+    def test_gradient_check_after_inference(self):
+        model = build(tiny_config())
+        rng = np.random.Generator(np.random.PCG64(4))
+        x = rng.normal(size=32)
+        predict(model, x[None, :])
+        assert gradient_check(model, x, label=1, n_samples=25) < 1e-4

@@ -11,7 +11,8 @@ from mvcnn.errors import (
     TrailingBytes,
     Truncated,
 )
-from mvcnn.model import ModelConfig, build
+from mvcnn import wasn
+from mvcnn.model import ModelConfig, build, forward_batch
 from mvcnn.wasn import (
     ORIGIN_FALLBACK,
     ORIGIN_SERVER,
@@ -411,3 +412,43 @@ class TestScenarioParsing:
     def test_section_outside_node_range(self):
         with pytest.raises(InvalidScenario):
             parse_scenario("nodes = 2\n[node 5]\nclock_skew_ms = 1\n")
+
+
+def _graph_forward(model, features):
+    """forward() without no_grad(): the graph-building reference path."""
+    return forward_batch(model, np.asarray(features)[None, :]).data[0]
+
+
+def _record_fields(records):
+    return [
+        (r.node_id, r.sequence_no, r.timestamp_ms, r.origin, r.predicted,
+         r.probabilities.tobytes(), r.latency_ms)
+        for r in records
+    ]
+
+
+class TestNoGraphServing:
+    def test_server_classify_matches_graph_path(self, monkeypatch):
+        model = build(ModelConfig(input_len=64, n_classes=4, seed=0))
+        rng = np.random.Generator(np.random.PCG64(7))
+        msgs = [SpectrumMessage(1, i, 10 * i, np.abs(rng.normal(size=64)))
+                for i in range(4)]
+        served = [server_classify(m, model) for m in msgs]
+        monkeypatch.setattr(wasn, "forward", _graph_forward)
+        assert _record_fields(served) == _record_fields(
+            [server_classify(m, model) for m in msgs]
+        )
+
+    def test_fallback_records_match_graph_path(self, monkeypatch):
+        nodes = (
+            NodeSpec(fallback_classes=(0, 2), link_outages=((300, 800),)),
+            NodeSpec(),
+            NodeSpec(fallback_classes=(1, 2), link_outages=((0, 10**9),)),
+        )
+        scenario = small_scenario(nodes=nodes)
+        server, fallbacks = small_models(scenario, fallback_nodes=(1, 3))
+        result = simulate(scenario, server, fallbacks)
+        assert {r.origin for r in result.records} == {ORIGIN_SERVER, ORIGIN_FALLBACK}
+        monkeypatch.setattr(wasn, "forward", _graph_forward)
+        graph = simulate(scenario, server, fallbacks)
+        assert _record_fields(result.records) == _record_fields(graph.records)
