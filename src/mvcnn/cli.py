@@ -40,7 +40,6 @@ from .evaluation import (
     write_results_csv,
 )
 from .model import ModelConfig, TrainConfig, build, gradient_check, load, save, train
-from .spectral import highpass_butterworth
 from .wasn import (
     load_scenario,
     simulate,
@@ -79,6 +78,9 @@ def add_pipeline_flags(p):
                    help="bin-averaged feature vector length")
     p.add_argument("--snr", type=float, default=None,
                    help="inject Gaussian noise at this SNR (dB) before features")
+    p.add_argument("--highpass", type=float, default=None,
+                   help="Butterworth high-pass cutoff (Hz) after any noise; "
+                        "off by default, scenario nodes use 200")
 
 
 def add_train_flags(p):
@@ -126,6 +128,7 @@ def get_pipeline(args) -> PipelineConfig:
         feature_len=args.feature_len,
         snr_db=args.snr,
         noise_seed=args.seed,
+        highpass_hz=args.highpass,
     )
 
 
@@ -153,17 +156,9 @@ def cmd_prep(args):
     pipeline = get_pipeline(args)
     if args.mfcc:
         pipeline = replace(pipeline, feature_kind="mfcc")
-    if args.highpass is not None:
-        dataset.clips = [
-            highpass_butterworth(c, args.highpass) for c in dataset.clips
-        ]
     per_clip = clip_frame_features(dataset, pipeline)
-    clip_index = np.concatenate(
-        [np.full(len(f), i, dtype=np.int64) for i, f in enumerate(per_clip)]
-    ) if per_clip else np.empty(0, dtype=np.int64)
-    features = np.vstack([f for f in per_clip if len(f)]) if any(
-        len(f) for f in per_clip
-    ) else np.empty((0, pipeline.feature_dim))
+    clip_index = np.repeat(np.arange(len(per_clip)), [len(f) for f in per_clip])
+    features = np.vstack(per_clip)
     np.savez(
         args.out,
         features=features,
@@ -383,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_dataset_flags(p)
     add_pipeline_flags(p)
     p.add_argument("--mfcc", action="store_true", help="extract MFCCs instead of spectra")
-    p.add_argument("--highpass", type=float, default=None,
-                   help="apply a Butterworth high-pass at this cutoff (Hz) first")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, required=True, help="output .npz path")
     p.set_defaults(func=cmd_prep)

@@ -9,6 +9,10 @@ frame-level toggle.
 
 Feature normalization statistics are always fitted on training folds
 only; test features are transformed with the training-fold statistics.
+
+`clip_features` is the one per-clip feature chain. Training, evaluation
+and `prep` reach it through `clip_frame_features`, and the sensor node
+(`wasn.node_process`) calls it directly.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .spectral import (
     add_noise_snr,
     fit_normalizer,
     hamming_coefficients,
+    highpass_butterworth,
     mfcc_features,
     normalize,
     spectrum_features,
@@ -290,19 +295,37 @@ class PipelineConfig:
     feature_kind: str = "spectrum"  # "spectrum" or "mfcc"
     snr_db: float | None = None
     noise_seed: int = 0
+    highpass_hz: float | None = None  # Butterworth cutoff; None skips the filter
 
     @property
     def feature_dim(self) -> int:
         return self.feature_len if self.feature_kind == "spectrum" else MFCC_COEFFS
 
 
-def clip_frame_features(dataset: ClipDataset, pipeline: PipelineConfig) -> list:
-    """Per-clip [n_frames, D] feature matrices (pre-normalization).
+def clip_features(clip: AudioClip, pipeline: PipelineConfig):
+    """([n_frames, D] features, frames) of one clip: optional high-pass,
+    silence removal, segmentation, Hamming window, then bin-averaged FFT
+    magnitudes or MFCCs. No frames gives a [0, D] matrix."""
+    if pipeline.highpass_hz is not None:
+        clip = highpass_butterworth(clip, pipeline.highpass_hz)
+    active = remove_silence(clip, pipeline.silence)
+    frames = (
+        segment(active, pipeline.window_len, pipeline.overlap) if len(active) else []
+    )
+    if not frames:
+        return np.empty((0, pipeline.feature_dim)), frames
+    if pipeline.feature_kind == "spectrum":
+        return spectrum_features(frames, pipeline.feature_len), frames
+    if pipeline.feature_kind == "mfcc":
+        mat = np.stack([f.values for f in frames])
+        mat = mat * hamming_coefficients(mat.shape[1])
+        return mfcc_features(mat, clip.sample_rate), frames
+    raise InvalidSetting(f"unknown feature kind {pipeline.feature_kind!r}")
 
-    Applies optional SNR noise injection (deterministic per clip index),
-    silence removal, segmentation, Hamming windowing and the configured
-    feature transform. Clips that yield no frames produce empty matrices.
-    """
+
+def clip_frame_features(dataset: ClipDataset, pipeline: PipelineConfig) -> list:
+    """Per-clip [n_frames, D] feature matrices (pre-normalization): the
+    optional SNR noise, deterministic per clip index, then clip_features."""
     out = []
     for i, clip in enumerate(dataset.clips):
         if pipeline.snr_db is not None:
@@ -310,22 +333,7 @@ def clip_frame_features(dataset: ClipDataset, pipeline: PipelineConfig) -> list:
                 clip, pipeline.snr_db,
                 seed=(pipeline.noise_seed * 1_000_003 + i) & 0x7FFFFFFFFFFF,
             )
-        active = remove_silence(clip, pipeline.silence)
-        frames = (
-            segment(active, pipeline.window_len, pipeline.overlap)
-            if len(active) else []
-        )
-        if not frames:
-            out.append(np.empty((0, pipeline.feature_dim)))
-            continue
-        if pipeline.feature_kind == "spectrum":
-            out.append(spectrum_features(frames, pipeline.feature_len))
-        elif pipeline.feature_kind == "mfcc":
-            mat = np.stack([f.values for f in frames])
-            mat = mat * hamming_coefficients(mat.shape[1])
-            out.append(mfcc_features(mat, clip.sample_rate))
-        else:
-            raise InvalidSetting(f"unknown feature kind {pipeline.feature_kind!r}")
+        out.append(clip_features(clip, pipeline)[0])
     return out
 
 

@@ -264,11 +264,13 @@ def train(
             p.grad if p.grad is not None else np.zeros_like(p.data) for p in params
         ]
         adam_step(params, grads, state)
+        loss_value = float(loss.data)
+        del probs, loss  # free this step's graph before the next forward pass
 
         val_acc = None
         if validation is not None and ((it + 1) % 10 == 0 or it == cfg.iterations - 1):
             val_acc = accuracy(model, validation[0], validation[1])
-        history.append(TrainRecord(it, float(loss.data), val_acc))
+        history.append(TrainRecord(it, loss_value, val_acc))
     return history
 
 
@@ -279,8 +281,14 @@ def _pack_f32(arr: np.ndarray) -> bytes:
 
 
 def save(model: MultiViewCnn, path) -> None:
-    """Write the model as the little-endian MVC1 binary format."""
+    """Write the model as the little-endian MVC1 binary format.
+
+    Raises:
+        InvalidConfig: views not three layers deep; MVC1 stores no depth.
+    """
     cfg = model.config
+    if len(cfg.layer_depths) != 3:
+        raise InvalidConfig(f"MVC1 stores 3-layer views, not {len(cfg.layer_depths)}")
     out = bytearray()
     out += struct.pack(
         "<4sHIII",

@@ -1,7 +1,7 @@
 """Node-to-server offload simulator with a framed spectrum protocol.
 
-Nodes preprocess audio locally (high-pass, silence removal,
-segmentation, FFT, bin averaging) and upload one framed message per
+Nodes run training's feature chain (`evaluation.clip_features`) with a
+`NodeConfig`, high-pass on at 200 Hz, and upload one framed message per
 window. A star topology relays non-hub traffic through node 1. During a
 node's link outage, or a server outage, messages are classified on the
 node by a reduced-class fallback model; otherwise the server model
@@ -22,28 +22,30 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import ceil
 
 import numpy as np
 
-from .audio import AudioClip, SilenceConfig, remove_silence, segment
+from .audio import AudioClip, SilenceConfig
 from .errors import (
     BadMagic,
     CrcMismatch,
     InvalidScenario,
+    InvalidSetting,
     LengthMismatch,
     TrailingBytes,
     Truncated,
 )
-from .evaluation import SyntheticSpec, generate_synthetic
-from .model import ModelConfig, MultiViewCnn, TrainConfig, build, forward, train
-from .spectral import (
-    fit_normalizer,
-    highpass_butterworth,
-    normalize,
-    spectrum_features,
+from .evaluation import (
+    PipelineConfig,
+    SyntheticSpec,
+    clip_features,
+    clip_frame_features,
+    generate_synthetic,
 )
+from .model import ModelConfig, MultiViewCnn, TrainConfig, build, forward, train
+from .spectral import fit_normalizer, normalize
 
 SPM_MAGIC = b"SPM1"
 _HEADER_FMT = "<4sHIQI"
@@ -110,39 +112,31 @@ def decode(blob: bytes) -> SpectrumMessage:
 # --- node pipeline ---
 
 @dataclass(frozen=True)
-class NodeConfig:
-    node_id: int
-    feature_len: int = 512
-    window_len: int = 2**14
-    overlap: float = 0.5
-    silence: SilenceConfig = SilenceConfig()
-    highpass_hz: float = 200.0
+class NodeConfig(PipelineConfig):
+    """A node's feature pipeline: high-pass on by default, no injected noise."""
+
+    highpass_hz: float | None = 200.0
+    node_id: int = field(kw_only=True)
+
+    def __post_init__(self):
+        if self.snr_db is not None:
+            raise InvalidSetting("a node records its noise; snr_db must be None")
 
 
 def node_process(
     clip: AudioClip, cfg: NodeConfig, start_ms: int = 0, seq_start: int = 0
 ) -> list[SpectrumMessage]:
-    """Local preprocessing chain: one message per surviving window.
+    """clip_features framed as one message per surviving window.
 
-    High-pass filter, silence removal, sliding-window segmentation,
-    Hamming windowing, FFT magnitudes, bin averaging. Message timestamps
-    mark when each window is fully captured, relative to start_ms.
+    Message timestamps mark when each window is fully captured, relative
+    to start_ms.
     """
-    filtered = highpass_butterworth(clip, cfg.highpass_hz)
-    active = remove_silence(filtered, cfg.silence)
-    if len(active) == 0:
-        return []
-    frames = segment(active, cfg.window_len, cfg.overlap)
-    if not frames:
-        return []
-    features = spectrum_features(frames, cfg.feature_len)
+    features, frames = clip_features(clip, cfg)
     messages = []
-    for i, frame in enumerate(frames):
+    for i, (frame, row) in enumerate(zip(frames, features)):
         end_sample = frame.start_offset + cfg.window_len
         ts = start_ms + int(round(1000.0 * end_sample / clip.sample_rate))
-        messages.append(
-            SpectrumMessage(cfg.node_id, seq_start + i, ts, features[i])
-        )
+        messages.append(SpectrumMessage(cfg.node_id, seq_start + i, ts, row))
     return messages
 
 
@@ -550,14 +544,9 @@ def _scenario_training_frames(scenario: Scenario, clips_per_class: int, seed: in
             seed=seed + 7919,
         )
     )
-    cfg = _node_config(scenario, node_id=0)
-    frames = []
-    labels = []
-    for clip, label in zip(dataset.clips, dataset.labels):
-        msgs = node_process(clip, cfg)
-        frames.extend(m.payload.astype(np.float64) for m in msgs)
-        labels.extend([int(label)] * len(msgs))
-    return np.array(frames), np.array(labels, dtype=np.int64)
+    per_clip = clip_frame_features(dataset, _node_config(scenario, node_id=0))
+    frames = np.vstack(per_clip).astype(np.float32).astype(np.float64)  # as sent
+    return frames, np.repeat(dataset.labels, [len(f) for f in per_clip])
 
 
 def train_server_model(

@@ -6,8 +6,15 @@ import pytest
 
 from mvcnn.audio import AudioClip, save_wav
 from mvcnn.cli import dispatch
-from mvcnn.evaluation import load_manifest
+from mvcnn.evaluation import (
+    PipelineConfig,
+    SyntheticSpec,
+    clip_frame_features,
+    generate_synthetic,
+    load_manifest,
+)
 from mvcnn.model import ModelConfig, build, load, save
+from mvcnn.wasn import NodeConfig, node_process
 
 SMALL_DATA = ["--classes", "3", "--clips-per-class", "4", "--clip-seconds", "0.5"]
 SMALL_PIPE = ["--window", "2048", "--feature-len", "64"]
@@ -77,6 +84,44 @@ def test_prep_with_highpass_and_mfcc(tmp_path):
     ])
     assert code == 0
     assert np.load(out)["features"].shape[1] == 13
+
+
+def small_synthetic(seed=0):
+    return generate_synthetic(
+        SyntheticSpec(n_classes=3, clips_per_class=4, clip_seconds=0.5, seed=seed)
+    )
+
+
+def test_prep_training_and_node_compute_one_clip_alike(tmp_path):
+    out = tmp_path / "hp.npz"
+    code = dispatch([
+        "prep", *SMALL_DATA, *SMALL_PIPE, "--highpass", "200", "--out", str(out),
+    ])
+    assert code == 0
+    archive = np.load(out)
+    dataset = small_synthetic()
+    pipeline = PipelineConfig(window_len=2048, feature_len=64, highpass_hz=200.0)
+    rows = clip_frame_features(dataset, pipeline)[0]
+    assert len(rows)
+    np.testing.assert_array_equal(archive["features"][archive["clip_index"] == 0], rows)
+    node = NodeConfig(node_id=1, window_len=2048, feature_len=64)
+    payloads = [m.payload for m in node_process(dataset.clips[0], node)]
+    np.testing.assert_array_equal(np.array(payloads), rows.astype(np.float32))
+
+
+def test_prep_adds_noise_before_the_high_pass(tmp_path):
+    # as on a node, which filters what it records
+    out = tmp_path / "noisy.npz"
+    code = dispatch([
+        "prep", *SMALL_DATA, *SMALL_PIPE, "--snr", "0", "--highpass", "200",
+        "--seed", "2", "--out", str(out),
+    ])
+    assert code == 0
+    pipeline = PipelineConfig(
+        window_len=2048, feature_len=64, snr_db=0.0, noise_seed=2, highpass_hz=200.0,
+    )
+    want = np.vstack(clip_frame_features(small_synthetic(seed=2), pipeline))
+    np.testing.assert_array_equal(np.load(out)["features"], want)
 
 
 def train_args(out, history=None, seed="3"):

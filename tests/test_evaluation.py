@@ -19,6 +19,7 @@ from mvcnn.evaluation import (
     PipelineConfig,
     SweepSpec,
     SyntheticSpec,
+    clip_features,
     clip_frame_features,
     compute_metrics,
     evaluate_split,
@@ -34,7 +35,12 @@ from mvcnn.evaluation import (
     tune_silence_threshold,
     write_results_csv,
 )
-from mvcnn.spectral import fit_normalizer, normalize
+from mvcnn.spectral import (
+    add_noise_snr,
+    fit_normalizer,
+    highpass_butterworth,
+    normalize,
+)
 
 
 # small, fast configurations for harness tests
@@ -164,6 +170,20 @@ class TestSynthetic:
         pipe = PipelineConfig(window_len=2**11, feature_len=64)
         feats = clip_frame_features(ds, pipe)
         assert all(len(f) > 0 for f in feats)
+
+    def test_high_pass_runs_ahead_of_silence_removal(self):
+        clip = small_dataset().clips[0]
+        got, _ = clip_features(clip, replace(SMALL_PIPE, highpass_hz=200.0))
+        want, _ = clip_features(highpass_butterworth(clip, 200.0), SMALL_PIPE)
+        np.testing.assert_array_equal(got, want)
+        assert not np.array_equal(got, clip_features(clip, SMALL_PIPE)[0])
+
+    def test_noise_goes_in_before_the_high_pass(self):
+        ds = small_dataset()
+        pipe = replace(SMALL_PIPE, snr_db=0.0, noise_seed=3, highpass_hz=200.0)
+        noisy = add_noise_snr(ds.clips[1], 0.0, seed=3 * 1_000_003 + 1)
+        want, _ = clip_features(noisy, replace(pipe, snr_db=None))
+        np.testing.assert_array_equal(clip_frame_features(ds, pipe)[1], want)
 
     def test_amplitude_bound(self):
         ds = small_dataset()

@@ -1,7 +1,10 @@
+import gc
+
 import numpy as np
 import pytest
 
 from mvcnn import model as model_module
+from mvcnn.autograd import Tensor
 from mvcnn.errors import (
     BadMagic,
     EmptyDataset,
@@ -164,6 +167,22 @@ class TestTrain:
         recorded = [r.iteration for r in history if r.val_accuracy is not None]
         assert recorded == [9, 19, 24]
 
+    def test_step_graph_freed_before_next_forward(self, monkeypatch):
+        X, y = separable_dataset(n_per_class=8, length=64)
+        live = []
+
+        def counting(*args, **kwargs):
+            live.append(sum(
+                isinstance(o, Tensor) and o._backward is not None
+                for o in gc.get_objects()
+            ))
+            return forward_batch(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "forward_batch", counting)
+        model = build(tiny_config(input_len=64, n_classes=2, dtype=np.float32))
+        train(model, X, y, TrainConfig(iterations=4, batch_size=8, seed=0))
+        assert live == [0, 0, 0, 0]
+
     def test_empty_dataset(self):
         model = build(tiny_config())
         with pytest.raises(EmptyDataset):
@@ -230,6 +249,21 @@ class TestSerialization:
         save(model, path)
         back = load(path)
         assert back.config.view_widths == (10,)
+        x = np.linspace(-1, 1, 32)
+        np.testing.assert_array_equal(forward(model, x), forward(back, x))
+
+    def test_save_refuses_depths_load_cannot_read(self, tmp_path):
+        # MVC1 stores no layer count and load reads three layers per view
+        for depths in ((2, 4), (2, 4, 8, 8)):
+            path = tmp_path / f"depth{len(depths)}.mvc"
+            with pytest.raises(InvalidConfig, match="3-layer"):
+                save(build(tiny_config(layer_depths=depths)), path)
+            assert not path.exists()
+        path = tmp_path / "depth3.mvc"
+        model = build(tiny_config(layer_depths=(2, 4, 8), dtype=np.float32))
+        save(model, path)
+        back = load(path)
+        assert back.config.layer_depths == (2, 4, 8)
         x = np.linspace(-1, 1, 32)
         np.testing.assert_array_equal(forward(model, x), forward(back, x))
 

@@ -6,12 +6,14 @@ from mvcnn.errors import (
     BadMagic,
     CrcMismatch,
     InvalidScenario,
+    InvalidSetting,
     LengthMismatch,
     MvcnnError,
     TrailingBytes,
     Truncated,
 )
 from mvcnn import wasn
+from mvcnn.evaluation import SyntheticSpec, generate_synthetic
 from mvcnn.model import ModelConfig, build, forward_batch
 from mvcnn.wasn import (
     ORIGIN_FALLBACK,
@@ -144,6 +146,34 @@ class TestNodeProcess:
         clip = tone_clip(seconds=32768 / 24000)
         msgs = node_process(clip, NodeConfig(node_id=1), seq_start=7)
         assert [m.sequence_no for m in msgs] == [7, 8, 9]
+
+    def test_node_config_rejects_injected_noise(self):
+        with pytest.raises(InvalidSetting, match="snr_db"):
+            NodeConfig(node_id=1, snr_db=0.0)
+
+    def test_node_config_needs_node_id(self):
+        with pytest.raises(TypeError):
+            NodeConfig()
+
+    def test_scenario_training_frames_are_node_payloads(self):
+        scenario = small_scenario()
+        frames, labels = wasn._scenario_training_frames(scenario, 2, seed=4)
+        # reference: the node pipeline, message by message, through the wire's f32
+        dataset = generate_synthetic(SyntheticSpec(
+            n_classes=scenario.n_classes, clips_per_class=2,
+            clip_seconds=scenario.clip_seconds, sample_rate=scenario.sample_rate,
+            seed=4 + 7919,
+        ))
+        cfg = wasn._node_config(scenario, node_id=0)
+        want_frames, want_labels = [], []
+        for clip, label in zip(dataset.clips, dataset.labels):
+            msgs = node_process(clip, cfg)
+            want_frames.extend(m.payload.astype(np.float64) for m in msgs)
+            want_labels.extend([int(label)] * len(msgs))
+        assert want_frames
+        np.testing.assert_array_equal(frames, np.array(want_frames))
+        np.testing.assert_array_equal(labels, want_labels)
+        assert labels.dtype == np.int64
 
 
 class TestServerClassify:
