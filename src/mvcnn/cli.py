@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import AudioClip, SilenceConfig
-from .errors import MvcnnError
+from .errors import InvalidSetting, MvcnnError
 from .evaluation import (
     METHOD_NAMES,
     PipelineConfig,
@@ -100,6 +100,14 @@ def add_dataset_flags(p):
     p.add_argument("--clip-seconds", type=float, default=3.0)
 
 
+def parse_list(flag, text, kind):
+    """A comma-separated flag value as a tuple of kind(item)."""
+    try:
+        return tuple(kind(v) for v in text.split(","))
+    except (ValueError, OverflowError):
+        raise InvalidSetting(f"{flag} takes comma-separated numbers, got {text!r}") from None
+
+
 def check_window(parser, window):
     if window not in WINDOW_CHOICES:
         parser.error(
@@ -172,6 +180,7 @@ def cmd_prep(args):
 
 
 def cmd_train(args):
+    train_cfg = TrainConfig(args.lr, args.iters, args.batch, args.seed)
     dataset = get_dataset(args)
     pipeline = get_pipeline(args)
     per_clip = clip_frame_features(dataset, pipeline)
@@ -197,8 +206,7 @@ def cmd_train(args):
     )
     history = train(
         model, fold.train_features, fold.train_labels,
-        TrainConfig(args.lr, args.iters, args.batch, args.seed),
-        validation=validation,
+        train_cfg, validation=validation,
     )
     model.norm_stats = fold.stats
     save(model, args.out)
@@ -259,13 +267,15 @@ def cmd_eval(args):
 def cmd_sweep(args):
     dataset = get_dataset(args)
     pipeline = get_pipeline(args)
-    grid = tuple(float(v) for v in args.grid.split(",")) if args.grid else None
-    if grid and args.axis in ("window_size", "iterations"):
-        grid = tuple(int(v) for v in grid)
+    grid = None
+    if args.grid:
+        integral = args.axis in ("window_size", "iterations")
+        to_value = (lambda v: int(float(v))) if integral else float
+        grid = parse_list("--grid", args.grid, to_value)
     spec = SweepSpec(
         axis=args.axis, grid=grid,
         methods=tuple(args.methods.split(",")),
-        seeds=tuple(int(s) for s in args.seeds.split(",")),
+        seeds=parse_list("--seeds", args.seeds, int),
         k=args.k,
     )
     rows = run_sweep(
@@ -345,6 +355,8 @@ def cmd_tune_threshold(args):
     windows = []
     for clip, label in labeled:
         win = int(round(args.window_seconds * clip.sample_rate))
+        if win < 1:
+            raise InvalidSetting(f"--window-seconds {args.window_seconds} holds no sample")
         for start in range(0, len(clip.samples), win):
             chunk = clip.samples[start : start + win]
             if len(chunk):

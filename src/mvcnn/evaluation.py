@@ -113,9 +113,11 @@ def generate_synthetic(spec: SyntheticSpec) -> ClipDataset:
     so the dataset is reproducible and independent of generation order.
 
     Raises:
-        InvalidSpec: non-distinct signatures, tones above Nyquist, or
-        degenerate sizes.
+        InvalidSpec: non-distinct signatures, tones above Nyquist,
+        degenerate sizes, or a negative seed.
     """
+    if spec.seed < 0:
+        raise InvalidSpec(f"seed must be >= 0, got {spec.seed}")
     if spec.n_classes < 2 or spec.clips_per_class < 1:
         raise InvalidSpec("need at least 2 classes and 1 clip per class")
     n_samples = int(round(spec.clip_seconds * spec.sample_rate))
@@ -171,9 +173,12 @@ def kfold_split(labels, k: int = 10, seed: int = 0) -> list:
     per seed.
 
     Raises:
+        InvalidSetting: fewer than two folds, or a negative seed.
         TooFewSamples: fewer samples than folds.
     """
     labels = np.asarray(labels)
+    if k < 2 or seed < 0:
+        raise InvalidSetting(f"need k >= 2 folds and seed >= 0, got k={k}, seed={seed}")
     if len(labels) < k:
         raise TooFewSamples(f"{len(labels)} samples cannot fill {k} folds")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -197,6 +202,8 @@ def stratified_fraction_split(labels, train_fraction: float, seed: int = 0):
     labels = np.asarray(labels)
     if not 0.0 < train_fraction < 1.0:
         raise InvalidSetting("train_fraction must be in (0, 1)")
+    if seed < 0:
+        raise InvalidSetting(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     train, test = [], []
     for cls in np.unique(labels):
@@ -286,6 +293,9 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
 
 # --- feature pipeline ---
 
+FEATURE_KINDS = ("spectrum", "mfcc")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     window_len: int = 2**14
@@ -296,6 +306,12 @@ class PipelineConfig:
     snr_db: float | None = None
     noise_seed: int = 0
     highpass_hz: float | None = None  # Butterworth cutoff; None skips the filter
+
+    def __post_init__(self):
+        if self.feature_kind not in FEATURE_KINDS:
+            raise InvalidSetting(
+                f"feature_kind must be one of {FEATURE_KINDS}, got {self.feature_kind!r}"
+            )
 
     @property
     def feature_dim(self) -> int:
@@ -316,11 +332,9 @@ def clip_features(clip: AudioClip, pipeline: PipelineConfig):
         return np.empty((0, pipeline.feature_dim)), frames
     if pipeline.feature_kind == "spectrum":
         return spectrum_features(frames, pipeline.feature_len), frames
-    if pipeline.feature_kind == "mfcc":
-        mat = np.stack([f.values for f in frames])
-        mat = mat * hamming_coefficients(mat.shape[1])
-        return mfcc_features(mat, clip.sample_rate), frames
-    raise InvalidSetting(f"unknown feature kind {pipeline.feature_kind!r}")
+    mat = np.stack([f.values for f in frames])
+    mat = mat * hamming_coefficients(mat.shape[1])
+    return mfcc_features(mat, clip.sample_rate), frames
 
 
 def clip_frame_features(dataset: ClipDataset, pipeline: PipelineConfig) -> list:

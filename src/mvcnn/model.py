@@ -10,6 +10,7 @@ one stack.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -35,15 +36,18 @@ from .errors import (
     BadMagic,
     EmptyDataset,
     InvalidConfig,
+    InvalidSetting,
     LabelOutOfRange,
     LengthMismatch,
+    TrailingBytes,
     VersionMismatch,
 )
 from .spectral import NormStats
 
 MODEL_MAGIC = b"MVC1"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 POOL_WINDOW = 3
+FLOAT_TYPES = {4: np.float32, 8: np.float64}  # keyed by item size, the file's dtype code
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,22 @@ class ModelConfig:
     seed: int = 0
     dtype: type = np.float32
 
+    def __post_init__(self):
+        """Raises InvalidConfig for a config no architecture realizes."""
+        if self.input_len < POOL_WINDOW:
+            raise InvalidConfig(f"input_len {self.input_len} < pool window {POOL_WINDOW}")
+        if self.n_classes < 2:
+            raise InvalidConfig("need at least two classes")
+        sizes = (*self.view_widths, *self.layer_depths)
+        if not self.view_widths or not self.layer_depths or min(sizes) < 1:
+            raise InvalidConfig("view_widths and layer_depths must be nonempty, positive")
+        if not 0.0 < self.keep_prob <= 1.0:
+            raise InvalidConfig(f"keep_prob must be in (0, 1], got {self.keep_prob}")
+        if self.dtype not in FLOAT_TYPES.values():
+            raise InvalidConfig(f"dtype must be float32 or float64, got {self.dtype!r}")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidConfig(f"seed must be in [0, 2**64), got {self.seed}")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -63,6 +83,15 @@ class TrainConfig:
     iterations: int = 200
     batch_size: int = 16
     seed: int = 0
+
+    def __post_init__(self):
+        """Raises InvalidSetting for settings that train nothing or train NaN."""
+        lr = self.learning_rate
+        if not (math.isfinite(lr) and lr > 0):
+            raise InvalidSetting(f"learning rate must be finite and positive, got {lr}")
+        for name, low in (("iterations", 0), ("batch_size", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise InvalidSetting(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -94,61 +123,45 @@ class MultiViewCnn:
 
     @property
     def flat_features(self) -> int:
-        cfg = self.config
-        return (cfg.input_len // POOL_WINDOW) * cfg.layer_depths[-1] * len(
-            cfg.view_widths
-        )
+        return self.fc_weights.shape[0]
 
 
-def _glorot(rng, shape, fan_in, fan_out, dtype):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+def _parameter_shapes(config: ModelConfig) -> list[tuple]:
+    """Shapes of parameters(), in order: per view and layer the [out, in,
+    width] filters then the [out] biases; then the [flat, H] dense weights
+    and the [H] bias. build and load walk this one list, and save writes
+    parameters() in its order."""
+    shapes = []
+    for width in config.view_widths:
+        in_ch = 1
+        for out_ch in config.layer_depths:
+            shapes += [(out_ch, in_ch, width), (out_ch,)]
+            in_ch = out_ch
+    flat = config.input_len // POOL_WINDOW * config.layer_depths[-1] * len(config.view_widths)
+    return shapes + [(flat, config.n_classes), (config.n_classes,)]
+
+
+def _assemble(config: ModelConfig, arrays, norm_stats) -> MultiViewCnn:
+    """A model from parameter arrays laid out as _parameter_shapes(config)."""
+    tensors = [Tensor(a) for a in arrays]
+    banks = [ConvFilterBank(w, b) for w, b in zip(tensors[:-2:2], tensors[1:-2:2])]
+    depth = len(config.layer_depths)
+    views = [banks[i : i + depth] for i in range(0, len(banks), depth)]
+    return MultiViewCnn(config, views, tensors[-2], tensors[-1], norm_stats)
 
 
 def build(config: ModelConfig) -> MultiViewCnn:
-    """Initialize a model with seeded Glorot-uniform weights, zero biases.
-
-    Raises:
-        InvalidConfig: architecture cannot be realized (too-short input,
-        empty views, bad keep probability).
-    """
-    if config.input_len < POOL_WINDOW:
-        raise InvalidConfig(
-            f"input_len {config.input_len} shorter than pooling window {POOL_WINDOW}"
-        )
-    if config.n_classes < 2:
-        raise InvalidConfig("need at least two classes")
-    if not config.view_widths or not config.layer_depths:
-        raise InvalidConfig("view_widths and layer_depths must be nonempty")
-    if not 0.0 < config.keep_prob <= 1.0:
-        raise InvalidConfig(f"keep_prob must be in (0, 1], got {config.keep_prob}")
-    if any(w < 1 for w in config.view_widths) or any(
-        d < 1 for d in config.layer_depths
-    ):
-        raise InvalidConfig("widths and depths must be positive")
-
+    """Initialize a model with seeded Glorot-uniform weights, zero biases,
+    drawn in parameters() order."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    dtype = config.dtype
-    views = []
-    for width in config.view_widths:
-        banks = []
-        in_ch = 1
-        for out_ch in config.layer_depths:
-            weights = _glorot(
-                rng, (out_ch, in_ch, width), in_ch * width, out_ch * width, dtype
-            )
-            banks.append(
-                ConvFilterBank(Tensor(weights), Tensor(np.zeros(out_ch, dtype=dtype)))
-            )
-            in_ch = out_ch
-        views.append(banks)
-
-    flat = (config.input_len // POOL_WINDOW) * config.layer_depths[-1] * len(
-        config.view_widths
-    )
-    fc_w = Tensor(_glorot(rng, (flat, config.n_classes), flat, config.n_classes, dtype))
-    fc_b = Tensor(np.zeros(config.n_classes, dtype=dtype))
-    return MultiViewCnn(config, views, fc_w, fc_b, NormStats.identity(config.input_len))
+    arrays = []
+    for shape in _parameter_shapes(config):
+        if len(shape) == 1:
+            arrays.append(np.zeros(shape, dtype=config.dtype))
+        else:  # fans in*w and out*w for an [out, in, w] filter, F and H for [F, H]
+            limit = np.sqrt(6.0 / ((shape[0] + shape[1]) * math.prod(shape[2:])))
+            arrays.append(rng.uniform(-limit, limit, size=shape).astype(config.dtype))
+    return _assemble(config, arrays, NormStats.identity(config.input_len))
 
 
 def forward_batch(
@@ -276,109 +289,93 @@ def train(
 
 # --- serialization ---
 
-def _pack_f32(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f4").tobytes()
+# magic, version, input_len, n_classes, n_views, n_layers, keep_prob, dtype code, seed
+_HEADER = struct.Struct("<4sHIIIIdBQ")
 
 
 def save(model: MultiViewCnn, path) -> None:
-    """Write the model as the little-endian MVC1 binary format.
+    """Write the model as a little-endian version-2 MVC1 file.
 
-    Raises:
-        InvalidConfig: views not three layers deep; MVC1 stores no depth.
+    The header holds every ModelConfig field, the parameters follow in
+    parameters() order in the model's own dtype, then the NRM1 block, so
+    load() returns an equal config and bit-identical parameters.
     """
     cfg = model.config
-    if len(cfg.layer_depths) != 3:
-        raise InvalidConfig(f"MVC1 stores 3-layer views, not {len(cfg.layer_depths)}")
-    out = bytearray()
-    out += struct.pack(
-        "<4sHIII",
-        MODEL_MAGIC,
-        MODEL_VERSION,
-        cfg.input_len,
-        cfg.n_classes,
-        len(cfg.view_widths),
-    )
-    for width, banks in zip(cfg.view_widths, model.views):
-        out += struct.pack("<I", width)
-        for bank in banks:
-            out += struct.pack("<II", bank.in_channels, bank.out_channels)
-            out += _pack_f32(bank.weights.data)
-            out += _pack_f32(bank.biases.data)
-    out += _pack_f32(model.fc_weights.data)
-    out += _pack_f32(model.fc_bias.data)
+    dtype = np.dtype(cfg.dtype).newbyteorder("<")
+    out = bytearray(_HEADER.pack(
+        MODEL_MAGIC, MODEL_VERSION, cfg.input_len, cfg.n_classes, len(cfg.view_widths),
+        len(cfg.layer_depths), cfg.keep_prob, dtype.itemsize, cfg.seed,
+    ))
+    sizes = (*cfg.view_widths, *cfg.layer_depths)
+    out += struct.pack(f"<{len(sizes)}I", *sizes)
+    for p in model.parameters():
+        out += np.ascontiguousarray(p.data, dtype=dtype).tobytes()
     out += model.norm_stats.to_bytes()
     with open(path, "wb") as fh:
         fh.write(bytes(out))
 
 
-class _Reader:
-    def __init__(self, blob):
-        self.blob = blob
-        self.pos = 0
-
-    def unpack(self, fmt):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.blob):
-            raise BadMagic("model file truncated")
-        vals = struct.unpack_from(fmt, self.blob, self.pos)
-        self.pos += size
-        return vals
-
-    def f32(self, count):
-        size = 4 * count
-        if self.pos + size > len(self.blob):
-            raise BadMagic("model file truncated")
-        arr = np.frombuffer(self.blob, dtype="<f4", count=count, offset=self.pos)
-        self.pos += size
-        return arr.copy()
-
-
 def load(path) -> MultiViewCnn:
-    """Read a model saved by save(); bit-exact parameter round trip.
+    """Read a model saved by save(): equal config, bit-exact parameters.
+
+    Every declared size is checked against the file length before any
+    array is allocated. Version-1 files are refused; retrain the model
+    from the flags in its .history.csv header.
 
     Raises:
-        BadMagic: file does not start with the model magic.
-        VersionMismatch: format version unsupported.
+        BadMagic: wrong magic, no views, unknown dtype code, or truncated.
+        VersionMismatch: format version other than MODEL_VERSION.
+        InvalidConfig: the header declares a config build() rejects.
+        LengthMismatch: NRM1 block length is not input_len.
+        TrailingBytes: bytes after the NRM1 block.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    rd = _Reader(blob)
-    magic, version, input_len, n_classes, n_views = rd.unpack("<4sHIII")
+
+    def need(end):
+        if len(blob) < end:
+            raise BadMagic("model file truncated")
+
+    need(_HEADER.size)
+    (magic, version, input_len, n_classes, n_views, n_layers, keep_prob, itemsize,
+     seed) = _HEADER.unpack_from(blob)
     if magic != MODEL_MAGIC:
         raise BadMagic(f"expected {MODEL_MAGIC!r}, got {magic!r}")
     if version != MODEL_VERSION:
-        raise VersionMismatch(f"unsupported model version {version}")
+        raise VersionMismatch(
+            f"model file version {version} is not {MODEL_VERSION}; retrain a "
+            "version-1 model from the flags in its .history.csv header"
+        )
     if n_views == 0:
         raise BadMagic("model file declares no views")
-
-    widths = []
-    views = []
-    depths = None
-    for _ in range(n_views):
-        (width,) = rd.unpack("<I")
-        widths.append(width)
-        banks = []
-        view_depths = []
-        for _ in range(3):
-            in_ch, out_ch = rd.unpack("<II")
-            weights = rd.f32(out_ch * in_ch * width).reshape(out_ch, in_ch, width)
-            biases = rd.f32(out_ch)
-            banks.append(ConvFilterBank(Tensor(weights), Tensor(biases)))
-            view_depths.append(out_ch)
-        depths = tuple(view_depths)
-        views.append(banks)
-
-    flat = (input_len // POOL_WINDOW) * depths[-1] * n_views
-    fc_w = Tensor(rd.f32(flat * n_classes).reshape(flat, n_classes))
-    fc_b = Tensor(rd.f32(n_classes))
-    stats = NormStats.from_bytes(blob[rd.pos :])
+    if itemsize not in FLOAT_TYPES:
+        raise BadMagic(f"unknown dtype code {itemsize}")
+    pos = _HEADER.size + 4 * (n_views + n_layers)
+    need(pos)
+    sizes = struct.unpack_from(f"<{n_views + n_layers}I", blob, _HEADER.size)
     config = ModelConfig(
-        input_len=input_len,
-        n_classes=n_classes,
-        view_widths=tuple(widths),
-        layer_depths=depths,
+        input_len=input_len, n_classes=n_classes, view_widths=sizes[:n_views],
+        layer_depths=sizes[n_views:], keep_prob=keep_prob, seed=seed,
+        dtype=FLOAT_TYPES[itemsize],
     )
-    return MultiViewCnn(config, views, fc_w, fc_b, stats)
+
+    shapes = _parameter_shapes(config)
+    stats_at = pos + itemsize * sum(math.prod(s) for s in shapes)
+    need(stats_at)
+    stats = NormStats.from_bytes(blob[stats_at:])
+    if len(stats.mean) != input_len:
+        raise LengthMismatch(f"NRM1 block holds {len(stats.mean)} values, not {input_len}")
+    if len(blob) > stats_at + 8 + 16 * input_len:
+        raise TrailingBytes("bytes after the NRM1 block")
+
+    dtype = np.dtype(config.dtype).newbyteorder("<")
+    arrays = []
+    for shape in shapes:
+        count = math.prod(shape)
+        arr = np.frombuffer(blob, dtype, count, pos)
+        arrays.append(arr.reshape(shape).astype(config.dtype))
+        pos += count * itemsize
+    return _assemble(config, arrays, stats)
 
 
 def gradient_check(

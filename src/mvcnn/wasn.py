@@ -119,6 +119,7 @@ class NodeConfig(PipelineConfig):
     node_id: int = field(kw_only=True)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.snr_db is not None:
             raise InvalidSetting("a node records its noise; snr_db must be None")
 

@@ -265,9 +265,29 @@ def test_model_without_views_is_one_error_line(tmp_path):
           "--methods", "knn_bogus", "--k", "2"], None),
         (["sweep", *SMALL_DATA, *SMALL_PIPE, "--axis", "train_fraction",
           "--grid", "1.5", "--methods", "knn_spectrum", "--k", "2"], None),
+        (["synth", *SMALL_DATA, "--seed", "-1"], None),
+        (["prep", *SMALL_DATA, *SMALL_PIPE, "--seed", "-1"], None),
+        (["train", *SMALL_DATA, *SMALL_PIPE, "--seed", "-1"], None),
+        (["eval", *SMALL_DATA, *SMALL_PIPE, "--method", "knn_spectrum",
+          "--seed", "-1"], None),
+        (["sweep", *SMALL_DATA, *SMALL_PIPE, "--axis", "snr", "--seed", "-1"], None),
+        (["simulate", "--iters", "1", "--seed", "-1"],
+         "nodes = 1\nclip_seconds = 0.5\nwindow_len = 2048\nfeature_len = 64\n"),
+        (["tune-threshold", "--seed", "-1"], None),
+        (["train", *SMALL_DATA, *SMALL_PIPE, "--batch", "0"], None),
+        (["train", *SMALL_DATA, *SMALL_PIPE, "--lr", "nan"], None),
+        (["train", *SMALL_DATA, *SMALL_PIPE, "--iters", "-3"], None),
+        (["eval", *SMALL_DATA, *SMALL_PIPE, "--method", "knn_spectrum", "--k", "0"],
+         None),
+        (["tune-threshold", "--window-seconds", "0"], None),
+        (["sweep", *SMALL_DATA, *SMALL_PIPE, "--axis", "snr", "--grid", "abc"], None),
+        (["sweep", *SMALL_DATA, *SMALL_PIPE, "--axis", "snr", "--seeds", "x"], None),
     ],
     ids=["prep-threshold", "scenario-threshold", "scenario-window", "sweep-method",
-         "sweep-fraction"],
+         "sweep-fraction", "synth-seed", "prep-seed", "train-seed", "eval-seed",
+         "sweep-seed", "simulate-seed", "tune-threshold-seed", "train-batch",
+         "train-lr", "train-iters", "eval-k", "tune-threshold-window", "sweep-grid",
+         "sweep-seeds"],
 )
 def test_bad_setting_is_one_error_line(tmp_path, argv, scenario):
     argv = [*argv, "--out", str(tmp_path / "out")]
@@ -281,6 +301,15 @@ def test_bad_setting_is_one_error_line(tmp_path, argv, scenario):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_gradcheck_negative_seed_is_one_error_line():
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvcnn", "gradcheck", "--seed", "-1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: seed must be in [0, 2**64), got -1"]
 
 
 def test_runtime_error_exits_1(tmp_path, capsys):

@@ -98,6 +98,11 @@ class TestKfold:
         with pytest.raises(TooFewSamples):
             kfold_split(np.zeros(5), 10)
 
+    @pytest.mark.parametrize("k, seed", [(0, 0), (1, 0), (2, -1)])
+    def test_fold_count_and_seed_checked(self, k, seed):
+        with pytest.raises(InvalidSetting):
+            kfold_split(np.zeros(8), k, seed=seed)
+
 
 class TestMetrics:
     def test_diagonal_is_perfect(self):
@@ -178,6 +183,12 @@ class TestSynthetic:
         np.testing.assert_array_equal(got, want)
         assert not np.array_equal(got, clip_features(clip, SMALL_PIPE)[0])
 
+    def test_unknown_feature_kind_raises_for_silent_clips(self):
+        # silent clips yield no frames, so only the config check can catch it
+        silent = ClipDataset([AudioClip(np.zeros(4000), 8000)] * 2, [0, 1], 2, ["a", "b"])
+        with pytest.raises(InvalidSetting, match="feature_kind"):
+            clip_frame_features(silent, replace(SMALL_PIPE, feature_kind="bogus"))
+
     def test_noise_goes_in_before_the_high_pass(self):
         ds = small_dataset()
         pipe = replace(SMALL_PIPE, snr_db=0.0, noise_seed=3, highpass_hz=200.0)
@@ -207,6 +218,8 @@ class TestSynthetic:
                     ClassSignature((13000.0,), 0.02),  # above Nyquist
                 ))
             )
+        with pytest.raises(InvalidSpec, match="seed"):
+            generate_synthetic(SyntheticSpec(seed=-1))
 
 
 class _Memorizer:
@@ -423,6 +436,10 @@ class TestFractionSplit:
         train, test = stratified_fraction_split(labels, 0.1, seed=1)
         assert set(labels[train]) == {0, 1, 2}
         assert set(labels[test]) == {0, 1, 2}
+
+    def test_negative_seed(self):
+        with pytest.raises(InvalidSetting, match="seed"):
+            stratified_fraction_split(np.array([0, 0, 1, 1]), 0.5, seed=-1)
 
 
 class TestTuneThreshold:

@@ -1,4 +1,5 @@
 import gc
+import struct
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from mvcnn.errors import (
     BadMagic,
     EmptyDataset,
     InvalidConfig,
+    InvalidSetting,
     LabelOutOfRange,
     LengthMismatch,
+    TrailingBytes,
     VersionMismatch,
 )
 from mvcnn.model import (
@@ -72,6 +75,14 @@ class TestBuild:
     def test_bad_keep_prob(self):
         with pytest.raises(InvalidConfig):
             build(tiny_config(keep_prob=0.0))
+
+    @pytest.mark.parametrize("override", [
+        dict(dtype=np.int32), dict(dtype=np.float16), dict(seed=-1),
+        dict(layer_depths=()), dict(view_widths=(10, 0)),
+    ], ids=["int32", "float16", "seed", "no-layers", "zero-width"])
+    def test_config_rejected_on_construction(self, override):
+        with pytest.raises(InvalidConfig):
+            ModelConfig(**override)
 
     def test_single_view_ablation_shares_code_path(self):
         model = build(tiny_config(view_widths=(10,)))
@@ -193,6 +204,20 @@ class TestTrain:
         with pytest.raises(LabelOutOfRange):
             train(model, np.zeros((4, 32)), np.array([0, 1, 2, 3]))
 
+    @pytest.mark.parametrize("override", [
+        dict(batch_size=0), dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")), dict(learning_rate=0.0),
+        dict(learning_rate=-1e-3), dict(iterations=-3), dict(seed=-1),
+    ], ids=["batch", "lr-nan", "lr-inf", "lr-zero", "lr-negative", "iters", "seed"])
+    def test_train_config_rejects_settings_that_train_nothing(self, override):
+        with pytest.raises(InvalidSetting):
+            TrainConfig(**override)
+
+    def test_zero_iterations_is_a_valid_setting(self):
+        model = build(tiny_config())
+        assert train(model, np.zeros((4, 32)), np.array([0, 1, 2, 0]),
+                     TrainConfig(iterations=0)) == []
+
 
 class TestSerialization:
     def test_round_trip_forward_bit_exact(self, tmp_path):
@@ -224,14 +249,15 @@ class TestSerialization:
         with pytest.raises(BadMagic):
             load(path)
 
-    def test_version_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_version_mismatch(self, tmp_path, version):
         model = build(tiny_config())
-        path = tmp_path / "v99.mvc"
+        path = tmp_path / f"v{version}.mvc"
         save(model, path)
         blob = bytearray(path.read_bytes())
-        blob[4:6] = (99).to_bytes(2, "little")
+        blob[4:6] = version.to_bytes(2, "little")
         path.write_bytes(bytes(blob))
-        with pytest.raises(VersionMismatch):
+        with pytest.raises(VersionMismatch, match="retrain"):
             load(path)
 
     def test_zero_views_rejected(self, tmp_path):
@@ -252,42 +278,89 @@ class TestSerialization:
         x = np.linspace(-1, 1, 32)
         np.testing.assert_array_equal(forward(model, x), forward(back, x))
 
-    def test_save_refuses_depths_load_cannot_read(self, tmp_path):
-        # MVC1 stores no layer count and load reads three layers per view
-        for depths in ((2, 4), (2, 4, 8, 8)):
-            path = tmp_path / f"depth{len(depths)}.mvc"
-            with pytest.raises(InvalidConfig, match="3-layer"):
-                save(build(tiny_config(layer_depths=depths)), path)
-            assert not path.exists()
-        path = tmp_path / "depth3.mvc"
-        model = build(tiny_config(layer_depths=(2, 4, 8), dtype=np.float32))
-        save(model, path)
-        back = load(path)
-        assert back.config.layer_depths == (2, 4, 8)
-        x = np.linspace(-1, 1, 32)
-        np.testing.assert_array_equal(forward(model, x), forward(back, x))
-
-    def test_byte_layout_pinned(self, tmp_path):
-        import struct
-
-        cfg = tiny_config()
-        model = build(cfg)
+    @pytest.mark.parametrize("dtype, code", [(np.float32, 4), (np.float64, 8)])
+    def test_byte_layout_pinned(self, tmp_path, dtype, code):
+        model = build(tiny_config(dtype=dtype, keep_prob=0.5, seed=9))
         path = tmp_path / "layout.mvc"
         save(model, path)
         blob = path.read_bytes()
-        assert blob[:18] == struct.pack("<4sHIII", b"MVC1", 1, 32, 3, 3)
-        # per view: u32 width + 3 layers of (u32 in, u32 out, f32 w, f32 b)
-        conv_bytes = sum(
-            4 + sum(
-                8 + 4 * (o * i * w) + 4 * o
-                for i, o in ((1, 2), (2, 4), (4, 8))
-            )
-            for w in (10, 15, 20)
+        # magic, version, input_len, n_classes, n_views, n_layers, keep_prob,
+        # dtype code, seed; then the view widths and layer depths
+        head = struct.pack("<4sHIIIIdBQ", b"MVC1", 2, 32, 3, 3, 3, 0.5, code, 9)
+        head += struct.pack("<6I", 10, 15, 20, 2, 4, 8)
+        assert blob[: len(head)] == head
+        # per view and layer: [out, in, w] filters then [out] biases
+        conv_values = sum(
+            o * i * w + o for w in (10, 15, 20) for i, o in ((1, 2), (2, 4), (4, 8))
         )
         flat = (32 // 3) * 8 * 3
-        fc_bytes = 4 * flat * 3 + 4 * 3
+        fc_values = flat * 3 + 3
         stats_bytes = 8 + 16 * 32
-        assert len(blob) == 18 + conv_bytes + fc_bytes + stats_bytes
+        assert len(blob) == len(head) + code * (conv_values + fc_values) + stats_bytes
+        first = np.frombuffer(blob, f"<f{code}", 2 * 1 * 10, len(head))
+        np.testing.assert_array_equal(first.reshape(2, 1, 10), model.views[0][0].weights.data)
+        fc_at = len(blob) - stats_bytes - code * fc_values
+        fc = np.frombuffer(blob, f"<f{code}", flat * 3, fc_at)
+        np.testing.assert_array_equal(fc.reshape(flat, 3), model.fc_weights.data)
+        assert blob[-stats_bytes:] == model.norm_stats.to_bytes()
+
+    @pytest.mark.parametrize("offset", [6, 10, 14, 18], ids=[
+        "input_len", "n_classes", "n_views", "n_layers"])
+    def test_huge_declared_size_is_bad_magic(self, tmp_path, offset):
+        path = tmp_path / "huge.mvc"
+        save(build(tiny_config()), path)
+        blob = bytearray(path.read_bytes())
+        blob[offset : offset + 4] = (2**32 - 1).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(BadMagic, match="truncated"):
+            load(path)
+
+    def test_trailing_byte(self, tmp_path):
+        path = tmp_path / "trailing.mvc"
+        save(build(tiny_config()), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(TrailingBytes):
+            load(path)
+
+    def test_norm_block_length_must_be_input_len(self, tmp_path):
+        path = tmp_path / "nrm.mvc"
+        save(build(tiny_config()), path)
+        blob = path.read_bytes()[: -(8 + 16 * 32)]
+        for length in (31, 33):
+            path.write_bytes(blob + NormStats.identity(length).to_bytes())
+            with pytest.raises(LengthMismatch, match="NRM1"):
+                load(path)
+
+    def test_round_trip_property(self, tmp_path):
+        # load(save(m)) == m over seeded configs: depths, widths, lengths
+        # (multiples of 3 and not), keep_prob, dtype and seed
+        rng = np.random.Generator(np.random.PCG64(2024))
+        for n in range(50):
+            n_views = int(rng.integers(1, 4))
+            cfg = ModelConfig(
+                input_len=int(rng.integers(3, 40)),
+                n_classes=int(rng.integers(2, 6)),
+                view_widths=tuple(int(w) for w in rng.choice((1, 3, 10, 20), n_views)),
+                layer_depths=tuple(int(d) for d in rng.integers(1, 6, rng.integers(1, 5))),
+                keep_prob=float(rng.choice((0.5, 0.8, 1.0))),
+                seed=int(rng.integers(0, 2**63)),
+                dtype=(np.float32, np.float64)[n % 2],
+            )
+            model = build(cfg)
+            model.norm_stats = NormStats(rng.normal(size=cfg.input_len),
+                                         rng.uniform(0.5, 2.0, cfg.input_len))
+            path = tmp_path / f"m{n}.mvc"
+            save(model, path)
+            back = load(path)
+            assert back.config == cfg
+            assert back.config.dtype is cfg.dtype
+            for pa, pb in zip(model.parameters(), back.parameters(), strict=True):
+                assert pb.data.dtype == cfg.dtype
+                np.testing.assert_array_equal(pa.data, pb.data)
+            np.testing.assert_array_equal(back.norm_stats.mean, model.norm_stats.mean)
+            np.testing.assert_array_equal(back.norm_stats.std, model.norm_stats.std)
+            x = rng.normal(size=cfg.input_len)
+            np.testing.assert_array_equal(forward(model, x), forward(back, x))
 
 
 class TestGradientCheck:

@@ -151,6 +151,10 @@ class TestNodeProcess:
         with pytest.raises(InvalidSetting, match="snr_db"):
             NodeConfig(node_id=1, snr_db=0.0)
 
+    def test_node_config_checks_its_pipeline(self):
+        with pytest.raises(InvalidSetting, match="feature_kind"):
+            NodeConfig(node_id=1, feature_kind="bogus")
+
     def test_node_config_needs_node_id(self):
         with pytest.raises(TypeError):
             NodeConfig()
