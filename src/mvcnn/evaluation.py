@@ -609,9 +609,14 @@ def run_sweep(
     fold column. Rows come back sorted by (value, method, fold, seed).
 
     Raises:
-        InvalidSetting: unknown axis or method, before any feature extraction.
+        InvalidSetting: unknown axis or method, or k too small for the axis
+            (train_fraction needs k >= 1 splits, CV axes k >= 2 folds),
+            before any feature extraction.
     """
     grid = spec.resolved_grid()
+    min_k = 1 if spec.axis == "train_fraction" else 2
+    if spec.k < min_k:
+        raise InvalidSetting(f"k must be >= {min_k} on the {spec.axis} axis, got {spec.k}")
     for method in spec.methods:
         if method not in METHOD_NAMES:
             raise InvalidSetting(

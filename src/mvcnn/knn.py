@@ -14,6 +14,11 @@ import numpy as np
 
 from .errors import EmptyDataset, InvalidSetting, LengthMismatch
 
+# Query rows are ranked in blocks of at most this many distances, so the
+# [rows, n] distance and sort buffers stay near 32 MB each however many
+# queries arrive; the benchmark's searches each fit in one block.
+_BLOCK_ELEMENTS = 1 << 22
+
 
 @dataclass(frozen=True)
 class KnnModel:
@@ -37,13 +42,24 @@ class KnnModel:
 def _nearest_labels(model: KnnModel, queries: np.ndarray, depth: int) -> np.ndarray:
     """[m, depth] labels of each query's nearest training rows, nearest first."""
     queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != model.training_features.shape[1]:
+    train = model.training_features
+    if queries.ndim != 2 or queries.shape[1] != train.shape[1]:
         raise LengthMismatch(f"query shape {queries.shape} != [m, training width]")
+    # Moving both sides to training row 0 keeps every distance and removes
+    # the cancellation a common offset far from the origin causes in the
+    # expansion below; the training mean would not keep exact ties.
+    origin = train[0]
+    train = train - origin
+    train_sq = np.einsum("ij,ij->i", train, train)
+    rows = max(1, _BLOCK_ELEMENTS // len(train))
     order = np.empty((len(queries), depth), dtype=np.int64)
-    for row, query in zip(order, queries):
-        dists = np.linalg.norm(model.training_features - query, axis=1)
+    for start in range(0, len(queries), rows):
+        block = queries[start:start + rows] - origin
+        # squared distances ‖q‖² − 2 q·x + ‖x‖²: no sqrt, the ranking is the same
+        d2 = np.einsum("ij,ij->i", block, block)[:, None] - 2.0 * (block @ train.T)
+        d2 += train_sq
         # stable sort keeps lower training indices first on distance ties
-        row[:] = np.argsort(dists, kind="stable")[:depth]
+        order[start:start + rows] = np.argsort(d2, axis=1, kind="stable")[:, :depth]
     return model.training_labels[order]
 
 

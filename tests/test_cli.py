@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -265,6 +266,8 @@ def test_model_without_views_is_one_error_line(tmp_path):
           "--methods", "knn_bogus", "--k", "2"], None),
         (["sweep", *SMALL_DATA, *SMALL_PIPE, "--axis", "train_fraction",
           "--grid", "1.5", "--methods", "knn_spectrum", "--k", "2"], None),
+        (["sweep", *SMALL_DATA, *SMALL_PIPE, "--axis", "train_fraction",
+          "--grid", "0.5", "--methods", "knn_spectrum", "--k", "0"], None),
         (["synth", *SMALL_DATA, "--seed", "-1"], None),
         (["prep", *SMALL_DATA, *SMALL_PIPE, "--seed", "-1"], None),
         (["train", *SMALL_DATA, *SMALL_PIPE, "--seed", "-1"], None),
@@ -284,7 +287,7 @@ def test_model_without_views_is_one_error_line(tmp_path):
         (["sweep", *SMALL_DATA, *SMALL_PIPE, "--axis", "snr", "--seeds", "x"], None),
     ],
     ids=["prep-threshold", "scenario-threshold", "scenario-window", "sweep-method",
-         "sweep-fraction", "synth-seed", "prep-seed", "train-seed", "eval-seed",
+         "sweep-fraction", "sweep-k", "synth-seed", "prep-seed", "train-seed", "eval-seed",
          "sweep-seed", "simulate-seed", "tune-threshold-seed", "train-batch",
          "train-lr", "train-iters", "eval-k", "tune-threshold-window", "sweep-grid",
          "sweep-seeds"],
@@ -301,6 +304,8 @@ def test_bad_setting_is_one_error_line(tmp_path, argv, scenario):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    if "--k" in argv and argv[argv.index("--k") + 1] == "0":
+        assert re.search(r"\bk\b", lines[0])  # the message names the bad flag
 
 
 def test_gradcheck_negative_seed_is_one_error_line():

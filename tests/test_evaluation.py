@@ -327,19 +327,24 @@ class TestSweep:
         assert SweepSpec("snr").resolved_grid() == (-6.0, -3.0, 0.0, 3.0, 6.0)
 
     @pytest.mark.parametrize(
-        "spec",
+        "spec, names",
         (
-            SweepSpec("snr", grid=(0.0,), methods=("knn_spectrum", "knn_bogus"), k=2),
-            SweepSpec("bogus_axis", grid=(0.0,), methods=("knn_spectrum",), k=2),
+            (SweepSpec("snr", grid=(0.0,), methods=("knn_spectrum", "knn_bogus"), k=2),
+             "method"),
+            (SweepSpec("bogus_axis", grid=(0.0,), methods=("knn_spectrum",), k=2),
+             "axis"),
+            (SweepSpec("train_fraction", grid=(0.5,), methods=("knn_spectrum",), k=0),
+             r"\bk\b"),
+            (SweepSpec("snr", grid=(0.0,), methods=("knn_spectrum",), k=1), r"\bk\b"),
         ),
-        ids=("method", "axis"),
+        ids=("method", "axis", "fraction-k", "cv-k"),
     )
-    def test_bad_spec_rejected_before_features(self, monkeypatch, spec):
+    def test_bad_spec_rejected_before_features(self, monkeypatch, spec, names):
         def fail(*args, **kwargs):
             raise AssertionError("features extracted before the spec was checked")
 
         monkeypatch.setattr(evaluation, "clip_frame_features", fail)
-        with pytest.raises(InvalidSetting):
+        with pytest.raises(InvalidSetting, match=names):
             run_sweep(spec, small_dataset(), pipeline=SMALL_PIPE)
 
     def test_row_count_is_cartesian_product(self):

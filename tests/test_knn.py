@@ -3,8 +3,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from mvcnn import knn
 from mvcnn.errors import EmptyDataset, LengthMismatch
-from mvcnn.knn import KnnModel, knn_classify, knn_classify_batch, tune_k
+from mvcnn.knn import KnnModel, _nearest_labels, knn_classify, knn_classify_batch, tune_k
 
 
 def oracle_classify(features, labels, query, k):
@@ -31,6 +32,14 @@ def reference_tune_k(train_f, train_y, val_f, val_y, candidates):
         if acc > best_acc:
             best_k, best_acc = k, acc
     return best_k
+
+
+def oracle_nearest(features, labels, queries, depth):
+    """Per-query Euclidean norms and a stable sort: the search's reference."""
+    return np.array([
+        labels[np.argsort(np.linalg.norm(features - q, axis=1), kind="stable")[:depth]]
+        for q in queries
+    ])
 
 
 def grid_points(rng, n):
@@ -160,3 +169,46 @@ class TestTies:
             assert k == reference_tune_k(train_f, train_y, val_f, val_y, candidates)
             chosen.add(k)
         assert len(chosen) > 2  # the comparison covers more than k=1
+
+
+class TestSearchOracle:
+    """The first 7 neighbours of the one-product search equal the per-query norms'."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e6, 1e8])
+    def test_gaussian_far_from_origin(self, offset):
+        rng = np.random.Generator(np.random.PCG64(11))
+        feats = rng.normal(size=(400, 512)) + offset
+        labels = np.arange(400)  # labels name the rows, so the order is compared
+        queries = rng.normal(size=(50, 512)) + offset
+        model = KnnModel(feats, labels, k=7)
+        np.testing.assert_array_equal(
+            _nearest_labels(model, queries, 7), oracle_nearest(feats, labels, queries, 7)
+        )
+
+    @pytest.mark.parametrize("step", [1.0, 0.25])
+    def test_grid_ties_offset(self, step):
+        # integer (step 1) and dyadic (step 1/4) grids: exact ties abound, and
+        # every coordinate and distance is exact in float64
+        rng = np.random.Generator(np.random.PCG64(12))
+        for _ in range(5):
+            feats = rng.integers(0, 4, size=(120, 6)) * step + 1000.0
+            queries = rng.integers(0, 4, size=(60, 6)) * step + 1000.0
+            labels = np.arange(120)
+            model = KnnModel(feats, labels, k=7)
+            np.testing.assert_array_equal(
+                _nearest_labels(model, queries, 7),
+                oracle_nearest(feats, labels, queries, 7),
+            )
+
+    @pytest.mark.parametrize("block", [None, 300 * 7])
+    def test_batch_rows_match_single_queries(self, block, monkeypatch):
+        if block is not None:  # rank 7 query rows at a time
+            monkeypatch.setattr(knn, "_BLOCK_ELEMENTS", block)
+        rng = np.random.Generator(np.random.PCG64(13))
+        feats = rng.normal(size=(300, 40)) + 50.0
+        labels = rng.integers(0, 6, 300)
+        queries = np.concatenate([rng.normal(size=(60, 40)) + 50.0, feats[:20]])
+        for k in (1, 3, 7):
+            model = KnnModel(feats, labels, k=k)
+            batch = knn_classify_batch(model, queries)
+            np.testing.assert_array_equal(batch, [knn_classify(model, q) for q in queries])
