@@ -4,6 +4,12 @@ Brute-force Euclidean search with deterministic tie rules: equal
 distances prefer the lower training index, vote ties prefer the lowest
 class id. One ranking of a query set, nearest first, serves both
 classification and k tuning: every candidate k votes over a prefix of it.
+
+The search ranks squared distances ‖q‖² − 2 q·x + ‖x‖², taken from one
+matrix product of a block of queries with the training rows, after both
+are shifted by training row 0. The shift keeps every distance, keeps
+exact ties exact on grid data, and removes the cancellation a common
+offset far from the origin would cause.
 """
 
 from __future__ import annotations
@@ -45,9 +51,8 @@ def _nearest_labels(model: KnnModel, queries: np.ndarray, depth: int) -> np.ndar
     train = model.training_features
     if queries.ndim != 2 or queries.shape[1] != train.shape[1]:
         raise LengthMismatch(f"query shape {queries.shape} != [m, training width]")
-    # Moving both sides to training row 0 keeps every distance and removes
-    # the cancellation a common offset far from the origin causes in the
-    # expansion below; the training mean would not keep exact ties.
+    # a training row, not the training mean: the mean is inexact and would
+    # turn exact distance ties into near ties
     origin = train[0]
     train = train - origin
     train_sq = np.einsum("ij,ij->i", train, train)
