@@ -347,7 +347,7 @@ def add_noise_snr(clip: AudioClip, snr_db: float, seed: int) -> AudioClip:
         raise ZeroPowerSignal("cannot set an SNR against a zero-power signal")
     sigma = np.sqrt(power / 10.0 ** (snr_db / 10.0))
     rng = np.random.Generator(np.random.PCG64(seed))
-    noise = rng.normal(0.0, sigma, len(clip.samples))
+    noise = sigma * rng.standard_normal(len(clip.samples))
     return AudioClip(clip.samples + noise, clip.sample_rate)
 
 

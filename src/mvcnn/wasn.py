@@ -23,7 +23,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field, replace
-from math import ceil
+from math import ceil, inf
 
 import numpy as np
 
@@ -215,8 +215,10 @@ class Scenario:
     def validate(self):
         if self.n_nodes < 1 or self.clips_per_node < 1:
             raise InvalidScenario("need at least one node and one clip per node")
-        if self.clip_seconds <= 0 or self.sample_rate <= 0:
-            raise InvalidScenario("clip_seconds and sample_rate must be positive")
+        if not 0 < self.clip_seconds < inf or self.sample_rate <= 0:
+            raise InvalidScenario(
+                "clip_seconds must be positive and finite, and sample_rate positive"
+            )
         if self.fallback_policy not in ("local", "buffer"):
             raise InvalidScenario(
                 f"fallback_policy must be 'local' or 'buffer', "

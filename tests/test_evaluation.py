@@ -22,6 +22,7 @@ from mvcnn.evaluation import (
     clip_features,
     clip_frame_features,
     compute_metrics,
+    default_signatures,
     evaluate_split,
     generate_synthetic,
     kfold_split,
@@ -220,6 +221,90 @@ class TestSynthetic:
             )
         with pytest.raises(InvalidSpec, match="seed"):
             generate_synthetic(SyntheticSpec(seed=-1))
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            (dict(clip_seconds=float("nan")), "clip_seconds"),
+            (dict(clip_seconds=float("inf")), "clip_seconds"),
+            (dict(freq_jitter=-0.01), "freq_jitter"),
+            (dict(freq_jitter=1.0), "freq_jitter"),
+            (dict(freq_jitter=float("nan")), "freq_jitter"),
+            (dict(period_jitter=1.0), "period_jitter"),
+            (dict(period_jitter=-0.5), "period_jitter"),
+            (dict(signatures=(ClassSignature((1000.0,), float("nan")),
+                              ClassSignature((2000.0,), 0.01))), "envelope period"),
+            (dict(signatures=(ClassSignature((1000.0,), float("inf")),
+                              ClassSignature((2000.0,), 0.01))), "envelope period"),
+            # 11 990 Hz is below Nyquist, but not once jittered by 1%
+            (dict(signatures=(ClassSignature((11990.0,), 0.01),
+                              ClassSignature((2000.0,), 0.01))), "jitter"),
+            (dict(signatures=(ClassSignature((float("nan"),), 0.01),
+                              ClassSignature((2000.0,), 0.01))), "tones"),
+            (dict(signatures=(ClassSignature((), 0.01),
+                              ClassSignature((2000.0,), 0.01))), "one tone"),
+        ],
+        ids=["seconds-nan", "seconds-inf", "freq-jitter-negative", "freq-jitter-one",
+             "freq-jitter-nan", "period-jitter-one", "period-jitter-negative",
+             "period-nan", "period-inf", "jittered-tone-at-nyquist", "tone-nan",
+             "no-tones"],
+    )
+    def test_malformed_spec_rejected(self, overrides, match):
+        spec = SyntheticSpec(**{**dict(n_classes=2, clips_per_class=1, clip_seconds=0.1),
+                                **overrides})
+        with pytest.raises(InvalidSpec, match=match):
+            generate_synthetic(spec)
+
+    def test_default_dataset_matches_per_sample_formula(self):
+        # the direct formula the phasor kernel replaced, one sin/cos per sample
+        spec = SyntheticSpec()
+        t = np.arange(int(round(spec.clip_seconds * spec.sample_rate))) / spec.sample_rate
+        got = generate_synthetic(spec)
+        for i, (clip, cls) in enumerate(zip(got.clips, got.labels)):
+            sig = default_signatures(spec.n_classes)[cls]
+            rng = np.random.Generator(
+                np.random.PCG64([spec.seed, cls, i % spec.clips_per_class])
+            )
+            env_phase = rng.uniform()
+            period = sig.envelope_period_s * (
+                1.0 + rng.uniform(-spec.period_jitter, spec.period_jitter)
+            )
+            envelope = 0.5 - 0.5 * np.cos(2 * np.pi * (t / period + env_phase))
+            amps = rng.uniform(0.6, 1.0, len(sig.tones_hz))
+            wave = np.zeros_like(t)
+            for freq, amp in zip(sig.tones_hz, amps):
+                jittered = freq * (1.0 + rng.uniform(-spec.freq_jitter, spec.freq_jitter))
+                wave += amp * np.sin(2 * np.pi * jittered * t + rng.uniform(0, 2 * np.pi))
+            want = envelope * wave * (spec.amplitude / amps.sum())
+            assert np.max(np.abs(clip.samples - want)) <= 1e-10
+
+
+class TestPhasorSines:
+    """`_sines` against sin(phase + step*k) evaluated in long double."""
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 72_000])
+    def test_matches_long_double_reference(self, n):
+        rng = np.random.Generator(np.random.PCG64(n))
+        nyquist_step = np.pi  # 2*pi*(fs/2)/fs
+        steps = [1e-6, 2 * np.pi * 50.0 / 24000, *rng.uniform(0, nyquist_step, 4),
+                 nyquist_step * (1 - 1e-6)]
+        phases = [0.0, *rng.uniform(0, 2 * np.pi, 5), np.nextafter(2 * np.pi, 0)]
+        k = np.arange(n, dtype=np.longdouble)
+        for step, phase in zip(steps, phases):
+            got = evaluation._sines(n, [step], [phase], [1.0])
+            assert got.shape == (n,)
+            want = np.sin(np.longdouble(phase) + np.longdouble(step) * k)
+            assert np.max(np.abs(got - want)) <= 1e-10, (step, phase)
+
+    @pytest.mark.parametrize("n", [1, 257, 72_000])
+    def test_tones_sum_with_their_amplitudes(self, n):
+        steps, phases, amps = [0.3, 1.1, 3.0], [0.2, 4.0, 6.1], [0.25, -0.5, 0.125]
+        k = np.arange(n, dtype=np.longdouble)
+        want = sum(np.longdouble(a) * np.sin(np.longdouble(p) + np.longdouble(s) * k)
+                   for s, p, a in zip(steps, phases, amps))
+        got = evaluation._sines(n, steps, phases, amps)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - want)) <= 1e-10
 
 
 class _Memorizer:

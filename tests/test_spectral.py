@@ -332,6 +332,17 @@ class TestNoise:
         c = add_noise_snr(clip, -6.0, 124)
         assert not np.array_equal(a.samples, c.samples)
 
+    @pytest.mark.parametrize("seed", [0, 7, 1009, 2**40])
+    @pytest.mark.parametrize("snr_db", [-6.0, -3.0, 0.0, 12.5])
+    def test_noise_matches_normal_draw_bytes(self, seed, snr_db):
+        # sigma * standard_normal is numpy's own rng.normal(0, sigma) formula
+        clip = self._clip(0.3)
+        sigma = np.sqrt(np.mean(clip.samples**2) / 10.0 ** (snr_db / 10.0))
+        rng = np.random.Generator(np.random.PCG64(seed))
+        want = clip.samples + rng.normal(0.0, sigma, len(clip.samples))
+        got = add_noise_snr(clip, snr_db, seed).samples
+        assert got.tobytes() == want.tobytes()
+
     def test_zero_power_rejected(self):
         with pytest.raises(ZeroPowerSignal):
             add_noise_snr(AudioClip(np.zeros(100), 24000), 0.0, 0)

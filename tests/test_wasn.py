@@ -376,6 +376,11 @@ class TestSimulate:
         with pytest.raises(InvalidScenario):
             small_scenario(fallback_policy="drop").validate()
 
+    @pytest.mark.parametrize("seconds", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_clip_seconds_rejected(self, seconds):
+        with pytest.raises(InvalidScenario, match="clip_seconds"):
+            small_scenario(clip_seconds=seconds).validate()
+
     def test_feature_len_mismatch_rejected(self):
         scenario = small_scenario(feature_len=32)
         server = build(ModelConfig(input_len=64, n_classes=3, seed=0))
