@@ -146,10 +146,9 @@ def generate_synthetic(spec: SyntheticSpec) -> ClipDataset:
 
     Raises:
         InvalidSpec: non-distinct signatures, a signature without
-        tones, a tone whose jittered
-        frequency reaches Nyquist, a non-positive or non-finite envelope
-        period or clip length, a jitter outside [0, 1), degenerate
-        sizes, or a negative seed.
+        tones, a tone whose jittered frequency reaches Nyquist, a
+        non-positive or non-finite envelope period or clip length, a
+        jitter outside [0, 1), degenerate sizes, or a negative seed.
     """
     if spec.seed < 0:
         raise InvalidSpec(f"seed must be >= 0, got {spec.seed}")
