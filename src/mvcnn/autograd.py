@@ -5,7 +5,9 @@ with same-shape zero padding, tanh, max pooling, channel concatenation,
 a fused dense+softmax head, inverted dropout, cross-entropy, and Adam.
 Tensors carry a [batch, ...] leading axis; the network in this package
 uses [B, L, C] for convolutional activations and [B, F] after
-flattening.
+flattening. The convolution runs as one GEMM over block-Toeplitz rows,
+each covering TOEPLITZ_BLOCK output positions (the input-copy saving of
+Cho & Brand, MEC, ICML 2017), forward and backward alike.
 
 Graphs are built define-by-run, and only while gradients are enabled
 (the default): every op then returns a new Tensor holding a closure that
@@ -13,7 +15,9 @@ routes its output gradient to its parents. Calling ``backward()`` on a
 scalar loss fills ``.grad`` on every tensor that participated in
 producing it. Inside ``with no_grad():`` every op returns a bare Tensor
 with no parents and no closure, so nothing an op computes for its
-backward pass (an im2col buffer, a pooling mask) outlives the op.
+backward pass (the lowered conv rows, a pooling mask) outlives the op.
+A tensor whose requires_grad is False gets no gradient: ops skip the
+product that would compute it.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,11 +42,13 @@ from .errors import (
 class Tensor:
     """Dense n-dimensional array plus the autograd bookkeeping."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, dtype=None, parents=(), backward=None):
         self.data = np.asarray(data, dtype=dtype)
         self.grad = None
+        # False on an input whose gradient nobody reads, so ops skip it
+        self.requires_grad = True
         self._parents = parents
         self._backward = backward
 
@@ -156,20 +163,68 @@ class ConvFilterBank:
         return self.weights.data.shape[2]
 
 
-def _im2col(data: np.ndarray, w: int, pad_left: int) -> np.ndarray:
-    """[B, L, C] -> [B*L, w*C]: row (b, l) holds zero-padded rows l..l+w-1.
+# Output positions per GEMM row of the block-Toeplitz convolution.
+TOEPLITZ_BLOCK = 8
 
-    The input is copied once into a zeroed [B, L+w-1, C] buffer with
-    pad_left leading rows; each output row is then one contiguous run of
-    that buffer, so the final reshape copies whole rows.
+
+@lru_cache(maxsize=64)
+def _toeplitz_index(width: int, c_in: int, c_out: int) -> np.ndarray:
+    """Flat positions in the [(P+w-1)*in, P*out] block-Toeplitz matrix of
+    each [out, in, w] filter tap, one copy per output slot p: entry
+    ((p+j)*in + ci, p*out + co) holds W[co, ci, j]. Shape [P, out, in, w],
+    built once per shape and read-only, because every conv call reuses it.
+    """
+    p, co, ci, j = np.ix_(
+        np.arange(TOEPLITZ_BLOCK), np.arange(c_out), np.arange(c_in), np.arange(width)
+    )
+    index = ((p + j) * c_in + ci) * (TOEPLITZ_BLOCK * c_out) + p * c_out + co
+    index.flags.writeable = False
+    return index
+
+
+def _toeplitz(weights: np.ndarray) -> np.ndarray:
+    """[out, in, w] filters -> the [(P+w-1)*in, P*out] block-Toeplitz matrix."""
+    c_out, c_in, width = weights.shape
+    matrix = np.zeros(
+        ((TOEPLITZ_BLOCK + width - 1) * c_in, TOEPLITZ_BLOCK * c_out), dtype=weights.dtype
+    )
+    matrix.reshape(-1)[_toeplitz_index(width, c_in, c_out)] = weights
+    return matrix
+
+
+def _toeplitz_rows(data: np.ndarray, w: int, pad_left: int) -> np.ndarray:
+    """[B, L, C] -> [B*ceil(L/P), (P+w-1)*C]: row (b, k) holds the zero-padded
+    positions k*P .. k*P+P+w-2, the inputs of output positions k*P .. k*P+P-1.
+
+    The input is copied once into a zeroed [B, ceil(L/P)*P + w-1, C] buffer
+    with pad_left leading rows; each output row is then one contiguous run
+    of that buffer, so the final reshape copies (P+w-1)/P values per input
+    value, not w as a one-position-per-row lowering (im2col) would.
     """
     batch, length, channels = data.shape
-    padded = np.zeros((batch, length + w - 1, channels), dtype=data.dtype)
+    blocks = -(-length // TOEPLITZ_BLOCK)
+    padded = np.zeros((batch, blocks * TOEPLITZ_BLOCK + w - 1, channels), dtype=data.dtype)
     padded[:, pad_left : pad_left + length] = data
+    step = padded.strides[1] * TOEPLITZ_BLOCK
     windows = np.lib.stride_tricks.as_strided(
-        padded, (batch, length, w * channels), padded.strides, writeable=False
+        padded,
+        (batch, blocks, (TOEPLITZ_BLOCK + w - 1) * channels),
+        (padded.strides[0], step, padded.strides[2]),
+        writeable=False,
     )
-    return windows.reshape(batch * length, w * channels)
+    return windows.reshape(batch * blocks, -1)
+
+
+def _toeplitz_product(rows: np.ndarray, matrix: np.ndarray, batch: int, length: int):
+    """rows @ matrix as [B, L, C_out]: an array of its own when P divides L,
+    else a view trimming the zero-padded tail of one."""
+    c_out = matrix.shape[1] // TOEPLITZ_BLOCK
+    blocks = -(-length // TOEPLITZ_BLOCK)
+    out = np.empty(
+        (batch, blocks * TOEPLITZ_BLOCK, c_out), dtype=np.result_type(rows, matrix)
+    )
+    np.matmul(rows, matrix, out=out.reshape(rows.shape[0], matrix.shape[1]))
+    return out if blocks * TOEPLITZ_BLOCK == length else out[:, :length]
 
 
 def conv1d_same(x: Tensor, bank: ConvFilterBank) -> Tensor:
@@ -178,6 +233,15 @@ def conv1d_same(x: Tensor, bank: ConvFilterBank) -> Tensor:
     Input [B, L, C_in] -> output [B, L, C_out]. Padding is
     floor((w-1)/2) left, ceil((w-1)/2) right, so output length always
     equals input length. tanh is applied by the caller.
+
+    Lowered to one GEMM by block-Toeplitz rows: each row of
+    `_toeplitz_rows` covers P = TOEPLITZ_BLOCK consecutive output
+    positions, and the filters are scattered into a [(P+w-1)*C_in,
+    P*C_out] matrix, so the product is P*C_out columns wide. It does
+    (P+w-1)/w times the multiply-adds of the direct sum, the extra ones by
+    zero. The backward pass reuses the rows for the weight gradient and
+    runs the same lowering on the gradient for the input gradient, which
+    it skips when x.requires_grad is False.
     """
     if x.data.ndim != 3:
         raise ShapeMismatch(f"conv input must be [B, L, C], got {x.shape}")
@@ -191,24 +255,26 @@ def conv1d_same(x: Tensor, bank: ConvFilterBank) -> Tensor:
     left = (w - 1) // 2
     right = w - 1 - left
 
-    flat = _im2col(x.data, w, left)
-    # row features are tap-major (j, ci), so [out, in, w] -> [w*in, out]
-    wmat = bank.weights.data.transpose(2, 1, 0).reshape(w * c_in, c_out)
-    out_data = (flat @ wmat).reshape(batch, length, c_out)
+    rows = _toeplitz_rows(x.data, w, left)
+    out_data = _toeplitz_product(rows, _toeplitz(bank.weights.data), batch, length)
     out_data += bank.biases.data
 
     def backward(grad):
         grad2d = grad.reshape(batch * length, c_out)
         _accumulate(bank.biases, np.ones(batch * length, dtype=grad.dtype) @ grad2d)
-        dwmat = flat.T @ grad2d
-        _accumulate(bank.weights, dwmat.reshape(w, c_in, c_out).transpose(2, 1, 0))
-        # transposed convolution: correlate the gradient, padded the other
-        # way round, with the flipped filters [w*out, in]
-        wflip = bank.weights.data[:, :, ::-1].transpose(2, 0, 1).reshape(w * c_out, c_in)
-        # an array of its own, so _accumulate keeps it without a copy
-        dx = np.empty(x.data.shape, dtype=np.result_type(grad, wflip))
-        np.matmul(_im2col(grad, w, right), wflip, out=dx.reshape(batch * length, c_in))
-        _accumulate(x, dx)
+        tail = -length % TOEPLITZ_BLOCK
+        # zero rows for the positions past L that the last block covers
+        padded = np.pad(grad, ((0, 0), (0, tail), (0, 0))) if tail else grad
+        dtoeplitz = rows.T @ padded.reshape(rows.shape[0], TOEPLITZ_BLOCK * c_out)
+        # each tap sits on P diagonals of the matrix; its gradient is their sum
+        taps = dtoeplitz.reshape(-1)[_toeplitz_index(w, c_in, c_out)]
+        _accumulate(bank.weights, taps.sum(axis=0))
+        if x.requires_grad:
+            # transposed convolution: correlate the gradient, padded the other
+            # way round, with the flipped filters, in and out swapped
+            flipped = _toeplitz(bank.weights.data.transpose(1, 0, 2)[:, :, ::-1])
+            grad_rows = _toeplitz_rows(grad, w, right)
+            _accumulate(x, _toeplitz_product(grad_rows, flipped, batch, length))
 
     return _node(out_data, (x,), backward)
 

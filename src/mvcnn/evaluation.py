@@ -145,10 +145,12 @@ def generate_synthetic(spec: SyntheticSpec) -> ClipDataset:
     (~3e-11 worst seen over 72 000-sample tones up to Nyquist).
 
     Raises:
-        InvalidSpec: non-distinct signatures, a signature without
-        tones, a tone whose jittered frequency reaches Nyquist, a
-        non-positive or non-finite envelope period or clip length, a
-        jitter outside [0, 1), degenerate sizes, or a negative seed.
+        InvalidSpec: more classes than the default signatures fit below
+        Nyquist (when spec.signatures is unset), non-distinct signatures,
+        a signature without tones, a tone whose jittered frequency reaches
+        Nyquist, a non-positive or non-finite envelope period or clip
+        length, a jitter outside [0, 1), degenerate sizes, or a negative
+        seed.
     """
     if spec.seed < 0:
         raise InvalidSpec(f"seed must be >= 0, got {spec.seed}")
@@ -164,17 +166,30 @@ def generate_synthetic(spec: SyntheticSpec) -> ClipDataset:
     for name in ("freq_jitter", "period_jitter"):
         if not 0.0 <= getattr(spec, name) < 1.0:
             raise InvalidSpec(f"{name} must be in [0, 1), got {getattr(spec, name)}")
+    nyquist = spec.sample_rate / 2
+
+    def tones_fit(sig):
+        return all(0 < f * (1.0 + spec.freq_jitter) < nyquist for f in sig.tones_hz)
+
     signatures = spec.signatures or default_signatures(spec.n_classes)
+    if not spec.signatures:
+        # default tones rise with the class index, so the first misfit is the limit
+        fit = next((i for i, sig in enumerate(signatures) if not tones_fit(sig)), None)
+        if fit is not None:
+            raise InvalidSpec(
+                f"n_classes={spec.n_classes}, but only {fit} default classes fit "
+                f"below Nyquist at sample_rate {spec.sample_rate} with "
+                f"freq_jitter {spec.freq_jitter}"
+            )
     if len(signatures) < spec.n_classes:
         raise InvalidSpec("need one signature per class")
     signatures = tuple(signatures[: spec.n_classes])
     if len(set(signatures)) != len(signatures):
         raise InvalidSpec("class signatures must be pairwise distinct")
-    nyquist = spec.sample_rate / 2
     for sig in signatures:
         if not sig.tones_hz:
             raise InvalidSpec("every class signature needs at least one tone")
-        if any(not 0 < f * (1.0 + spec.freq_jitter) < nyquist for f in sig.tones_hz):
+        if not tones_fit(sig):
             raise InvalidSpec(
                 f"tones with {spec.freq_jitter} jitter must lie in (0, {nyquist}) Hz"
             )

@@ -179,6 +179,7 @@ def forward_batch(
             features.shape[0], model.config.input_len, 1
         )
     )
+    x.requires_grad = False  # nothing reads the features' gradient
     view_outs = []
     for banks in model.views:
         h = x
@@ -208,8 +209,8 @@ def forward(model: MultiViewCnn, features: np.ndarray, train: bool = False,
 def predict(model: MultiViewCnn, features: np.ndarray, chunk: int = 16) -> np.ndarray:
     """Eval-mode argmax labels for a [n, L] feature matrix, chunk rows per pass.
 
-    Builds no autograd graph, so each conv's im2col buffer is freed as soon
-    as its product is taken. The default chunk is the training batch size:
+    Builds no autograd graph, so each conv's lowered input rows are freed as
+    soon as its product is taken. The default chunk is the training batch size:
     chunks of 8 to 32 rows ran equally fast, and larger ones were slower and
     raised the process's peak memory.
     """

@@ -456,6 +456,48 @@ class TestConvOracle:
         np.testing.assert_allclose(fb.weights.grad, ref_dw, rtol=0, atol=1e-12)
         np.testing.assert_allclose(fb.biases.grad, ref_db, rtol=0, atol=1e-12)
 
+    # P = 8 output positions per GEMM row: lengths below, at and past one and
+    # two blocks, and the paper's 512
+    @pytest.mark.parametrize("width", [1, 2, 10, 15, 20])
+    @pytest.mark.parametrize("length", [1, 7, 8, 9, 16, 17, 512])
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    def test_block_edges_match_per_tap_reference(self, width, length, batch):
+        rng = np.random.Generator(np.random.PCG64(1000 * width + 10 * length + batch))
+        for c_in, c_out in [(1, 2), (2, 4), (4, 8), (3, 1)]:
+            x = rng.normal(size=(batch, length, c_in))
+            w = rng.normal(size=(c_out, c_in, width))
+            b = rng.normal(size=c_out)
+            grad = rng.normal(size=(batch, length, c_out))
+            xt, fb = Tensor(x.copy()), bank(w, b)
+            out = conv1d_same(xt, fb)
+            out._backward(grad)
+            ref_out, ref_dx, ref_dw, ref_db = _conv_reference(x, w, b, grad)
+            # 1e-12 of the largest entry: at B*L = 8192 the dW sums reach
+            # ~1e2, and the reference's own rounding is ~1e-14 of that
+            got = (out.data, xt.grad, fb.weights.grad, fb.biases.grad)
+            for g, ref in zip(got, (ref_out, ref_dx, ref_dw, ref_db)):
+                atol = 1e-12 * max(1.0, np.max(np.abs(ref)))
+                np.testing.assert_allclose(g, ref, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("width", [10, 15, 20])
+    @pytest.mark.parametrize("channels", [(1, 2), (2, 4), (4, 8)])
+    def test_float32_paper_shapes_within_1e5_of_float64(self, width, channels):
+        c_in, c_out = channels
+        rng = np.random.Generator(np.random.PCG64(7 * width + c_in))
+        x = rng.normal(size=(16, 512, c_in)).astype(np.float32)
+        w = rng.normal(size=(c_out, c_in, width)).astype(np.float32)
+        b = rng.normal(size=c_out).astype(np.float32)
+        grad = rng.normal(size=(16, 512, c_out)).astype(np.float32)
+        xt = Tensor(x.copy())
+        fb = ConvFilterBank(Tensor(w.copy()), Tensor(b.copy()))
+        out = conv1d_same(xt, fb)
+        out._backward(grad)
+        refs = _conv_reference(*(a.astype(np.float64) for a in (x, w, b, grad)))
+        got = (out.data, xt.grad, fb.weights.grad, fb.biases.grad)
+        for name, g, ref in zip(("out", "dx", "dw", "db"), got, refs):
+            assert g.dtype == np.float32, name
+            assert np.max(np.abs(g - ref)) <= 1e-5 * np.max(np.abs(ref)), name
+
     def test_shared_input_accumulates_both_views(self):
         # the three views read one input tensor, so its gradient is the sum
         rng = np.random.Generator(np.random.PCG64(77))

@@ -243,11 +243,15 @@ class TestSynthetic:
                               ClassSignature((2000.0,), 0.01))), "tones"),
             (dict(signatures=(ClassSignature((), 0.01),
                               ClassSignature((2000.0,), 0.01))), "one tone"),
+            # class 13's upper default tone is 2.15 * (650 + 380 * 13) Hz > 12 kHz
+            (dict(n_classes=14), "n_classes=14, but only 13 default classes fit "
+             "below Nyquist at sample_rate 24000 with freq_jitter 0.01"),
+            (dict(n_classes=5, sample_rate=8000), "only 0 default classes"),
         ],
         ids=["seconds-nan", "seconds-inf", "freq-jitter-negative", "freq-jitter-one",
              "freq-jitter-nan", "period-jitter-one", "period-jitter-negative",
              "period-nan", "period-inf", "jittered-tone-at-nyquist", "tone-nan",
-             "no-tones"],
+             "no-tones", "default-classes-past-nyquist", "default-tones-past-nyquist"],
     )
     def test_malformed_spec_rejected(self, overrides, match):
         spec = SyntheticSpec(**{**dict(n_classes=2, clips_per_class=1, clip_seconds=0.1),

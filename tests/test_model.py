@@ -1,11 +1,14 @@
 import gc
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from mvcnn import model as model_module
-from mvcnn.autograd import Tensor
+from mvcnn.autograd import Tensor, conv1d_same, cross_entropy
 from mvcnn.errors import (
     BadMagic,
     EmptyDataset,
@@ -193,6 +196,66 @@ class TestTrain:
         model = build(tiny_config(input_len=64, n_classes=2, dtype=np.float32))
         train(model, X, y, TrainConfig(iterations=4, batch_size=8, seed=0))
         assert live == [0, 0, 0, 0]
+
+    def test_feature_gradient_skip_leaves_parameter_gradients_bit_identical(
+        self, monkeypatch
+    ):
+        # a B=16 paper-model step; the features' input gradient is skipped,
+        # which drops 3 of the 9 input-gradient products
+        rng = np.random.Generator(np.random.PCG64(12))
+        X = rng.normal(size=(16, 512))
+        labels = np.eye(4, dtype=np.float32)[rng.integers(0, 4, 16)]
+        conv_inputs = []
+
+        def recording_conv(x, bank):
+            conv_inputs.append(x)
+            return conv1d_same(x, bank)
+
+        class KeepsGradient(Tensor):
+            requires_grad = property(lambda self: True, lambda self, value: None)
+
+        def step():
+            model = build(ModelConfig())
+            probs = forward_batch(model, X, train=True, dropout_seed=5)
+            cross_entropy(probs, labels).backward()
+            return [p.grad for p in model.parameters()]
+
+        monkeypatch.setattr(model_module, "conv1d_same", recording_conv)
+        skipped = step()
+        features = {id(x): x for x in conv_inputs if x._parents == ()}
+        assert len(features) == 1
+        (x,) = features.values()
+        assert x.requires_grad is False and x.grad is None
+
+        conv_inputs.clear()
+        monkeypatch.setattr(model_module, "Tensor", KeepsGradient)
+        full = step()
+        (x,) = {id(x): x for x in conv_inputs if x._parents == ()}.values()
+        assert x.grad is not None and x.grad.shape == (16, 512, 1)
+        for a, b in zip(skipped, full):
+            np.testing.assert_array_equal(a, b)
+
+    def test_same_parameters_with_one_or_two_blas_threads(self):
+        code = (
+            "import hashlib, numpy as np\n"
+            "from mvcnn.model import ModelConfig, TrainConfig, build, train\n"
+            "rng = np.random.Generator(np.random.PCG64(8))\n"
+            "X, y = rng.normal(size=(64, 512)), rng.integers(0, 4, 64)\n"
+            "model = build(ModelConfig())\n"
+            "train(model, X, y, TrainConfig(iterations=20))\n"
+            "digest = hashlib.sha256()\n"
+            "for p in model.parameters():\n"
+            "    digest.update(p.data.tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
 
     def test_empty_dataset(self):
         model = build(tiny_config())
