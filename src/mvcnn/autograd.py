@@ -16,8 +16,8 @@ scalar loss fills ``.grad`` on every tensor that participated in
 producing it. Inside ``with no_grad():`` every op returns a bare Tensor
 with no parents and no closure, so nothing an op computes for its
 backward pass (the lowered conv rows, a pooling mask) outlives the op.
-A tensor whose requires_grad is False gets no gradient: ops skip the
-product that would compute it.
+conv1d_same skips the input-gradient product for an input whose
+requires_grad is False, such as the features forward_batch builds.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class Tensor:
     def __init__(self, data, dtype=None, parents=(), backward=None):
         self.data = np.asarray(data, dtype=dtype)
         self.grad = None
-        # False on an input whose gradient nobody reads, so ops skip it
+        # False on an input whose gradient nobody reads; conv1d_same skips it
         self.requires_grad = True
         self._parents = parents
         self._backward = backward
