@@ -25,8 +25,10 @@ from .audio import AudioClip, SilenceConfig
 from .errors import InvalidSetting, MvcnnError
 from .evaluation import (
     METHOD_NAMES,
+    ClipDataset,
     PipelineConfig,
     SweepSpec,
+    SyntheticClips,
     SyntheticSpec,
     clip_frame_features,
     generate_synthetic,
@@ -143,7 +145,8 @@ def get_pipeline(args) -> PipelineConfig:
 # --- verbs ---
 
 def cmd_synth(args):
-    dataset = generate_synthetic(
+    # lazy clips: save_dataset writes each one before the next is made
+    clips = SyntheticClips(
         SyntheticSpec(
             n_classes=args.classes,
             clips_per_class=args.clips_per_class,
@@ -153,6 +156,7 @@ def cmd_synth(args):
             seed=args.seed,
         )
     )
+    dataset = ClipDataset(clips, clips.labels, args.classes, clips.label_names)
     manifest = save_dataset(dataset, args.out)
     (Path(args.out) / "run_info.txt").write_text(resolved_flags(args) + "\n")
     print(f"wrote {len(dataset)} clips, manifest at {manifest}")
@@ -243,6 +247,8 @@ def cmd_eval(args):
     for name, m, s in zip(("accuracy", "precision", "recall", "f1"), mean, std):
         print(f"  {name}: {m:.4f} +/- {s:.4f}")
     print(f"  pooled accuracy: {report.accuracy:.4f}")
+    if result.skipped_clips:
+        print(f"  skipped {result.skipped_clips} test clips without frames")
     if args.out:
         rows = [
             {

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -94,7 +95,7 @@ class SyntheticSpec:
 
 @dataclass
 class ClipDataset:
-    clips: list
+    clips: Sequence  # a list, or SyntheticClips that synthesize on access
     labels: np.ndarray
     n_classes: int
     label_names: list
@@ -130,12 +131,14 @@ def _sines(n: int, steps, phases, amps) -> np.ndarray:
     return (weights.T @ table).ravel()[:n]
 
 
-def generate_synthetic(spec: SyntheticSpec) -> ClipDataset:
-    """Deterministically synthesize a labeled clip dataset.
+class SyntheticClips(Sequence):
+    """The clips of a synthetic corpus, each synthesized when it is read.
 
-    Every clip draws per-clip tone amplitudes, small frequency jitter
-    and random phases from a seed derived from (spec.seed, class, clip),
-    so the dataset is reproducible and independent of generation order.
+    Item i is clip i % clips_per_class of class i // clips_per_class. It
+    draws its tone amplitudes, small frequency jitter and random phases
+    from a seed derived from (spec.seed, class, clip), so every clip is
+    reproducible and independent of which clips are read, or in what
+    order. Nothing is cached: iterating holds one clip at a time.
 
     A clip is envelope * sum(amp * sin(2*pi*f*k/fs + phi)) with envelope
     0.5 - 0.5*cos(2*pi*(k/(period*fs) + env_phase)). Tones and envelope
@@ -144,7 +147,7 @@ def generate_synthetic(spec: SyntheticSpec) -> ClipDataset:
     long double with the same float64 step, each sinusoid is within 1e-10
     (~3e-11 worst seen over 72 000-sample tones up to Nyquist).
 
-    Raises:
+    Raises (on construction; reading a clip does not re-check the spec):
         InvalidSpec: more classes than the default signatures fit below
         Nyquist (when spec.signatures is unset), non-distinct signatures,
         a signature without tones, a tone whose jittered frequency reaches
@@ -152,80 +155,105 @@ def generate_synthetic(spec: SyntheticSpec) -> ClipDataset:
         length, a jitter outside [0, 1), degenerate sizes, or a negative
         seed.
     """
-    if spec.seed < 0:
-        raise InvalidSpec(f"seed must be >= 0, got {spec.seed}")
-    if spec.n_classes < 2 or spec.clips_per_class < 1:
-        raise InvalidSpec("need at least 2 classes and 1 clip per class")
-    if not math.isfinite(spec.clip_seconds):
-        raise InvalidSpec(f"clip_seconds must be finite, got {spec.clip_seconds}")
-    n_samples = int(round(spec.clip_seconds * spec.sample_rate))
-    if n_samples < 1:
-        raise InvalidSpec("clip_seconds too short for the sample rate")
-    if not 0.0 < spec.amplitude <= 1.0:
-        raise InvalidSpec("amplitude must be in (0, 1]")
-    for name in ("freq_jitter", "period_jitter"):
-        if not 0.0 <= getattr(spec, name) < 1.0:
-            raise InvalidSpec(f"{name} must be in [0, 1), got {getattr(spec, name)}")
-    nyquist = spec.sample_rate / 2
 
-    def tones_fit(sig):
-        return all(0 < f * (1.0 + spec.freq_jitter) < nyquist for f in sig.tones_hz)
+    def __init__(self, spec: SyntheticSpec):
+        if spec.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {spec.seed}")
+        if spec.n_classes < 2 or spec.clips_per_class < 1:
+            raise InvalidSpec("need at least 2 classes and 1 clip per class")
+        if not math.isfinite(spec.clip_seconds):
+            raise InvalidSpec(f"clip_seconds must be finite, got {spec.clip_seconds}")
+        n_samples = int(round(spec.clip_seconds * spec.sample_rate))
+        if n_samples < 1:
+            raise InvalidSpec("clip_seconds too short for the sample rate")
+        if not 0.0 < spec.amplitude <= 1.0:
+            raise InvalidSpec("amplitude must be in (0, 1]")
+        for name in ("freq_jitter", "period_jitter"):
+            if not 0.0 <= getattr(spec, name) < 1.0:
+                raise InvalidSpec(f"{name} must be in [0, 1), got {getattr(spec, name)}")
+        nyquist = spec.sample_rate / 2
 
-    signatures = spec.signatures or default_signatures(spec.n_classes)
-    if not spec.signatures:
-        # default tones rise with the class index, so the first misfit is the limit
-        fit = next((i for i, sig in enumerate(signatures) if not tones_fit(sig)), None)
-        if fit is not None:
-            raise InvalidSpec(
-                f"n_classes={spec.n_classes}, but only {fit} default classes fit "
-                f"below Nyquist at sample_rate {spec.sample_rate} with "
-                f"freq_jitter {spec.freq_jitter}"
-            )
-    if len(signatures) < spec.n_classes:
-        raise InvalidSpec("need one signature per class")
-    signatures = tuple(signatures[: spec.n_classes])
-    if len(set(signatures)) != len(signatures):
-        raise InvalidSpec("class signatures must be pairwise distinct")
-    for sig in signatures:
-        if not sig.tones_hz:
-            raise InvalidSpec("every class signature needs at least one tone")
-        if not tones_fit(sig):
-            raise InvalidSpec(
-                f"tones with {spec.freq_jitter} jitter must lie in (0, {nyquist}) Hz"
-            )
-        if not 0 < sig.envelope_period_s < math.inf:
-            raise InvalidSpec("envelope period must be positive and finite")
+        def tones_fit(sig):
+            return all(0 < f * (1.0 + spec.freq_jitter) < nyquist for f in sig.tones_hz)
 
-    rad_per_sample = 2 * np.pi / spec.sample_rate
-    clips = []
-    labels = []
-    for cls, sig in enumerate(signatures):
-        for j in range(spec.clips_per_class):
-            rng = np.random.Generator(np.random.PCG64([spec.seed, cls, j]))
-            env_phase = rng.uniform()
-            period = sig.envelope_period_s * (
-                1.0 + rng.uniform(-spec.period_jitter, spec.period_jitter)
-            )
-            # 0.5 - 0.5*cos(x) == 0.5 + (-0.5)*sin(x + pi/2) bit for bit;
-            # adding in place makes no clip-sized temporary
-            envelope = _sines(
-                n_samples, [rad_per_sample / period],
-                [2 * np.pi * env_phase + np.pi / 2], [-0.5],
-            )
-            envelope += 0.5
-            amps = rng.uniform(0.6, 1.0, len(sig.tones_hz))
-            steps, phases = [], []
-            for freq in sig.tones_hz:
-                jittered = freq * (
-                    1.0 + rng.uniform(-spec.freq_jitter, spec.freq_jitter)
+        signatures = spec.signatures or default_signatures(spec.n_classes)
+        if not spec.signatures:
+            # default tones rise with the class index, so the first misfit is the limit
+            fit = next((i for i, sig in enumerate(signatures) if not tones_fit(sig)), None)
+            if fit is not None:
+                raise InvalidSpec(
+                    f"n_classes={spec.n_classes}, but only {fit} default classes fit "
+                    f"below Nyquist at sample_rate {spec.sample_rate} with "
+                    f"freq_jitter {spec.freq_jitter}"
                 )
-                steps.append(rad_per_sample * jittered)
-                phases.append(rng.uniform(0, 2 * np.pi))
-            wave = _sines(n_samples, steps, phases, amps * (spec.amplitude / amps.sum()))
-            clips.append(AudioClip(envelope * wave, spec.sample_rate))
-            labels.append(cls)
-    names = [f"class{i}" for i in range(spec.n_classes)]
-    return ClipDataset(clips, np.array(labels), spec.n_classes, names)
+        if len(signatures) < spec.n_classes:
+            raise InvalidSpec("need one signature per class")
+        signatures = tuple(signatures[: spec.n_classes])
+        if len(set(signatures)) != len(signatures):
+            raise InvalidSpec("class signatures must be pairwise distinct")
+        for sig in signatures:
+            if not sig.tones_hz:
+                raise InvalidSpec("every class signature needs at least one tone")
+            if not tones_fit(sig):
+                raise InvalidSpec(
+                    f"tones with {spec.freq_jitter} jitter must lie in (0, {nyquist}) Hz"
+                )
+            if not 0 < sig.envelope_period_s < math.inf:
+                raise InvalidSpec("envelope period must be positive and finite")
+
+        self.spec = spec
+        self.signatures = signatures
+        self.n_samples = n_samples
+        self.labels = np.repeat(np.arange(spec.n_classes), spec.clips_per_class)
+        self.label_names = [f"class{i}" for i in range(spec.n_classes)]
+
+    def __len__(self):
+        return self.spec.n_classes * self.spec.clips_per_class
+
+    def __getitem__(self, index: int) -> AudioClip:
+        if not -len(self) <= index < len(self):
+            raise IndexError(f"clip {index} of {len(self)}")
+        spec = self.spec
+        cls, j = divmod(index % len(self), spec.clips_per_class)
+        sig = self.signatures[cls]
+        rad_per_sample = 2 * np.pi / spec.sample_rate
+        rng = np.random.Generator(np.random.PCG64([spec.seed, cls, j]))
+        env_phase = rng.uniform()
+        period = sig.envelope_period_s * (
+            1.0 + rng.uniform(-spec.period_jitter, spec.period_jitter)
+        )
+        # 0.5 - 0.5*cos(x) == 0.5 + (-0.5)*sin(x + pi/2) bit for bit;
+        # adding in place makes no clip-sized temporary
+        envelope = _sines(
+            self.n_samples, [rad_per_sample / period],
+            [2 * np.pi * env_phase + np.pi / 2], [-0.5],
+        )
+        envelope += 0.5
+        amps = rng.uniform(0.6, 1.0, len(sig.tones_hz))
+        steps, phases = [], []
+        for freq in sig.tones_hz:
+            jittered = freq * (1.0 + rng.uniform(-spec.freq_jitter, spec.freq_jitter))
+            steps.append(rad_per_sample * jittered)
+            phases.append(rng.uniform(0, 2 * np.pi))
+        wave = _sines(self.n_samples, steps, phases, amps * (spec.amplitude / amps.sum()))
+        return AudioClip(envelope * wave, spec.sample_rate)
+
+    def __iter__(self):
+        # map keeps no reference to a clip once it is handed out
+        return map(self.__getitem__, range(len(self)))
+
+
+def generate_synthetic(spec: SyntheticSpec) -> ClipDataset:
+    """Deterministically synthesize a labeled clip dataset, all clips in memory.
+
+    The clips are those of `SyntheticClips(spec)`, in its order: class by
+    class, clip by clip.
+
+    Raises:
+        InvalidSpec: as `SyntheticClips`.
+    """
+    clips = SyntheticClips(spec)
+    return ClipDataset(list(clips), clips.labels, spec.n_classes, clips.label_names)
 
 
 # --- folds ---
@@ -533,6 +561,7 @@ def pipeline_for_method(method: str, base: PipelineConfig) -> PipelineConfig:
 class CvResult:
     report: MetricsReport
     confusion: ConfusionMatrix
+    skipped_clips: int = 0  # test clips left unscored: no frames survived
 
 
 def evaluate_split(per_clip, labels, test_idx, fold: FoldData, classifier,
@@ -584,6 +613,8 @@ def _run_splits(dataset, method, splits, seed, pipeline, clip_level,
     """Fit and score one classifier per (train_idx, test_idx) split.
 
     Features are extracted once; split f seeds its classifier with seed * 101 + f.
+    A test clip without frames cannot be scored; each such clip in a
+    split's test set counts once in `skipped_clips`.
     """
     pipe = pipeline_for_method(method, pipeline)
     per_clip = clip_frame_features(dataset, pipe)
@@ -591,7 +622,9 @@ def _run_splits(dataset, method, splits, seed, pipeline, clip_level,
     normalize_features = pipe.feature_kind == "spectrum"
     pooled = ConfusionMatrix.zeros(dataset.n_classes)
     fold_metrics = []
+    skipped = 0
     for f, (train_idx, test_idx) in enumerate(splits):
+        skipped += sum(len(per_clip[i]) == 0 for i in test_idx)
         fold = prepare_fold(per_clip, labels, train_idx, test_idx, normalize_features)
         if method_factory is not None:
             clf = method_factory(dataset.n_classes, pipe.feature_dim, seed * 101 + f)
@@ -610,7 +643,7 @@ def _run_splits(dataset, method, splits, seed, pipeline, clip_level,
         pooled.merge(fold_cm)
     report = compute_metrics(pooled)
     report.fold_metrics = fold_metrics
-    return CvResult(report, pooled)
+    return CvResult(report, pooled, skipped)
 
 
 # --- parameter sweeps ---

@@ -6,7 +6,10 @@ window. A star topology relays non-hub traffic through node 1. During a
 node's link outage, or a server outage, messages are classified on the
 node by a reduced-class fallback model; otherwise the server model
 classifies them. Everything is a pure function of (scenario, models):
-no wall clock, no global state.
+no wall clock, no global state. The simulator streams its audio: each
+node clip is synthesized when the node replays it and freed once its
+messages are out, so memory holds one clip at a time, however many
+nodes and clips the scenario has; only the records grow with it.
 
 Message frame: magic "SPM1", u16 node id, u32 sequence, u64 timestamp
 (ms, node clock), u32 feature count, f32 payload, u32 CRC32 over all
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from math import ceil, inf
 
@@ -39,6 +43,7 @@ from .errors import (
 )
 from .evaluation import (
     PipelineConfig,
+    SyntheticClips,
     SyntheticSpec,
     clip_features,
     clip_frame_features,
@@ -385,11 +390,35 @@ def _release_time(t: int, windows) -> int:
     return t
 
 
-def scenario_clips(scenario: Scenario):
-    """Per-node clip lists (round-robin classes), deterministic per seed."""
+class _NodeClips(Sequence):
+    """The corpus clips one node replays, each synthesized when it is read."""
+
+    def __init__(self, corpus: SyntheticClips, indices: tuple):
+        self._corpus = corpus
+        self._indices = indices
+
+    def __len__(self):
+        return len(self._indices)
+
+    def __getitem__(self, index: int) -> AudioClip:
+        return self._corpus[self._indices[index]]
+
+    def __iter__(self):
+        return map(self._corpus.__getitem__, self._indices)
+
+
+def scenario_clips(scenario: Scenario) -> list:
+    """Per-node clip sequences (round-robin classes), deterministic per seed.
+
+    Clip j of node n (from 0) is scenario clip g = n * clips_per_node + j,
+    of class g % n_classes. Each node's sequence is lazy: a clip is
+    synthesized when it is read and not kept, so replaying a node holds
+    one clip in memory however long the scenario is, and a clip no node
+    replays is never made.
+    """
     total = scenario.n_nodes * scenario.clips_per_node
     per_class = ceil(total / scenario.n_classes)
-    dataset = generate_synthetic(
+    corpus = SyntheticClips(
         SyntheticSpec(
             n_classes=scenario.n_classes,
             clips_per_class=per_class,
@@ -400,12 +429,11 @@ def scenario_clips(scenario: Scenario):
     )
     by_node = []
     for node_index in range(scenario.n_nodes):
-        clips = []
+        picks = []
         for j in range(scenario.clips_per_node):
             g = node_index * scenario.clips_per_node + j
-            cls = g % scenario.n_classes
-            clips.append(dataset.clips[cls * per_class + g // scenario.n_classes])
-        by_node.append(clips)
+            picks.append(g % scenario.n_classes * per_class + g // scenario.n_classes)
+        by_node.append(_NodeClips(corpus, tuple(picks)))
     return by_node
 
 
@@ -436,7 +464,8 @@ def simulate(
     server when the outage clears, paying the wait as latency. Recorded
     timestamps carry the node clock skew, but routing uses true
     simulated time. Records come back sorted by (node, sequence):
-    in-order reliable delivery.
+    in-order reliable delivery. Memory holds one clip and its messages
+    at a time (see `scenario_clips`), plus the records.
 
     Raises:
         InvalidScenario: inconsistent scenario, missing/ill-fitted
@@ -481,8 +510,9 @@ def simulate(
         hops = 1 if num == 1 else 2
         t_clip = 0
         seq = 0
-        for clip in clips:
-            messages = node_process(clip, cfg, start_ms=t_clip, seq_start=seq)
+        for j in range(len(clips)):
+            # the clip is synthesized here and freed once node_process returns
+            messages = node_process(clips[j], cfg, start_ms=t_clip, seq_start=seq)
             seq += len(messages)
             t_clip += clip_ms + scenario.inter_clip_gap_ms
             for msg in messages:

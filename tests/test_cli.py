@@ -13,6 +13,7 @@ from mvcnn.evaluation import (
     clip_frame_features,
     generate_synthetic,
     load_manifest,
+    save_dataset,
 )
 from mvcnn.model import ModelConfig, build, load, save
 from mvcnn.wasn import NodeConfig, node_process
@@ -65,6 +66,22 @@ def test_synth_writes_corpus(tmp_path):
     info = (out / "run_info.txt").read_text()
     assert info.startswith("mvcnn synth")
     assert "--seed 1" in info
+
+
+def test_synth_files_match_the_eager_dataset(tmp_path):
+    # synth streams its clips; the files are those of the whole dataset saved at once
+    code = dispatch(["synth", *SMALL_DATA, "--seed", "4", "--sample-rate", "16000",
+                     "--out", str(tmp_path / "cli")])
+    assert code == 0
+    spec = SyntheticSpec(n_classes=3, clips_per_class=4, clip_seconds=0.5,
+                         sample_rate=16000, seed=4)
+    save_dataset(generate_synthetic(spec), tmp_path / "eager")
+    eager = sorted(p.name for p in (tmp_path / "eager").iterdir())
+    assert len(eager) == 13 and "manifest.csv" in eager
+    assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == eager + ["run_info.txt"]
+    for name in eager:
+        assert (tmp_path / "cli" / name).read_bytes() == \
+            (tmp_path / "eager" / name).read_bytes(), name
 
 
 def test_prep_writes_features_with_flags(tmp_path):
@@ -166,11 +183,27 @@ def test_eval_knn_writes_metrics(tmp_path, capsys):
         "--k", "3", "--seed", "0", "--out", str(out),
     ])
     assert code == 0
-    assert "pooled accuracy" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "pooled accuracy" in printed
+    assert "skipped" not in printed  # every clip has frames
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# mvcnn eval")
     assert lines[1] == "axis,value,method,fold,seed,accuracy,precision,recall,f1"
     assert len(lines) == 2 + 3
+
+
+def test_eval_reports_skipped_clips(tmp_path, capsys):
+    dataset = generate_synthetic(SyntheticSpec(n_classes=3, clips_per_class=4,
+                                               clip_seconds=0.5))
+    silent = AudioClip(np.zeros_like(dataset.clips[2].samples), 24000)
+    dataset.clips[2] = silent
+    manifest = save_dataset(dataset, tmp_path / "corpus")
+    code = dispatch([
+        "eval", "--manifest", str(manifest), *SMALL_PIPE, "--method", "knn_spectrum",
+        "--k", "3", "--seed", "0",
+    ])
+    assert code == 0
+    assert "skipped 1 test clips without frames" in capsys.readouterr().out
 
 
 def test_sweep_row_count(tmp_path):

@@ -18,6 +18,7 @@ from mvcnn.evaluation import (
     ConfusionMatrix,
     PipelineConfig,
     SweepSpec,
+    SyntheticClips,
     SyntheticSpec,
     clip_features,
     clip_frame_features,
@@ -256,8 +257,12 @@ class TestSynthetic:
     def test_malformed_spec_rejected(self, overrides, match):
         spec = SyntheticSpec(**{**dict(n_classes=2, clips_per_class=1, clip_seconds=0.1),
                                 **overrides})
-        with pytest.raises(InvalidSpec, match=match):
+        with pytest.raises(InvalidSpec, match=match) as eager:
             generate_synthetic(spec)
+        # the lazy clips check the spec once, on construction, with the same words
+        with pytest.raises(InvalidSpec) as lazy:
+            SyntheticClips(spec)
+        assert str(lazy.value) == str(eager.value)
 
     def test_default_dataset_matches_per_sample_formula(self):
         # the direct formula the phasor kernel replaced, one sin/cos per sample
@@ -281,6 +286,56 @@ class TestSynthetic:
                 wave += amp * np.sin(2 * np.pi * jittered * t + rng.uniform(0, 2 * np.pi))
             want = envelope * wave * (spec.amplitude / amps.sum())
             assert np.max(np.abs(clip.samples - want)) <= 1e-10
+
+
+CUSTOM_SIGNATURES = (
+    ClassSignature((900.0, 2500.0, 5200.0), 0.003),
+    ClassSignature((1500.0,), 0.011),
+    ClassSignature((700.0, 3300.0), 0.0007),
+)
+
+
+class TestSyntheticClips:
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("signatures", [None, CUSTOM_SIGNATURES],
+                             ids=["default", "custom"])
+    def test_items_are_the_eager_clips_bit_for_bit(self, signatures, seed):
+        spec = SyntheticSpec(n_classes=3, clips_per_class=4, clip_seconds=0.3,
+                             signatures=signatures, seed=seed)
+        eager = generate_synthetic(spec)
+        lazy = SyntheticClips(spec)
+        assert len(lazy) == len(eager) == 12
+        np.testing.assert_array_equal(lazy.labels, eager.labels)
+        assert lazy.label_names == eager.label_names
+        for i, want in enumerate(eager.clips):
+            got = lazy[i]
+            assert got.sample_rate == want.sample_rate
+            assert got.samples.tobytes() == want.samples.tobytes()
+        # reading order does not matter: backwards, negative and iterated
+        for i in reversed(range(len(lazy))):
+            assert lazy[i - len(lazy)].samples.tobytes() == eager.clips[i].samples.tobytes()
+        for got, want in zip(lazy, eager.clips):
+            assert got.samples.tobytes() == want.samples.tobytes()
+
+    def test_item_i_is_clip_i_mod_n_of_class_i_div_n(self):
+        spec = SyntheticSpec(n_classes=3, clips_per_class=4, clip_seconds=0.2, seed=2)
+        # clip (class 2, 1) does not depend on how many clips each class has
+        wide = SyntheticClips(replace(spec, clips_per_class=9))
+        assert SyntheticClips(spec)[2 * 4 + 1].samples.tobytes() == \
+            wide[2 * 9 + 1].samples.tobytes()
+
+    def test_out_of_range_index(self):
+        lazy = SyntheticClips(SyntheticSpec(n_classes=2, clips_per_class=2,
+                                            clip_seconds=0.1))
+        for index in (4, -5):
+            with pytest.raises(IndexError):
+                lazy[index]
+        assert len(list(lazy)) == 4
+
+    def test_clips_are_not_cached(self):
+        lazy = SyntheticClips(SyntheticSpec(n_classes=2, clips_per_class=1,
+                                            clip_seconds=0.1))
+        assert lazy[0] is not lazy[0]
 
 
 class TestPhasorSines:
@@ -403,6 +458,27 @@ class TestRunCv:
         assert frame_res.confusion.total == sum(
             len(f) for f in clip_frame_features(ds, SMALL_PIPE)
         )
+
+
+class TestSkippedClips:
+    """Test clips without frames are counted, not silently dropped."""
+
+    def _with_silent_clip(self):
+        ds = small_dataset(clips_per_class=4)
+        clips = list(ds.clips)
+        clips[5] = AudioClip(np.zeros_like(clips[5].samples), clips[5].sample_rate)
+        return ClipDataset(clips, ds.labels, ds.n_classes, ds.label_names)
+
+    def test_run_cv_counts_the_silent_clip(self):
+        ds = self._with_silent_clip()
+        res = run_cv(ds, "knn_spectrum", k=4, seed=0, pipeline=SMALL_PIPE)
+        assert res.skipped_clips == 1
+        assert res.confusion.total == len(ds) - 1
+
+    def test_nothing_skipped_without_silent_clips(self):
+        res = run_cv(small_dataset(clips_per_class=4), "knn_spectrum", k=4, seed=0,
+                     pipeline=SMALL_PIPE)
+        assert res.skipped_clips == 0
 
 
 class TestSweep:

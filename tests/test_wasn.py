@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,64 @@ class TestNodeProcess:
         assert labels.dtype == np.int64
 
 
+def whole_dataset_selection(scenario):
+    """Per-node clips as picked from one eagerly synthesized dataset."""
+    total = scenario.n_nodes * scenario.clips_per_node
+    per_class = -(-total // scenario.n_classes)
+    dataset = generate_synthetic(SyntheticSpec(
+        n_classes=scenario.n_classes, clips_per_class=per_class,
+        clip_seconds=scenario.clip_seconds, sample_rate=scenario.sample_rate,
+        seed=scenario.seed,
+    ))
+    by_node = []
+    for node_index in range(scenario.n_nodes):
+        clips = []
+        for j in range(scenario.clips_per_node):
+            g = node_index * scenario.clips_per_node + j
+            cls = g % scenario.n_classes
+            clips.append(dataset.clips[cls * per_class + g // scenario.n_classes])
+        by_node.append(clips)
+    return by_node
+
+
+class TestScenarioClips:
+    @pytest.mark.parametrize("n_nodes, clips_per_node, n_classes, seed",
+                             [(3, 2, 3, 0), (5, 2, 4, 1), (2, 5, 3, 9), (1, 1, 2, 4)])
+    def test_same_clips_as_whole_dataset_selection(self, n_nodes, clips_per_node,
+                                                   n_classes, seed):
+        scenario = Scenario(n_nodes=n_nodes, clips_per_node=clips_per_node,
+                            n_classes=n_classes, clip_seconds=0.2,
+                            sample_rate=16000, seed=seed)
+        want = whole_dataset_selection(scenario)
+        got = scenario_clips(scenario)
+        assert len(got) == len(want) == n_nodes
+        for node_got, node_want in zip(got, want):
+            assert len(node_got) == len(node_want) == clips_per_node
+            for j, (clip, ref) in enumerate(zip(node_got, node_want)):
+                assert clip.sample_rate == ref.sample_rate
+                assert clip.samples.tobytes() == ref.samples.tobytes()
+                assert node_got[j].samples.tobytes() == ref.samples.tobytes()
+
+    def test_only_replayed_clips_are_made(self, monkeypatch):
+        # 5 nodes x 2 clips over 4 classes: 3 clips per class, and clip 2
+        # of classes 2 and 3 (items 8 and 11) is never replayed
+        made = []
+        original = wasn.SyntheticClips.__getitem__
+
+        def spy(self, index):
+            made.append(index)
+            return original(self, index)
+
+        monkeypatch.setattr(wasn.SyntheticClips, "__getitem__", spy)
+        by_node = scenario_clips(Scenario(n_nodes=5, clips_per_node=2,
+                                          clip_seconds=0.1, seed=3))
+        assert made == []  # nothing is synthesized up front
+        for clips in by_node:
+            for _ in clips:
+                pass
+        assert sorted(made) == [0, 1, 2, 3, 4, 5, 6, 7, 9, 10]  # not 8 or 11
+
+
 class TestServerClassify:
     def _model(self):
         return build(ModelConfig(input_len=64, n_classes=4, seed=0))
@@ -320,6 +380,25 @@ class TestSimulate:
         got = {(r.node_id, r.sequence_no) for r in result.records}
         assert len(result.records) == len(got)  # no duplicates
         assert got == emitted
+
+    def test_memory_does_not_grow_with_clips_per_node(self):
+        # one clip is alive at a time, so 8x the clips per node must not
+        # raise the traced peak by even two clips' worth of bytes
+        peaks = {}
+        for clips_per_node in (2, 16):
+            scenario = small_scenario(clips_per_node=clips_per_node, window_len=2**13)
+            server, _ = small_models(scenario)
+            simulate(scenario, server)  # fill one-off caches before tracing
+            tracemalloc.start()
+            try:
+                simulate(scenario, server)
+                peaks[clips_per_node] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        clip_bytes = 8 * int(round(scenario.clip_seconds * scenario.sample_rate))
+        print(f"simulate traced peak: {peaks[2]} B at 2 clips per node, "
+              f"{peaks[16]} B at 16 (one clip is {clip_bytes} B)")
+        assert abs(peaks[16] - peaks[2]) < 2 * clip_bytes
 
     def test_clock_skew_shifts_recorded_timestamps(self):
         nodes = (NodeSpec(clock_skew_ms=20), NodeSpec(), NodeSpec())
