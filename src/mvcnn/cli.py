@@ -24,6 +24,7 @@ import numpy as np
 from .audio import AudioClip, SilenceConfig
 from .errors import InvalidSetting, MvcnnError
 from .evaluation import (
+    DEFAULT_GRIDS,
     METHOD_NAMES,
     ClipDataset,
     PipelineConfig,
@@ -275,7 +276,7 @@ def cmd_sweep(args):
     pipeline = get_pipeline(args)
     grid = None
     if args.grid:
-        integral = args.axis in ("window_size", "iterations")
+        integral = isinstance(DEFAULT_GRIDS[args.axis][0], int)
         to_value = (lambda v: int(float(v))) if integral else float
         grid = parse_list("--grid", args.grid, to_value)
     spec = SweepSpec(
@@ -429,9 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_dataset_flags(p)
     add_pipeline_flags(p)
     add_train_flags(p)
-    p.add_argument("--axis", required=True,
-                   choices=("window_size", "iterations", "dropout",
-                            "learning_rate", "train_fraction", "snr"))
+    p.add_argument("--axis", required=True, choices=tuple(DEFAULT_GRIDS))
     p.add_argument("--grid", type=str, default=None,
                    help="comma-separated values (default: the standard grid)")
     p.add_argument("--methods", type=str, default="multiview",

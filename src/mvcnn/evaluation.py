@@ -29,8 +29,11 @@ from .audio import AudioClip, SilenceConfig, load_wav, remove_silence, rms, save
 from .errors import (
     EmptyDataset,
     EmptyMatrix,
+    InvalidLength,
+    InvalidOverlap,
     InvalidSetting,
     InvalidSpec,
+    NonPowerOfTwo,
     TooFewSamples,
 )
 from .knn import KnnModel, knn_classify_batch, tune_k
@@ -152,8 +155,8 @@ class SyntheticClips(Sequence):
         Nyquist (when spec.signatures is unset), non-distinct signatures,
         a signature without tones, a tone whose jittered frequency reaches
         Nyquist, a non-positive or non-finite envelope period or clip
-        length, a jitter outside [0, 1), degenerate sizes, or a negative
-        seed.
+        length, a non-positive sample rate, a jitter outside [0, 1),
+        degenerate sizes, or a negative seed.
     """
 
     def __init__(self, spec: SyntheticSpec):
@@ -161,7 +164,9 @@ class SyntheticClips(Sequence):
             raise InvalidSpec(f"seed must be >= 0, got {spec.seed}")
         if spec.n_classes < 2 or spec.clips_per_class < 1:
             raise InvalidSpec("need at least 2 classes and 1 clip per class")
-        if not math.isfinite(spec.clip_seconds):
+        if spec.sample_rate <= 0:
+            raise InvalidSpec(f"sample_rate must be positive, got {spec.sample_rate}")
+        if not math.isfinite(spec.clip_seconds * spec.sample_rate):
             raise InvalidSpec(f"clip_seconds must be finite, got {spec.clip_seconds}")
         n_samples = int(round(spec.clip_seconds * spec.sample_rate))
         if n_samples < 1:
@@ -401,9 +406,20 @@ class PipelineConfig:
     highpass_hz: float | None = None  # Butterworth cutoff; None skips the filter
 
     def __post_init__(self):
+        """Refuse at construction what `segment` and the bin averaging would
+        refuse for every clip."""
         if self.feature_kind not in FEATURE_KINDS:
             raise InvalidSetting(
                 f"feature_kind must be one of {FEATURE_KINDS}, got {self.feature_kind!r}"
+            )
+        if self.window_len < 1 or self.window_len & (self.window_len - 1):
+            raise NonPowerOfTwo(f"window_len must be a power of two, got {self.window_len}")
+        if not 0.0 <= self.overlap < 1.0:
+            raise InvalidOverlap(f"overlap must be in [0, 1), got {self.overlap}")
+        bins = self.window_len // 2 + 1
+        if self.feature_kind == "spectrum" and not 1 <= self.feature_len <= bins:
+            raise InvalidLength(
+                f"feature length {self.feature_len} outside [1, {bins}] spectrum bins"
             )
 
     @property
@@ -687,9 +703,7 @@ def _sweep_point(axis, value, pipeline, method_params, seed):
         return pipeline, {**method_params, "keep_prob": float(value)}
     if axis == "learning_rate":
         return pipeline, {**method_params, "learning_rate": float(value)}
-    if axis == "train_fraction":
-        return pipeline, method_params
-    raise InvalidSetting(f"unknown sweep axis {axis!r}")
+    return pipeline, method_params  # train_fraction changes the splits instead
 
 
 def run_sweep(

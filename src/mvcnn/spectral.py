@@ -165,15 +165,6 @@ class NormStats:
         std = np.frombuffer(blob, dtype="<f8", count=length, offset=8 + 8 * length)
         return cls(mean.copy(), std.copy())
 
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
-
-    @classmethod
-    def load(cls, path) -> "NormStats":
-        with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
-
     @classmethod
     def identity(cls, length: int) -> "NormStats":
         return cls(np.zeros(length), np.ones(length))

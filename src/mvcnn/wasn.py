@@ -26,8 +26,8 @@ from __future__ import annotations
 import struct
 import zlib
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
-from math import ceil, inf
+from dataclasses import dataclass, field, fields, replace
+from math import ceil
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .errors import (
     InvalidScenario,
     InvalidSetting,
     LengthMismatch,
+    MvcnnError,
     TrailingBytes,
     Truncated,
 )
@@ -50,7 +51,7 @@ from .evaluation import (
     generate_synthetic,
 )
 from .model import ModelConfig, MultiViewCnn, TrainConfig, build, forward, train
-from .spectral import fit_normalizer, normalize
+from .spectral import design_highpass, fit_normalizer, normalize
 
 SPM_MAGIC = b"SPM1"
 _HEADER_FMT = "<4sHIQI"
@@ -212,27 +213,30 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        nodes = list(self.nodes) + [
-            NodeSpec() for _ in range(self.n_nodes - len(self.nodes))
-        ]
-        object.__setattr__(self, "nodes", tuple(nodes[: self.n_nodes]))
+        padding = (NodeSpec(),) * (self.n_nodes - len(self.nodes))
+        object.__setattr__(self, "nodes", tuple(self.nodes) + padding)
+        self.validate()
 
     def validate(self):
+        """Check the scenario's own rules, then build its corpus, node
+        pipeline and high-pass, so their rules apply as well.
+
+        Raises:
+            InvalidScenario: any rule broken, with the message of the
+            error that the corpus, pipeline or filter raised.
+        """
         if self.n_nodes < 1 or self.clips_per_node < 1:
             raise InvalidScenario("need at least one node and one clip per node")
-        if not 0 < self.clip_seconds < inf or self.sample_rate <= 0:
-            raise InvalidScenario(
-                "clip_seconds must be positive and finite, and sample_rate positive"
-            )
+        if len(self.nodes) > self.n_nodes:
+            raise InvalidScenario(f"{len(self.nodes)} node specs for {self.n_nodes} nodes")
+        for name in (f.name for f in fields(self) if f.name.endswith("_ms")):
+            if getattr(self, name) < 0:
+                raise InvalidScenario(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.fallback_policy not in ("local", "buffer"):
             raise InvalidScenario(
                 f"fallback_policy must be 'local' or 'buffer', "
                 f"got {self.fallback_policy!r}"
             )
-        if not 0.0 <= self.silence_threshold <= 0.5:
-            raise InvalidScenario("silence_threshold must be in [0, 0.5]")
-        if self.window_len < 1 or self.window_len & (self.window_len - 1):
-            raise InvalidScenario(f"window_len {self.window_len} is not a power of two")
         for start, end in self.server_outages:
             if not 0 <= start < end:
                 raise InvalidScenario(f"bad server outage window {start}..{end}")
@@ -245,12 +249,22 @@ class Scenario:
             for start, end in node.link_outages:
                 if not 0 <= start < end:
                     raise InvalidScenario(f"bad link outage {start}..{end} on node {i}")
-            if any(c < 0 for c in node.fallback_classes):
-                raise InvalidScenario(f"negative fallback class on node {i}")
+            if not all(0 <= c < self.n_classes for c in node.fallback_classes):
+                raise InvalidScenario(
+                    f"node {i} fallback classes {node.fallback_classes} outside "
+                    f"0..{self.n_classes - 1}"
+                )
             if node.fallback_classes and len(set(node.fallback_classes)) < 2:
                 raise InvalidScenario(
                     f"node {i} needs at least two distinct fallback classes"
                 )
+        try:
+            SyntheticClips(_corpus_spec(self, 1, self.seed))  # no rule reads the count
+            _node_config(self, 0)
+            if self.highpass_hz is not None:
+                design_highpass(self.highpass_hz, self.sample_rate)
+        except MvcnnError as exc:
+            raise InvalidScenario(str(exc)) from None
         return self
 
 
@@ -264,25 +278,12 @@ def _parse_range(text, what):
         raise InvalidScenario(f"{what}: {exc}") from None
 
 
+# file key -> (field, cast): every field with a scalar default, under its own
+# name except n_nodes; the tuple fields come from sections and repeated keys
 _SCENARIO_FIELDS = {
-    "fallback_policy": ("fallback_policy", str),
-    "nodes": ("n_nodes", int),
-    "clips_per_node": ("clips_per_node", int),
-    "clip_seconds": ("clip_seconds", float),
-    "sample_rate": ("sample_rate", int),
-    "n_classes": ("n_classes", int),
-    "feature_len": ("feature_len", int),
-    "window_len": ("window_len", int),
-    "overlap": ("overlap", float),
-    "silence_threshold": ("silence_threshold", float),
-    "highpass_hz": ("highpass_hz", float),
-    "inter_clip_gap_ms": ("inter_clip_gap_ms", int),
-    "link_latency_ms": ("link_latency_ms", int),
-    "node_proc_ms": ("node_proc_ms", int),
-    "server_proc_ms": ("server_proc_ms", int),
-    "fallback_proc_ms": ("fallback_proc_ms", int),
-    "max_skew_ms": ("max_skew_ms", int),
-    "seed": ("seed", int),
+    "nodes" if f.name == "n_nodes" else f.name: (f.name, type(f.default))
+    for f in fields(Scenario)
+    if not isinstance(f.default, tuple)
 }
 
 _NODE_FIELDS = {
@@ -349,9 +350,7 @@ def parse_scenario(text: str) -> Scenario:
         nodes.append(
             NodeSpec(link_outages=tuple(section["outages"]), **section["fields"])
         )
-    return Scenario(
-        server_outages=tuple(server_outages), nodes=tuple(nodes), **top
-    ).validate()
+    return Scenario(server_outages=tuple(server_outages), nodes=tuple(nodes), **top)
 
 
 def load_scenario(path) -> Scenario:
@@ -416,17 +415,8 @@ def scenario_clips(scenario: Scenario) -> list:
     one clip in memory however long the scenario is, and a clip no node
     replays is never made.
     """
-    total = scenario.n_nodes * scenario.clips_per_node
-    per_class = ceil(total / scenario.n_classes)
-    corpus = SyntheticClips(
-        SyntheticSpec(
-            n_classes=scenario.n_classes,
-            clips_per_class=per_class,
-            clip_seconds=scenario.clip_seconds,
-            sample_rate=scenario.sample_rate,
-            seed=scenario.seed,
-        )
-    )
+    per_class = ceil(scenario.n_nodes * scenario.clips_per_node / scenario.n_classes)
+    corpus = SyntheticClips(_corpus_spec(scenario, per_class, scenario.seed))
     by_node = []
     for node_index in range(scenario.n_nodes):
         picks = []
@@ -435,6 +425,17 @@ def scenario_clips(scenario: Scenario) -> list:
             picks.append(g % scenario.n_classes * per_class + g // scenario.n_classes)
         by_node.append(_NodeClips(corpus, tuple(picks)))
     return by_node
+
+
+def _corpus_spec(scenario: Scenario, clips_per_class: int, seed: int) -> SyntheticSpec:
+    """Synthetic clips of the scenario's classes, length and sample rate."""
+    return SyntheticSpec(
+        n_classes=scenario.n_classes,
+        clips_per_class=clips_per_class,
+        clip_seconds=scenario.clip_seconds,
+        sample_rate=scenario.sample_rate,
+        seed=seed,
+    )
 
 
 def _node_config(scenario: Scenario, node_id: int) -> NodeConfig:
@@ -468,11 +469,9 @@ def simulate(
     at a time (see `scenario_clips`), plus the records.
 
     Raises:
-        InvalidScenario: inconsistent scenario, missing/ill-fitted
-        fallback model for a node that needs one, or feature length
-        mismatch with the server model.
+        InvalidScenario: missing/ill-fitted fallback model for a node that
+        needs one, or feature length mismatch with the server model.
     """
-    scenario.validate()
     fallback_models = fallback_models or {}
     if scenario.feature_len != server_model.config.input_len:
         raise InvalidScenario(
@@ -568,18 +567,21 @@ def simulate(
 def _scenario_training_frames(scenario: Scenario, clips_per_class: int, seed: int):
     """Training frames drawn through the node pipeline, disjoint from the
     clips the simulation itself replays (different seed namespace)."""
-    dataset = generate_synthetic(
-        SyntheticSpec(
-            n_classes=scenario.n_classes,
-            clips_per_class=clips_per_class,
-            clip_seconds=scenario.clip_seconds,
-            sample_rate=scenario.sample_rate,
-            seed=seed + 7919,
-        )
-    )
+    dataset = generate_synthetic(_corpus_spec(scenario, clips_per_class, seed + 7919))
     per_clip = clip_frame_features(dataset, _node_config(scenario, node_id=0))
     frames = np.vstack(per_clip).astype(np.float32).astype(np.float64)  # as sent
     return frames, np.repeat(dataset.labels, [len(f) for f in per_clip])
+
+
+def _fit(frames, labels, n_classes: int, iterations: int, seed: int) -> MultiViewCnn:
+    """A paper-default model trained on the frames normalized by their own
+    statistics, which it keeps for serving."""
+    stats = fit_normalizer(frames)
+    model = build(ModelConfig(input_len=frames.shape[1], n_classes=n_classes, seed=seed))
+    train(model, normalize(frames, stats), labels,
+          TrainConfig(iterations=iterations, seed=seed))
+    model.norm_stats = stats
+    return model
 
 
 def train_server_model(
@@ -588,16 +590,7 @@ def train_server_model(
 ) -> MultiViewCnn:
     """Train a full-class server model on scenario-matched synthetic data."""
     frames, labels = _scenario_training_frames(scenario, clips_per_class, seed)
-    stats = fit_normalizer(frames)
-    model = build(
-        ModelConfig(
-            input_len=scenario.feature_len, n_classes=scenario.n_classes, seed=seed
-        )
-    )
-    train(model, normalize(frames, stats), labels,
-          TrainConfig(iterations=iterations, seed=seed))
-    model.norm_stats = stats
-    return model
+    return _fit(frames, labels, scenario.n_classes, iterations, seed)
 
 
 def train_fallback_models(
@@ -618,17 +611,7 @@ def train_fallback_models(
         mask = np.isin(labels, subset)
         remap = {cls: i for i, cls in enumerate(subset)}
         sub_labels = np.array([remap[int(l)] for l in labels[mask]], dtype=np.int64)
-        stats = fit_normalizer(frames[mask])
-        model = build(
-            ModelConfig(
-                input_len=scenario.feature_len, n_classes=len(subset),
-                seed=seed + num,
-            )
-        )
-        train(model, normalize(frames[mask], stats), sub_labels,
-              TrainConfig(iterations=iterations, seed=seed + num))
-        model.norm_stats = stats
-        models[num] = model
+        models[num] = _fit(frames[mask], sub_labels, len(subset), iterations, seed + num)
     return models
 
 

@@ -270,6 +270,21 @@ def test_bad_scenario_value_is_one_error_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: line 3:")
 
 
+def test_invalid_scenario_fails_before_training(tmp_path):
+    scn = tmp_path / "bad.scn"
+    scn.write_text("feature_len = 9000\n[node 1]\nfallback_classes = 0, 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvcnn", "simulate", "--scenario", str(scn),
+         "--out", str(tmp_path / "records.csv")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""  # no "training ..." line
+    assert proc.stderr.splitlines() == [
+        "error: feature length 9000 outside [1, 8193] spectrum bins"
+    ]
+
+
 def test_model_without_views_is_one_error_line(tmp_path):
     path = tmp_path / "zero.mvc"
     save(build(ModelConfig(input_len=6, n_classes=2, layer_depths=(1, 1, 1))), path)

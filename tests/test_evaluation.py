@@ -8,8 +8,11 @@ from mvcnn import evaluation
 from mvcnn.errors import (
     EmptyDataset,
     EmptyMatrix,
+    InvalidLength,
+    InvalidOverlap,
     InvalidSetting,
     InvalidSpec,
+    NonPowerOfTwo,
     TooFewSamples,
 )
 from mvcnn.evaluation import (
@@ -190,6 +193,24 @@ class TestSynthetic:
         silent = ClipDataset([AudioClip(np.zeros(4000), 8000)] * 2, [0, 1], 2, ["a", "b"])
         with pytest.raises(InvalidSetting, match="feature_kind"):
             clip_frame_features(silent, replace(SMALL_PIPE, feature_kind="bogus"))
+
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            (dict(window_len=3000), NonPowerOfTwo),
+            (dict(overlap=1.0), InvalidOverlap),
+            (dict(overlap=-0.1), InvalidOverlap),
+            (dict(feature_len=1026), InvalidLength),
+            (dict(feature_len=0), InvalidLength),
+        ],
+    )
+    def test_config_refuses_what_every_clip_would(self, change, error):
+        # 2048-sample windows give 1025 spectrum bins
+        with pytest.raises(error):
+            replace(SMALL_PIPE, **change)
+
+    def test_feature_len_is_free_for_mfcc(self):
+        assert replace(SMALL_PIPE, feature_kind="mfcc", feature_len=9000).feature_dim == 13
 
     def test_noise_goes_in_before_the_high_pass(self):
         ds = small_dataset()

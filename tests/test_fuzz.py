@@ -23,7 +23,7 @@ SCENARIO = b"""# two nodes, one outage each way
 nodes = 2
 clips_per_node = 1
 clip_seconds = 0.5
-sample_rate = 8000
+sample_rate = 16000
 window_len = 1024
 feature_len = 64
 server_outage = 100..400

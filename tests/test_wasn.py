@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -453,12 +454,12 @@ class TestSimulate:
 
     def test_bad_fallback_policy_rejected(self):
         with pytest.raises(InvalidScenario):
-            small_scenario(fallback_policy="drop").validate()
+            small_scenario(fallback_policy="drop")
 
-    @pytest.mark.parametrize("seconds", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("seconds", [0.0, -1.0, float("nan"), float("inf"), 1e308])
     def test_bad_clip_seconds_rejected(self, seconds):
         with pytest.raises(InvalidScenario, match="clip_seconds"):
-            small_scenario(clip_seconds=seconds).validate()
+            small_scenario(clip_seconds=seconds)
 
     def test_feature_len_mismatch_rejected(self):
         scenario = small_scenario(feature_len=32)
@@ -530,6 +531,66 @@ class TestScenarioParsing:
     def test_section_outside_node_range(self):
         with pytest.raises(InvalidScenario):
             parse_scenario("nodes = 2\n[node 5]\nclock_skew_ms = 1\n")
+
+    @pytest.mark.parametrize(
+        "key",
+        ["inter_clip_gap_ms", "link_latency_ms", "node_proc_ms", "server_proc_ms",
+         "fallback_proc_ms", "max_skew_ms"],
+    )
+    def test_negative_timing_names_its_key(self, key):
+        with pytest.raises(InvalidScenario, match=f"{key} must be >= 0"):
+            parse_scenario(f"{key} = -50\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        ["overlap = 1.5", "feature_len = 9000", "window_len = 3000",
+         "highpass_hz = 20000", "n_classes = 1", "sample_rate = 4000", "seed = -1",
+         "silence_threshold = 0.7"],
+    )
+    def test_value_the_pipeline_or_corpus_refuses(self, line):
+        with pytest.raises(InvalidScenario):
+            parse_scenario(line + "\n")
+
+    @pytest.mark.parametrize("rate", [0, -24000])
+    def test_non_positive_sample_rate_is_named(self, rate):
+        with pytest.raises(InvalidScenario, match=f"sample_rate must be positive, got {rate}"):
+            parse_scenario(f"sample_rate = {rate}\n")
+
+    def test_keys_are_the_scalar_fields(self):
+        assert set(wasn._SCENARIO_FIELDS) == {
+            "fallback_policy", "nodes", "clips_per_node", "clip_seconds",
+            "sample_rate", "n_classes", "feature_len", "window_len", "overlap",
+            "silence_threshold", "highpass_hz", "inter_clip_gap_ms",
+            "link_latency_ms", "node_proc_ms", "server_proc_ms",
+            "fallback_proc_ms", "max_skew_ms", "seed",
+        }
+        assert wasn._SCENARIO_FIELDS["nodes"] == ("n_nodes", int)
+        assert wasn._SCENARIO_FIELDS["highpass_hz"] == ("highpass_hz", float)
+
+
+class TestScenarioIsAlwaysValid:
+    def test_replace_is_checked(self):
+        with pytest.raises(InvalidScenario, match="link_latency_ms"):
+            replace(small_scenario(), link_latency_ms=-1)
+
+    def test_pipeline_error_keeps_its_message(self):
+        with pytest.raises(InvalidScenario, match=r"^overlap must be in \[0, 1\), got 1.5$"):
+            small_scenario(overlap=1.5)
+
+    @pytest.mark.parametrize("cls", [3, -1])
+    def test_fallback_class_outside_range(self, cls):
+        nodes = (NodeSpec(fallback_classes=(0, cls)),)
+        with pytest.raises(InvalidScenario, match=r"outside 0\.\.2"):
+            small_scenario(nodes=nodes)
+
+    def test_more_node_specs_than_nodes(self):
+        with pytest.raises(InvalidScenario, match="4 node specs for 3 nodes"):
+            small_scenario(nodes=(NodeSpec(),) * 4)
+
+    def test_nodes_padded_to_n_nodes(self):
+        assert small_scenario(nodes=(NodeSpec(clock_skew_ms=3),)).nodes == (
+            NodeSpec(clock_skew_ms=3), NodeSpec(), NodeSpec(),
+        )
 
 
 def _graph_forward(model, features):
