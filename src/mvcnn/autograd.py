@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -443,43 +443,41 @@ def cross_entropy(probs: Tensor, one_hot) -> Tensor:
 
 # --- optimizer ---
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba, ICLR 2015)
+_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment accumulators for Adam."""
+    """First/second moment accumulators, shaped like the parameter array."""
 
+    m: np.ndarray
+    v: np.ndarray
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params: list[Tensor], learning_rate: float = 0.001):
-        state = cls(learning_rate=learning_rate)
-        state.m = [np.zeros_like(p.data) for p in params]
-        state.v = [np.zeros_like(p.data) for p in params]
-        return state
+    def for_params(cls, params: np.ndarray, learning_rate: float = 0.001):
+        return cls(np.zeros_like(params), np.zeros_like(params), learning_rate)
 
 
-def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState):
-    """One bias-corrected Adam update; mutates params and state in place."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeMismatch("params, grads and state must have matching lengths")
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
+    """One bias-corrected Adam update of a parameter array, in place.
+
+    Adam is elementwise, so one update over a model's flat parameter array
+    equals the update of each parameter tensor on its own.
+    """
+    if not params.shape == grads.shape == state.m.shape:
+        raise ShapeMismatch(
+            f"params {params.shape}, grads {grads.shape} and state {state.m.shape} differ"
+        )
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    for i, (param, grad) in enumerate(zip(params, grads)):
-        if grad.shape != param.data.shape:
-            raise ShapeMismatch(
-                f"grad shape {grad.shape} != param shape {param.data.shape}"
-            )
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * grad
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * grad * grad
-        m_hat = state.m[i] / (1.0 - b1**t)
-        v_hat = state.v[i] / (1.0 - b2**t)
-        param.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    state.m = _BETA1 * state.m + (1.0 - _BETA1) * grads
+    state.v = _BETA2 * state.v + (1.0 - _BETA2) * grads * grads
+    m_hat = state.m / (1.0 - _BETA1**t)
+    v_hat = state.v / (1.0 - _BETA2**t)
+    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
 
 
 # --- numerical validation ---

@@ -18,6 +18,7 @@ and `prep` reach it through `clip_frame_features`, and the sensor node
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -75,12 +76,25 @@ _BASE_SIGNATURES = (
 )
 
 
-def default_signatures(n_classes: int) -> tuple:
-    sigs = list(_BASE_SIGNATURES[:n_classes])
-    for i in range(len(sigs), n_classes):
+def _default_classes():
+    """Default signatures in class order while the envelope period
+    0.004 * 1.9 ** (i - 3) is a finite float, up to i = 1108."""
+    yield from _BASE_SIGNATURES
+    for i in itertools.count(len(_BASE_SIGNATURES)):
         base = 650.0 + 380.0 * i
-        sigs.append(ClassSignature((base, 2.15 * base), 0.004 * 1.9 ** (i - 3)))
-    return tuple(sigs)
+        try:
+            yield ClassSignature((base, 2.15 * base), 0.004 * 1.9 ** (i - 3))
+        except OverflowError:
+            return
+
+
+def default_signatures(n_classes: int, tones_fit=lambda sig: True) -> tuple:
+    """The first n_classes default signatures, or fewer: the tuple ends before
+    the first class whose tones fail tones_fit or whose period overflows.
+    Tones and periods rise with the class index, so every later class would
+    fail too, and no signature past the first misfit is built."""
+    classes = itertools.islice(_default_classes(), n_classes)
+    return tuple(itertools.takewhile(tones_fit, classes))
 
 
 @dataclass(frozen=True)
@@ -181,16 +195,13 @@ class SyntheticClips(Sequence):
         def tones_fit(sig):
             return all(0 < f * (1.0 + spec.freq_jitter) < nyquist for f in sig.tones_hz)
 
-        signatures = spec.signatures or default_signatures(spec.n_classes)
-        if not spec.signatures:
-            # default tones rise with the class index, so the first misfit is the limit
-            fit = next((i for i, sig in enumerate(signatures) if not tones_fit(sig)), None)
-            if fit is not None:
-                raise InvalidSpec(
-                    f"n_classes={spec.n_classes}, but only {fit} default classes fit "
-                    f"below Nyquist at sample_rate {spec.sample_rate} with "
-                    f"freq_jitter {spec.freq_jitter}"
-                )
+        signatures = spec.signatures or default_signatures(spec.n_classes, tones_fit)
+        if not spec.signatures and len(signatures) < spec.n_classes:
+            raise InvalidSpec(
+                f"n_classes={spec.n_classes}, but only {len(signatures)} default classes "
+                f"fit below Nyquist at sample_rate {spec.sample_rate} with freq_jitter "
+                f"{spec.freq_jitter} and have a finite envelope period"
+            )
         if len(signatures) < spec.n_classes:
             raise InvalidSpec("need one signature per class")
         signatures = tuple(signatures[: spec.n_classes])
@@ -603,29 +614,23 @@ def run_cv(
     seed: int = 0,
     pipeline: PipelineConfig = PipelineConfig(),
     clip_level: bool = True,
-    method_factory=None,
     **method_params,
 ) -> CvResult:
     """Stratified k-fold cross-validation of one method.
 
     Normalization statistics are fitted per fold on training frames
     only. Returns per-fold metrics plus the pooled confusion matrix.
-    method_factory overrides the named method with a custom
-    factory(n_classes, feature_dim, seed) -> classifier.
     """
     all_idx = np.arange(len(dataset.labels))
     splits = [
         (np.setdiff1d(all_idx, test_idx), test_idx)
         for test_idx in kfold_split(dataset.labels, k, seed)
     ]
-    return _run_splits(
-        dataset, method, splits, seed, pipeline, clip_level, method_factory,
-        method_params,
-    )
+    return _run_splits(dataset, method, splits, seed, pipeline, clip_level, method_params)
 
 
 def _run_splits(dataset, method, splits, seed, pipeline, clip_level,
-                method_factory, method_params) -> CvResult:
+                method_params) -> CvResult:
     """Fit and score one classifier per (train_idx, test_idx) split.
 
     Features are extracted once; split f seeds its classifier with seed * 101 + f.
@@ -642,13 +647,9 @@ def _run_splits(dataset, method, splits, seed, pipeline, clip_level,
     for f, (train_idx, test_idx) in enumerate(splits):
         skipped += sum(len(per_clip[i]) == 0 for i in test_idx)
         fold = prepare_fold(per_clip, labels, train_idx, test_idx, normalize_features)
-        if method_factory is not None:
-            clf = method_factory(dataset.n_classes, pipe.feature_dim, seed * 101 + f)
-        else:
-            clf = make_method(
-                method, dataset.n_classes, pipe.feature_dim, seed * 101 + f,
-                **method_params,
-            )
+        clf = make_method(
+            method, dataset.n_classes, pipe.feature_dim, seed * 101 + f, **method_params
+        )
         fold_cm = evaluate_split(
             per_clip, labels, test_idx, fold, clf, dataset.n_classes, clip_level
         )
@@ -749,7 +750,7 @@ def run_sweep(
                         for rep in range(spec.k)
                     ]
                     result = _run_splits(
-                        dataset, method, splits, seed, pipe, clip_level, None, params
+                        dataset, method, splits, seed, pipe, clip_level, params
                     )
                 else:
                     result = run_cv(

@@ -102,24 +102,25 @@ class TrainRecord:
 
 
 class MultiViewCnn:
-    """Parameter set and architecture config of the multi-view network."""
+    """Parameter set and architecture config of the multi-view network.
 
-    def __init__(self, config: ModelConfig, views, fc_weights, fc_bias, norm_stats):
+    Every parameter Tensor is a view of the one flat array `flat`, in
+    _parameter_shapes(config) order, so Adam and save/load work on `flat`
+    while the layers read their own slices of it.
+    """
+
+    def __init__(self, config: ModelConfig, flat: np.ndarray, norm_stats):
         self.config = config
-        self.views = views  # list of [ConvFilterBank, ...] per view
-        self.fc_weights = fc_weights
-        self.fc_bias = fc_bias
+        self.flat = flat
         self.norm_stats = norm_stats
+        self._params = params = [Tensor(view) for view in _views(flat, config)]
+        banks = [ConvFilterBank(w, b) for w, b in zip(params[:-2:2], params[1:-2:2])]
+        depth = len(config.layer_depths)
+        self.views = [banks[i : i + depth] for i in range(0, len(banks), depth)]  # per view
+        self.fc_weights, self.fc_bias = params[-2:]
 
     def parameters(self) -> list[Tensor]:
-        params = []
-        for banks in self.views:
-            for bank in banks:
-                params.append(bank.weights)
-                params.append(bank.biases)
-        params.append(self.fc_weights)
-        params.append(self.fc_bias)
-        return params
+        return list(self._params)
 
     @property
     def flat_features(self) -> int:
@@ -129,8 +130,8 @@ class MultiViewCnn:
 def _parameter_shapes(config: ModelConfig) -> list[tuple]:
     """Shapes of parameters(), in order: per view and layer the [out, in,
     width] filters then the [out] biases; then the [flat, H] dense weights
-    and the [H] bias. build and load walk this one list, and save writes
-    parameters() in its order."""
+    and the [H] bias. MultiViewCnn.flat holds them back to back in this
+    order, in memory and in the model file."""
     shapes = []
     for width in config.view_widths:
         in_ch = 1
@@ -141,27 +142,27 @@ def _parameter_shapes(config: ModelConfig) -> list[tuple]:
     return shapes + [(flat, config.n_classes), (config.n_classes,)]
 
 
-def _assemble(config: ModelConfig, arrays, norm_stats) -> MultiViewCnn:
-    """A model from parameter arrays laid out as _parameter_shapes(config)."""
-    tensors = [Tensor(a) for a in arrays]
-    banks = [ConvFilterBank(w, b) for w, b in zip(tensors[:-2:2], tensors[1:-2:2])]
-    depth = len(config.layer_depths)
-    views = [banks[i : i + depth] for i in range(0, len(banks), depth)]
-    return MultiViewCnn(config, views, tensors[-2], tensors[-1], norm_stats)
+def _views(flat: np.ndarray, config: ModelConfig) -> list[np.ndarray]:
+    """Consecutive views of flat, one per _parameter_shapes(config) entry."""
+    views, start = [], 0
+    for shape in _parameter_shapes(config):
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
 
 
 def build(config: ModelConfig) -> MultiViewCnn:
     """Initialize a model with seeded Glorot-uniform weights, zero biases,
     drawn in parameters() order."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    arrays = []
-    for shape in _parameter_shapes(config):
-        if len(shape) == 1:
-            arrays.append(np.zeros(shape, dtype=config.dtype))
-        else:  # fans in*w and out*w for an [out, in, w] filter, F and H for [F, H]
+    flat = np.zeros(sum(math.prod(s) for s in _parameter_shapes(config)), dtype=config.dtype)
+    for view in _views(flat, config):
+        shape = view.shape
+        if len(shape) > 1:  # fans in*w, out*w of an [out, in, w] filter; F, H of [F, H]
             limit = np.sqrt(6.0 / ((shape[0] + shape[1]) * math.prod(shape[2:])))
-            arrays.append(rng.uniform(-limit, limit, size=shape).astype(config.dtype))
-    return _assemble(config, arrays, NormStats.identity(config.input_len))
+            view[...] = rng.uniform(-limit, limit, size=shape)
+    return MultiViewCnn(config, flat, NormStats.identity(config.input_len))
 
 
 def forward_batch(
@@ -257,8 +258,10 @@ def train(
         )
 
     one_hot = np.eye(n_classes, dtype=model.config.dtype)
-    params = model.parameters()
-    state = AdamState.for_params(params, cfg.learning_rate)
+    state = AdamState.for_params(model.flat, cfg.learning_rate)
+    grads = np.zeros_like(model.flat)
+    for p, view in zip(model.parameters(), _views(grads, model.config)):
+        p.grad = view  # backward adds each parameter's gradient into its view
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     history = []
     for it in range(cfg.iterations):
@@ -271,13 +274,9 @@ def train(
             dropout_seed=(cfg.seed * 1_000_003 + it) & 0x7FFFFFFF,
         )
         loss = cross_entropy(probs, one_hot[labels[idx]])
-        for p in params:
-            p.grad = None
+        grads.fill(0)
         loss.backward()
-        grads = [
-            p.grad if p.grad is not None else np.zeros_like(p.data) for p in params
-        ]
-        adam_step(params, grads, state)
+        adam_step(model.flat, grads, state)
         loss_value = float(loss.data)
         del probs, loss  # free this step's graph before the next forward pass
 
@@ -297,9 +296,9 @@ _HEADER = struct.Struct("<4sHIIIIdBQ")
 def save(model: MultiViewCnn, path) -> None:
     """Write the model as a little-endian version-2 MVC1 file.
 
-    The header holds every ModelConfig field, the parameters follow in
-    parameters() order in the model's own dtype, then the NRM1 block, so
-    load() returns an equal config and bit-identical parameters.
+    The header holds every ModelConfig field, the flat parameter array
+    follows in the model's own dtype, then the NRM1 block, so load()
+    returns an equal config and bit-identical parameters.
     """
     cfg = model.config
     dtype = np.dtype(cfg.dtype).newbyteorder("<")
@@ -309,8 +308,7 @@ def save(model: MultiViewCnn, path) -> None:
     ))
     sizes = (*cfg.view_widths, *cfg.layer_depths)
     out += struct.pack(f"<{len(sizes)}I", *sizes)
-    for p in model.parameters():
-        out += np.ascontiguousarray(p.data, dtype=dtype).tobytes()
+    out += model.flat.astype(dtype).tobytes()
     out += model.norm_stats.to_bytes()
     with open(path, "wb") as fh:
         fh.write(bytes(out))
@@ -360,8 +358,8 @@ def load(path) -> MultiViewCnn:
         dtype=FLOAT_TYPES[itemsize],
     )
 
-    shapes = _parameter_shapes(config)
-    stats_at = pos + itemsize * sum(math.prod(s) for s in shapes)
+    count = sum(math.prod(s) for s in _parameter_shapes(config))
+    stats_at = pos + itemsize * count
     need(stats_at)
     stats = NormStats.from_bytes(blob[stats_at:])
     if len(stats.mean) != input_len:
@@ -369,14 +367,8 @@ def load(path) -> MultiViewCnn:
     if len(blob) > stats_at + 8 + 16 * input_len:
         raise TrailingBytes("bytes after the NRM1 block")
 
-    dtype = np.dtype(config.dtype).newbyteorder("<")
-    arrays = []
-    for shape in shapes:
-        count = math.prod(shape)
-        arr = np.frombuffer(blob, dtype, count, pos)
-        arrays.append(arr.reshape(shape).astype(config.dtype))
-        pos += count * itemsize
-    return _assemble(config, arrays, stats)
+    flat = np.frombuffer(blob, np.dtype(config.dtype).newbyteorder("<"), count, pos)
+    return MultiViewCnn(config, flat.astype(config.dtype), stats)
 
 
 def gradient_check(

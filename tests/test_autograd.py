@@ -324,35 +324,35 @@ class TestBackward:
 
 class TestAdam:
     def test_zero_gradient_fresh_state_no_move(self):
-        p = Tensor(np.array([1.0, -2.0]))
-        state = AdamState.for_params([p])
-        adam_step([p], [np.zeros(2)], state)
-        np.testing.assert_array_equal(p.data, [1.0, -2.0])
+        p = np.array([1.0, -2.0])
+        state = AdamState.for_params(p)
+        adam_step(p, np.zeros(2), state)
+        np.testing.assert_array_equal(p, [1.0, -2.0])
 
     def test_hand_traced_single_step(self):
-        p = Tensor(np.array([0.0]))
-        state = AdamState.for_params([p], learning_rate=0.001)
-        adam_step([p], [np.array([0.5])], state)
+        p = np.array([0.0])
+        state = AdamState.for_params(p, learning_rate=0.001)
+        adam_step(p, np.array([0.5]), state)
         expected = -0.001 * 0.5 / (np.sqrt(0.25) + 1e-8)
-        np.testing.assert_allclose(p.data, [expected], rtol=1e-12)
+        np.testing.assert_allclose(p, [expected], rtol=1e-12)
         assert state.step_count == 1
 
     def test_deterministic_trajectory(self):
         def run():
-            p = Tensor(np.array([0.3, -0.7]))
-            state = AdamState.for_params([p], learning_rate=0.01)
+            p = np.array([0.3, -0.7])
+            state = AdamState.for_params(p, learning_rate=0.01)
             rng = np.random.Generator(np.random.PCG64(7))
             for _ in range(50):
-                adam_step([p], [rng.normal(size=2)], state)
-            return p.data
+                adam_step(p, rng.normal(size=2), state)
+            return p
 
         np.testing.assert_array_equal(run(), run())
 
     def test_shape_mismatch(self):
-        p = Tensor(np.zeros(3))
-        state = AdamState.for_params([p])
+        p = np.zeros(3)
+        state = AdamState.for_params(p)
         with pytest.raises(ShapeMismatch):
-            adam_step([p], [np.zeros(4)], state)
+            adam_step(p, np.zeros(4), state)
 
 
 class TestGradCheck:

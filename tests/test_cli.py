@@ -338,13 +338,16 @@ def test_model_without_views_is_one_error_line(tmp_path):
         (["simulate"], "clip_seconds = nan\n"),
         (["synth", "--classes", "14", "--clips-per-class", "1", "--clip-seconds", "0.5"],
          None),
+        (["synth", "--classes", "2000", "--clips-per-class", "1", "--clip-seconds", "0.5"],
+         None),
+        (["simulate"], "n_classes = 2000\n"),
     ],
     ids=["prep-threshold", "scenario-threshold", "scenario-window", "sweep-method",
          "sweep-fraction", "sweep-k", "synth-seed", "prep-seed", "train-seed", "eval-seed",
          "sweep-seed", "simulate-seed", "tune-threshold-seed", "train-batch",
          "train-lr", "train-iters", "eval-k", "tune-threshold-window", "sweep-grid",
          "sweep-seeds", "synth-seconds-nan", "synth-seconds-inf", "scenario-seconds-nan",
-         "synth-classes-14"],
+         "synth-classes-14", "synth-classes-2000", "scenario-classes-2000"],
 )
 def test_bad_setting_is_one_error_line(tmp_path, argv, scenario):
     argv = [*argv, "--out", str(tmp_path / "out")]

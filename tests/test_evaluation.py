@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -269,11 +270,17 @@ class TestSynthetic:
             (dict(n_classes=14), "n_classes=14, but only 13 default classes fit "
              "below Nyquist at sample_rate 24000 with freq_jitter 0.01"),
             (dict(n_classes=5, sample_rate=8000), "only 0 default classes"),
+            (dict(n_classes=2000), "n_classes=2000, but only 13 default classes"),
+            # the envelope period 0.004 * 1.9 ** (i - 3) overflows at i = 1109,
+            # long before class 1109's tones reach 2 MHz
+            (dict(n_classes=1200, sample_rate=4_000_000),
+             "n_classes=1200, but only 1109 default classes .* finite envelope period"),
         ],
         ids=["seconds-nan", "seconds-inf", "freq-jitter-negative", "freq-jitter-one",
              "freq-jitter-nan", "period-jitter-one", "period-jitter-negative",
              "period-nan", "period-inf", "jittered-tone-at-nyquist", "tone-nan",
-             "no-tones", "default-classes-past-nyquist", "default-tones-past-nyquist"],
+             "no-tones", "default-classes-past-nyquist", "default-tones-past-nyquist",
+             "default-classes-2000", "default-periods-overflow"],
     )
     def test_malformed_spec_rejected(self, overrides, match):
         spec = SyntheticSpec(**{**dict(n_classes=2, clips_per_class=1, clip_seconds=0.1),
@@ -284,6 +291,21 @@ class TestSynthetic:
         with pytest.raises(InvalidSpec) as lazy:
             SyntheticClips(spec)
         assert str(lazy.value) == str(eager.value)
+
+    def test_huge_class_count_is_refused_in_small_memory(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidSpec, match="only 13 default classes"):
+                SyntheticClips(SyntheticSpec(n_classes=10**9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_default_signatures_stop_at_the_first_misfit(self):
+        assert len(default_signatures(2000)) == 1109
+        assert default_signatures(10**9, lambda sig: sig.tones_hz[1] < 4500) == (
+            default_signatures(4))
 
     def test_default_dataset_matches_per_sample_formula(self):
         # the direct formula the phasor kernel replaced, one sin/cos per sample
@@ -415,18 +437,19 @@ class TestRunCv:
         np.testing.assert_array_equal(a.confusion.counts, b.confusion.counts)
         assert a.report.fold_metrics == b.report.fold_metrics
 
-    def test_memorizer_fails_on_held_out_random_labels(self):
+    def test_memorizer_fails_on_held_out_random_labels(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(evaluation, "make_method",
+                            lambda name, n, d, s: made.append(_Memorizer(n)) or made[-1])
         ds = small_dataset(n_classes=2, clips_per_class=10)
         rng = np.random.Generator(np.random.PCG64(4))
         shuffled = ClipDataset(
             ds.clips, rng.permutation(ds.labels), ds.n_classes, ds.label_names
         )
-        res = run_cv(
-            shuffled, "knn_spectrum", k=5, seed=0, pipeline=SMALL_PIPE,
-            method_factory=lambda n, d, s: _Memorizer(n),
-        )
+        res = run_cv(shuffled, "knn_spectrum", k=5, seed=0, pipeline=SMALL_PIPE)
         # memorizer has never seen the test frames: accuracy must sit
         # near chance, nowhere near its training-set perfection
+        assert len(made) == 5
         assert res.report.accuracy < 0.85
 
     def test_memorizer_is_perfect_on_training_data(self):

@@ -243,10 +243,7 @@ class TestTrain:
             "X, y = rng.normal(size=(64, 512)), rng.integers(0, 4, 64)\n"
             "model = build(ModelConfig())\n"
             "train(model, X, y, TrainConfig(iterations=20))\n"
-            "digest = hashlib.sha256()\n"
-            "for p in model.parameters():\n"
-            "    digest.update(p.data.tobytes())\n"
-            "print(digest.hexdigest())\n"
+            "print(hashlib.sha256(model.flat.tobytes()).hexdigest())\n"
         )
         digests = []
         for threads in ("1", "2"):
@@ -424,6 +421,59 @@ class TestSerialization:
             np.testing.assert_array_equal(back.norm_stats.std, model.norm_stats.std)
             x = rng.normal(size=cfg.input_len)
             np.testing.assert_array_equal(forward(model, x), forward(back, x))
+
+
+def _byte_offsets(arrays, base):
+    """Byte offset of each array's first element from base's."""
+    start = base.__array_interface__["data"][0]
+    return [a.__array_interface__["data"][0] - start for a in arrays]
+
+
+def _assert_tiles(arrays, base):
+    """The arrays are consecutive views that cover base exactly, in order."""
+    assert all(np.shares_memory(a, base) for a in arrays)
+    sizes = [a.nbytes for a in arrays]
+    assert _byte_offsets(arrays, base) == list(np.cumsum([0] + sizes[:-1]))
+    assert sum(sizes) == base.nbytes
+
+
+class TestFlatParameters:
+    """Every parameter, its gradient and the model file share one flat layout."""
+
+    CONFIGS = [tiny_config(dtype=np.float32), tiny_config(dtype=np.float64),
+               tiny_config(view_widths=(10,), dtype=np.float32)]
+    IDS = ["float32", "float64", "single-view"]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
+    def test_parameters_tile_flat_after_build_and_load(self, tmp_path, cfg):
+        model = build(cfg)
+        save(model, tmp_path / "m.mvc")
+        for m in (model, load(tmp_path / "m.mvc")):
+            assert m.flat.dtype == cfg.dtype and m.flat.ndim == 1
+            params = [p.data for p in m.parameters()]
+            assert all(p.dtype == cfg.dtype for p in params)
+            _assert_tiles(params, m.flat)
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
+    def test_saved_parameter_section_is_flat(self, tmp_path, cfg):
+        model = build(cfg)
+        path = tmp_path / "m.mvc"
+        save(model, path)
+        blob = path.read_bytes()
+        stats_bytes = 8 + 16 * cfg.input_len
+        section = blob[len(blob) - stats_bytes - model.flat.nbytes : -stats_bytes]
+        assert section == model.flat.astype(model.flat.dtype.newbyteorder("<")).tobytes()
+
+    def test_training_moves_flat_and_gradients_share_one_array(self):
+        X, y = separable_dataset(n_per_class=8)
+        model = build(tiny_config(n_classes=2, dtype=np.float32))
+        before = model.flat.copy()
+        train(model, X, y, TrainConfig(iterations=1, batch_size=8))
+        assert not np.array_equal(model.flat, before)
+        grads = [p.grad for p in model.parameters()]
+        base = grads[0].base
+        assert base is not None and base.shape == model.flat.shape
+        _assert_tiles(grads, base)
 
 
 class TestGradientCheck:
