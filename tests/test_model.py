@@ -423,17 +423,13 @@ class TestSerialization:
             np.testing.assert_array_equal(forward(model, x), forward(back, x))
 
 
-def _byte_offsets(arrays, base):
-    """Byte offset of each array's first element from base's."""
-    start = base.__array_interface__["data"][0]
-    return [a.__array_interface__["data"][0] - start for a in arrays]
-
-
 def _assert_tiles(arrays, base):
     """The arrays are consecutive views that cover base exactly, in order."""
     assert all(np.shares_memory(a, base) for a in arrays)
+    start = base.__array_interface__["data"][0]
+    offsets = [a.__array_interface__["data"][0] - start for a in arrays]
     sizes = [a.nbytes for a in arrays]
-    assert _byte_offsets(arrays, base) == list(np.cumsum([0] + sizes[:-1]))
+    assert offsets == list(np.cumsum([0] + sizes[:-1]))
     assert sum(sizes) == base.nbytes
 
 
