@@ -25,8 +25,6 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import (
@@ -167,19 +165,20 @@ class ConvFilterBank:
 TOEPLITZ_BLOCK = 8
 
 
-@lru_cache(maxsize=64)
-def _toeplitz_index(width: int, c_in: int, c_out: int) -> np.ndarray:
-    """Flat positions in the [(P+w-1)*in, P*out] block-Toeplitz matrix of
-    each [out, in, w] filter tap, one copy per output slot p: entry
-    ((p+j)*in + ci, p*out + co) holds W[co, ci, j]. Shape [P, out, in, w],
-    built once per shape and read-only, because every conv call reuses it.
+def _taps(matrix: np.ndarray, c_in: int, width: int) -> np.ndarray:
+    """[P, w, in, out] strided view of the filter taps in a C-contiguous
+    [(P+w-1)*in, P*out] block-Toeplitz matrix: element (p, j, ci, co) is
+    entry ((p+j)*in + ci, p*out + co), where W[co, ci, j] sits for every
+    output slot p. The P copies of one tap lie on distinct entries.
     """
-    p, co, ci, j = np.ix_(
-        np.arange(TOEPLITZ_BLOCK), np.arange(c_out), np.arange(c_in), np.arange(width)
+    row = matrix.strides[0]
+    c_out = matrix.shape[1] // TOEPLITZ_BLOCK
+    return np.ndarray(
+        (TOEPLITZ_BLOCK, width, c_in, c_out),
+        matrix.dtype,
+        matrix,
+        strides=(row * c_in + matrix.strides[1] * c_out, row * c_in, row, matrix.strides[1]),
     )
-    index = ((p + j) * c_in + ci) * (TOEPLITZ_BLOCK * c_out) + p * c_out + co
-    index.flags.writeable = False
-    return index
 
 
 def _toeplitz(weights: np.ndarray) -> np.ndarray:
@@ -188,7 +187,7 @@ def _toeplitz(weights: np.ndarray) -> np.ndarray:
     matrix = np.zeros(
         ((TOEPLITZ_BLOCK + width - 1) * c_in, TOEPLITZ_BLOCK * c_out), dtype=weights.dtype
     )
-    matrix.reshape(-1)[_toeplitz_index(width, c_in, c_out)] = weights
+    _taps(matrix, c_in, width)[...] = weights.transpose(2, 1, 0)
     return matrix
 
 
@@ -198,20 +197,22 @@ def _toeplitz_rows(data: np.ndarray, w: int, pad_left: int) -> np.ndarray:
 
     The input is copied once into a zeroed [B, ceil(L/P)*P + w-1, C] buffer
     with pad_left leading rows; each output row is then one contiguous run
-    of that buffer, so the final reshape copies (P+w-1)/P values per input
-    value, not w as a one-position-per-row lowering (im2col) would.
+    of that buffer, read through a read-only strided view whose rows
+    overlap. The final reshape is free at B=1 and otherwise copies
+    (P+w-1)/P values per input value, not w as a one-position-per-row
+    lowering (im2col) would.
     """
     batch, length, channels = data.shape
     blocks = -(-length // TOEPLITZ_BLOCK)
     padded = np.zeros((batch, blocks * TOEPLITZ_BLOCK + w - 1, channels), dtype=data.dtype)
     padded[:, pad_left : pad_left + length] = data
-    step = padded.strides[1] * TOEPLITZ_BLOCK
-    windows = np.lib.stride_tricks.as_strided(
-        padded,
+    windows = np.ndarray(
         (batch, blocks, (TOEPLITZ_BLOCK + w - 1) * channels),
-        (padded.strides[0], step, padded.strides[2]),
-        writeable=False,
+        data.dtype,
+        padded,
+        strides=(padded.strides[0], padded.strides[1] * TOEPLITZ_BLOCK, padded.strides[2]),
     )
+    windows.flags.writeable = False
     return windows.reshape(batch * blocks, -1)
 
 
@@ -267,8 +268,7 @@ def conv1d_same(x: Tensor, bank: ConvFilterBank) -> Tensor:
         padded = np.pad(grad, ((0, 0), (0, tail), (0, 0))) if tail else grad
         dtoeplitz = rows.T @ padded.reshape(rows.shape[0], TOEPLITZ_BLOCK * c_out)
         # each tap sits on P diagonals of the matrix; its gradient is their sum
-        taps = dtoeplitz.reshape(-1)[_toeplitz_index(w, c_in, c_out)]
-        _accumulate(bank.weights, taps.sum(axis=0))
+        _accumulate(bank.weights, _taps(dtoeplitz, c_in, w).sum(axis=0).transpose(2, 1, 0))
         if x.requires_grad:
             # transposed convolution: correlate the gradient, padded the other
             # way round, with the flipped filters, in and out swapped

@@ -290,6 +290,10 @@ def cmd_sweep(args):
         learning_rate=args.lr, iterations=args.iters, batch_size=args.batch,
         keep_prob=args.dropout,
     )
+    # every fold row of a run repeats its count; fold 0 stands for the run
+    skipped = sum(r["skipped_clips"] for r in rows if r["fold"] == 0)
+    if skipped:
+        print(f"skipped {skipped} test clips without frames")
     write_results_csv(args.out, rows, meta=(resolved_flags(args),))
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

@@ -716,6 +716,8 @@ def run_sweep(
 ) -> list:
     """Grid x methods x seeds sweep; one row dict per (value, method, fold, seed).
 
+    Every row also carries its run's `skipped_clips` (test clips without
+    frames), the same on each fold row of one (value, method, seed) run.
     SNR values are injected into training and test clips alike (before
     feature extraction). The train_fraction axis replaces k-fold CV with
     k stratified train/test splits at the given fraction, indexed by the
@@ -761,6 +763,7 @@ def run_sweep(
                         "axis": spec.axis, "value": value, "method": method,
                         "fold": fold, "seed": seed, "accuracy": acc,
                         "precision": prec, "recall": rec, "f1": f1,
+                        "skipped_clips": result.skipped_clips,
                     })
     rows.sort(key=lambda r: (float(r["value"]), r["method"], r["fold"], r["seed"]))
     return rows

@@ -206,7 +206,26 @@ def test_eval_reports_skipped_clips(tmp_path, capsys):
     assert "skipped 1 test clips without frames" in capsys.readouterr().out
 
 
-def test_sweep_row_count(tmp_path):
+def test_sweep_reports_skipped_clips(tmp_path, capsys):
+    dataset = generate_synthetic(SyntheticSpec(n_classes=3, clips_per_class=4,
+                                               clip_seconds=0.5))
+    dataset.clips[2] = AudioClip(np.zeros_like(dataset.clips[2].samples), 24000)
+    manifest = save_dataset(dataset, tmp_path / "corpus")
+    out = tmp_path / "sweep.csv"
+    code = dispatch([
+        "sweep", "--manifest", str(manifest), *SMALL_PIPE, "--axis", "window_size",
+        "--grid", "2048", "--methods", "knn_spectrum", "--seeds", "0,1", "--k", "3",
+        "--out", str(out),
+    ])
+    assert code == 0
+    # one skip per (value, method, seed) run, not one per fold row
+    assert "skipped 2 test clips without frames" in capsys.readouterr().out
+    assert out.read_text().splitlines()[1] == (
+        "axis,value,method,fold,seed,accuracy,precision,recall,f1"
+    )
+
+
+def test_sweep_row_count(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = dispatch([
         "sweep", *SMALL_DATA, *SMALL_PIPE, "--axis", "snr", "--grid", "0,6",
@@ -214,6 +233,7 @@ def test_sweep_row_count(tmp_path):
         "--out", str(out),
     ])
     assert code == 0
+    assert "skipped" not in capsys.readouterr().out  # every clip has frames
     lines = out.read_text().splitlines()
     # 2 values x 1 method x 2 folds x 2 seeds
     assert len(lines) == 2 + 8

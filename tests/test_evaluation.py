@@ -524,6 +524,26 @@ class TestSkippedClips:
                      pipeline=SMALL_PIPE)
         assert res.skipped_clips == 0
 
+    def test_sweep_rows_carry_their_runs_count(self):
+        # each CV run scores the silent clip in exactly one fold
+        ds = self._with_silent_clip()
+        spec = SweepSpec("window_size", grid=(SMALL_PIPE.window_len,),
+                         methods=("knn_spectrum",), seeds=(0, 1), k=4)
+        rows = run_sweep(spec, ds, pipeline=SMALL_PIPE)
+        assert len(rows) == 2 * 4
+        assert all(r["skipped_clips"] == 1 for r in rows)
+
+    def test_fraction_sweep_counts_each_split_holding_the_clip(self):
+        ds = self._with_silent_clip()
+        spec = SweepSpec("train_fraction", grid=(0.5,), methods=("knn_spectrum",),
+                         seeds=(0,), k=4)
+        rows = run_sweep(spec, ds, pipeline=SMALL_PIPE)
+        want = sum(
+            5 in stratified_fraction_split(ds.labels, 0.5, seed=rep)[1] for rep in range(4)
+        )
+        assert 0 < want < 4
+        assert [r["skipped_clips"] for r in rows] == [want] * 4
+
 
 class TestSweep:
     def test_default_grids(self):
@@ -608,7 +628,7 @@ class TestSweep:
                             "axis": "train_fraction", "value": value, "method": method,
                             "fold": rep, "seed": seed, "accuracy": m.accuracy,
                             "precision": m.macro_precision, "recall": m.macro_recall,
-                            "f1": m.macro_f1,
+                            "f1": m.macro_f1, "skipped_clips": 0,
                         })
         expected.sort(key=lambda r: (r["value"], r["method"], r["fold"], r["seed"]))
         assert rows == expected

@@ -29,6 +29,7 @@ from mvcnn.spectral import (
     normalize,
     sos_response,
     spectrum_features,
+    _GROUP_BLOCKS,
     _highpass_operators,
 )
 
@@ -41,11 +42,11 @@ def naive_dft_magnitudes(x):
     return np.abs(mat @ x)[: n // 2 + 1]
 
 
-def tdf2_reference(sections, x):
+def tdf2_reference(sections, x, dtype=np.float64):
     """Per-sample transposed direct form II recurrence, section by section."""
-    y = np.array(x, dtype=np.float64)
-    for b0, b1, b2, _, a1, a2 in sections:
-        z1 = z2 = 0.0
+    y = np.array(x, dtype=dtype)
+    for b0, b1, b2, _, a1, a2 in np.asarray(sections, dtype=dtype):
+        z1 = z2 = dtype(0)
         for i in range(len(y)):
             xi = y[i]
             yi = b0 * xi + z1
@@ -253,11 +254,13 @@ class TestHighpass:
     @pytest.mark.parametrize("order", (2, 4, 8))
     @pytest.mark.parametrize("sr", (1000, 8000, 24000, 44100))
     def test_block_filter_matches_per_sample_recurrence(self, sr, order):
-        # block edges, a partial last block, and one 2 s clip at 24 kHz
+        # block and group edges, partial last blocks and groups, and one 2 s
+        # clip at 24 kHz
         rng = np.random.Generator(np.random.PCG64(sr + order))
         sections = design_highpass(200.0, sr, order)
         L = HIGHPASS_BLOCK
-        for n in (0, 1, L - 1, L, L + 1, 3 * L + 5, 48000):
+        G = HIGHPASS_BLOCK * _GROUP_BLOCKS
+        for n in (0, 1, L - 1, L, L + 1, 3 * L + 5, G - 1, G, G + 1, 3 * G + 2 * L + 7, 48000):
             x = rng.normal(size=n)
             got = highpass_butterworth(AudioClip(x, sr), 200.0, order).samples
             want = tdf2_reference(sections, x)
@@ -268,14 +271,32 @@ class TestHighpass:
     @pytest.mark.parametrize("cutoff, sr", ((3990.0, 8000), (1.0, 48000)))
     def test_block_filter_at_extreme_cutoffs(self, cutoff, sr):
         # Poles near the unit circle (1 Hz at 48 kHz) or near z = -1 (3990 Hz
-        # at 8 kHz) make the two summation orders round differently: here
-        # they differ by ~4e-11 and ~3e-12 of max|y|. Against a long-double
-        # recurrence the loop is 4e-11 and 5e-13 off, the block form 4e-12
-        # and 2e-12. Hence a looser bound than at 200 Hz.
+        # at 8 kHz) amplify rounding in a float64 per-sample loop: against a
+        # long-double recurrence it is 4e-11 and 5e-13 of max|y| off, the
+        # block scan 1.2e-14 and 7e-16 (test_block_filter_error_against_long_double).
+        # Hence a looser bound than at 200 Hz.
         x = np.random.Generator(np.random.PCG64(3)).normal(size=48000)
         got = highpass_butterworth(AudioClip(x, sr), cutoff, 4).samples
         want = tdf2_reference(design_highpass(cutoff, sr, 4), x)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-7 * np.max(np.abs(want)))
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+        reason="np.longdouble is no wider than float64 on this platform",
+    )
+    @pytest.mark.parametrize(
+        "cutoff, sr, bound",
+        ((200.0, 24000, 1e-15), (3990.0, 8000, 4e-15), (1.0, 48000, 5e-14)),
+    )
+    def test_block_filter_error_against_long_double(self, cutoff, sr, bound):
+        # measured at 1.8e-16, 6.6e-16 and 1.2e-14 of max|y|; the 128-sample
+        # one-level scan with float64-built operators read 4.8e-15, 2.3e-12
+        # and 4.2e-12
+        x = np.random.Generator(np.random.PCG64(3)).normal(size=48000)
+        got = highpass_butterworth(AudioClip(x, sr), cutoff, 4).samples
+        want = tdf2_reference(design_highpass(cutoff, sr, 4), x, np.longdouble)
+        error = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert error < bound
 
     def test_operators_are_shared_and_read_only(self):
         # one operator set per design serves every clip, so no caller may edit it
