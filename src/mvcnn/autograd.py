@@ -25,6 +25,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import (
@@ -237,12 +238,14 @@ def conv1d_same(x: Tensor, bank: ConvFilterBank) -> Tensor:
 
     Lowered to one GEMM by block-Toeplitz rows: each row of
     `_toeplitz_rows` covers P = TOEPLITZ_BLOCK consecutive output
-    positions, and the filters are scattered into a [(P+w-1)*C_in,
-    P*C_out] matrix, so the product is P*C_out columns wide. It does
+    positions, and the filters are written into a [(P+w-1)*C_in,
+    P*C_out] matrix with one assignment through its strided tap view
+    (`_taps`), so the product is P*C_out columns wide. It does
     (P+w-1)/w times the multiply-adds of the direct sum, the extra ones by
-    zero. The backward pass reuses the rows for the weight gradient and
-    runs the same lowering on the gradient for the input gradient, which
-    it skips when x.requires_grad is False.
+    zero. The backward pass reuses the rows for the matrix gradient and
+    sums its P copies of each tap through the same view; it runs the same
+    lowering on the gradient for the input gradient, which it skips when
+    x.requires_grad is False.
     """
     if x.data.ndim != 3:
         raise ShapeMismatch(f"conv input must be [B, L, C], got {x.shape}")

@@ -273,7 +273,7 @@ class TestHighpass:
         # Poles near the unit circle (1 Hz at 48 kHz) or near z = -1 (3990 Hz
         # at 8 kHz) amplify rounding in a float64 per-sample loop: against a
         # long-double recurrence it is 4e-11 and 5e-13 of max|y| off, the
-        # block scan 1.2e-14 and 7e-16 (test_block_filter_error_against_long_double).
+        # block scan 1.2e-14 and 6e-16 (test_block_filter_error_against_long_double).
         # Hence a looser bound than at 200 Hz.
         x = np.random.Generator(np.random.PCG64(3)).normal(size=48000)
         got = highpass_butterworth(AudioClip(x, sr), cutoff, 4).samples
@@ -289,7 +289,7 @@ class TestHighpass:
         ((200.0, 24000, 1e-15), (3990.0, 8000, 4e-15), (1.0, 48000, 5e-14)),
     )
     def test_block_filter_error_against_long_double(self, cutoff, sr, bound):
-        # measured at 1.8e-16, 6.6e-16 and 1.2e-14 of max|y|; the 128-sample
+        # measured at 1.7e-16, 6.4e-16 and 1.2e-14 of max|y|; the 128-sample
         # one-level scan with float64-built operators read 4.8e-15, 2.3e-12
         # and 4.2e-12
         x = np.random.Generator(np.random.PCG64(3)).normal(size=48000)
