@@ -7,7 +7,12 @@ Tensors carry a [batch, ...] leading axis; the network in this package
 uses [B, L, C] for convolutional activations and [B, F] after
 flattening. The convolution runs as one GEMM over block-Toeplitz rows,
 each covering TOEPLITZ_BLOCK output positions (the input-copy saving of
-Cho & Brand, MEC, ICML 2017), forward and backward alike.
+Cho & Brand, MEC, ICML 2017), forward and backward alike. The elementwise
+glue around it runs over wide rows where numpy's loops would otherwise
+step through a 2-24 wide channel axis: the bias is added to the GEMM
+output's P*C_out-wide rows, and max pooling takes one np.maximum per tap
+view instead of a reduce over the window axis. Each keeps the IEEE
+operations, and their order, of the plain broadcast or reduce.
 
 Graphs are built define-by-run, and only while gradients are enabled
 (the default): every op then returns a new Tensor holding a closure that
@@ -148,6 +153,9 @@ class ConvFilterBank:
             raise ShapeMismatch("conv weights must be [out, in, width]")
         if self.biases.data.shape != (self.weights.data.shape[0],):
             raise ShapeMismatch("conv biases must be [out_channels]")
+        if self.biases.data.dtype != self.weights.data.dtype:
+            # conv1d_same tiles the biases into the filter matrix's allocation
+            raise ShapeMismatch("conv biases must have the weights' dtype")
 
     @property
     def out_channels(self):
@@ -182,14 +190,20 @@ def _taps(matrix: np.ndarray, c_in: int, width: int) -> np.ndarray:
     )
 
 
-def _toeplitz(weights: np.ndarray) -> np.ndarray:
-    """[out, in, w] filters -> the [(P+w-1)*in, P*out] block-Toeplitz matrix."""
+def _toeplitz(weights: np.ndarray, bias: np.ndarray | None = None):
+    """[out, in, w] filters -> the [(P+w-1)*in, P*out] block-Toeplitz matrix
+    and the [P*out] bias row: the bias tiled P times (zero without one).
+
+    The bias row is one more row of the matrix's allocation, so tiling it
+    costs one small write per call and no array of its own.
+    """
     c_out, c_in, width = weights.shape
-    matrix = np.zeros(
-        ((TOEPLITZ_BLOCK + width - 1) * c_in, TOEPLITZ_BLOCK * c_out), dtype=weights.dtype
-    )
-    _taps(matrix, c_in, width)[...] = weights.transpose(2, 1, 0)
-    return matrix
+    rows = (TOEPLITZ_BLOCK + width - 1) * c_in
+    block = np.zeros((rows + 1, TOEPLITZ_BLOCK * c_out), dtype=weights.dtype)
+    _taps(block, c_in, width)[...] = weights.transpose(2, 1, 0)
+    if bias is not None:
+        block[rows].reshape(TOEPLITZ_BLOCK, c_out)[...] = bias
+    return block[:rows], block[rows]
 
 
 def _toeplitz_rows(data: np.ndarray, w: int, pad_left: int) -> np.ndarray:
@@ -217,15 +231,24 @@ def _toeplitz_rows(data: np.ndarray, w: int, pad_left: int) -> np.ndarray:
     return windows.reshape(batch * blocks, -1)
 
 
-def _toeplitz_product(rows: np.ndarray, matrix: np.ndarray, batch: int, length: int):
-    """rows @ matrix as [B, L, C_out]: an array of its own when P divides L,
-    else a view trimming the zero-padded tail of one."""
+def _toeplitz_product(rows: np.ndarray, matrix: np.ndarray, batch: int, length: int,
+                      bias_row: np.ndarray | None = None):
+    """rows @ matrix (+ bias_row) as [B, L, C_out]: an array of its own when
+    P divides L, else a view trimming the zero-padded tail of one.
+
+    The bias row is added to the product's [B*ceil(L/P), P*C_out] rows, so
+    each output gets the same one add as a broadcast over C_out, but
+    numpy's loop runs P*C_out wide instead of C_out.
+    """
     c_out = matrix.shape[1] // TOEPLITZ_BLOCK
     blocks = -(-length // TOEPLITZ_BLOCK)
     out = np.empty(
         (batch, blocks * TOEPLITZ_BLOCK, c_out), dtype=np.result_type(rows, matrix)
     )
-    np.matmul(rows, matrix, out=out.reshape(rows.shape[0], matrix.shape[1]))
+    out2d = out.reshape(rows.shape[0], matrix.shape[1])
+    np.matmul(rows, matrix, out=out2d)
+    if bias_row is not None:
+        out2d += bias_row
     return out if blocks * TOEPLITZ_BLOCK == length else out[:, :length]
 
 
@@ -260,8 +283,8 @@ def conv1d_same(x: Tensor, bank: ConvFilterBank) -> Tensor:
     right = w - 1 - left
 
     rows = _toeplitz_rows(x.data, w, left)
-    out_data = _toeplitz_product(rows, _toeplitz(bank.weights.data), batch, length)
-    out_data += bank.biases.data
+    matrix, bias_row = _toeplitz(bank.weights.data, bank.biases.data)
+    out_data = _toeplitz_product(rows, matrix, batch, length, bias_row)
 
     def backward(grad):
         grad2d = grad.reshape(batch * length, c_out)
@@ -275,7 +298,7 @@ def conv1d_same(x: Tensor, bank: ConvFilterBank) -> Tensor:
         if x.requires_grad:
             # transposed convolution: correlate the gradient, padded the other
             # way round, with the flipped filters, in and out swapped
-            flipped = _toeplitz(bank.weights.data.transpose(1, 0, 2)[:, :, ::-1])
+            flipped, _ = _toeplitz(bank.weights.data.transpose(1, 0, 2)[:, :, ::-1])
             grad_rows = _toeplitz_rows(grad, w, right)
             _accumulate(x, _toeplitz_product(grad_rows, flipped, batch, length))
 
@@ -287,7 +310,12 @@ def tanh_act(x: Tensor) -> Tensor:
     out_data = np.tanh(x.data)
 
     def backward(grad):
-        _accumulate(x, grad * (1.0 - out_data * out_data))
+        # (1 - y*y) * grad in one buffer; the product commutes, so the bits
+        # equal those of grad * (1 - y*y)
+        dx = np.multiply(out_data, out_data)
+        np.subtract(1.0, dx, out=dx)
+        np.multiply(dx, grad, out=dx)
+        _accumulate(x, dx)
 
     return _node(out_data, (x,), backward)
 
@@ -306,22 +334,31 @@ def maxpool1d(x: Tensor, window: int = 3, stride: int = 3) -> Tensor:
     if length < window:
         raise InputTooShort(f"length {length} < pooling window {window}")
     pooled_len = length // window
-    trimmed = x.data[:, : pooled_len * window, :].reshape(
-        batch, pooled_len, window, channels
-    )
-    out_data = trimmed.max(axis=2)
+    kept = pooled_len * window
+    trimmed = x.data[:, :kept].reshape(batch, pooled_len, window, channels)
+    # one np.maximum per tap over [B, L/w, C] views: the comparisons of
+    # trimmed.max(axis=2) in the same order, without its C-wide reduce loop
+    if window == 1:
+        out_data = trimmed[:, :, 0].copy()
+    else:
+        out_data = np.maximum(trimmed[:, :, 0], trimmed[:, :, 1])
+    for k in range(2, window):
+        np.maximum(out_data, trimmed[:, :, k], out=out_data)
 
     def backward(grad):
-        dx = np.zeros(x.data.shape, dtype=x.data.dtype)
-        taps = dx[:, : pooled_len * window].reshape(
-            batch, pooled_len, window, channels
-        )
-        # the first tap equal to the window max takes the gradient
-        unrouted = np.ones(out_data.shape, dtype=bool)
-        for k in range(window):
-            hit = unrouted & (trimmed[:, :, k] == out_data)
+        dx = np.empty(x.data.shape, dtype=x.data.dtype)
+        dx[:, kept:] = 0
+        taps = dx[:, :kept].reshape(batch, pooled_len, window, channels)
+        # tap k gets grad * hit, hit where it equals the window max and no
+        # earlier tap did; a NaN window equals nothing and routes nothing
+        routed = np.equal(trimmed[:, :, 0], out_data)
+        np.multiply(grad, routed, out=taps[:, :, 0])
+        hit = np.empty_like(routed)
+        for k in range(1, window):
+            np.equal(trimmed[:, :, k], out_data, out=hit)
+            np.greater(hit, routed, out=hit)  # hit and not yet routed
             np.multiply(grad, hit, out=taps[:, :, k])
-            unrouted &= ~hit
+            routed |= hit
         _accumulate(x, dx)
 
     return _node(out_data, (x,), backward)
@@ -396,12 +433,16 @@ def dropout(x: Tensor, keep_prob: float, train: bool, seed: int = 0) -> Tensor:
     if not train or keep_prob == 1.0:
         return x
     rng = np.random.Generator(np.random.PCG64(seed))
-    mask = (rng.random(x.data.shape) < keep_prob).astype(x.data.dtype)
+    mask = rng.random(x.data.shape) < keep_prob
     scale = 1.0 / keep_prob
-    out_data = x.data * mask * scale
+    # (x * mask) * scale, the bool mask read as 0.0 and 1.0 by the multiply
+    out_data = np.multiply(x.data, mask)
+    out_data *= scale
 
     def backward(grad):
-        _accumulate(x, grad * mask * scale)
+        dx = np.multiply(grad, mask)
+        dx *= scale
+        _accumulate(x, dx)
 
     return _node(out_data, (x,), backward)
 

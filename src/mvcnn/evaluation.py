@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -432,6 +433,18 @@ class PipelineConfig:
             raise InvalidLength(
                 f"feature length {self.feature_len} outside [1, {bins}] spectrum bins"
             )
+        if self.snr_db is not None:
+            # add_noise_snr divides the clip's power by this ratio; a subnormal
+            # one makes the noise infinite for any clip louder than ~1e-12
+            try:
+                ratio = math.pow(10.0, self.snr_db / 10.0)
+            except OverflowError:
+                ratio = math.inf
+            if not sys.float_info.min <= ratio <= sys.float_info.max:
+                raise InvalidSetting(
+                    f"snr_db must be finite, with 10**(snr_db/10) a positive normal "
+                    f"float (about -3076 to 3082 dB), got {self.snr_db}"
+                )
 
     @property
     def feature_dim(self) -> int:

@@ -11,6 +11,7 @@ one stack.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -90,8 +91,13 @@ class TrainConfig:
         if not (math.isfinite(lr) and lr > 0):
             raise InvalidSetting(f"learning rate must be finite and positive, got {lr}")
         for name, low in (("iterations", 0), ("batch_size", 1), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise InvalidSetting(f"{name} must be >= {low}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            try:
+                operator.index(value)  # what range() and rng.choice() take
+            except TypeError:
+                raise InvalidSetting(f"{name} must be an integer, got {value!r}") from None
+            if value < low:
+                raise InvalidSetting(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass

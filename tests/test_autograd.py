@@ -1,14 +1,20 @@
+import collections
 import gc
 import threading
 
 import numpy as np
 import pytest
 
+from mvcnn import model as model_module
 from mvcnn.autograd import (
     AdamState,
     ConvFilterBank,
     Tensor,
     _accumulate,
+    _node,
+    _toeplitz,
+    _toeplitz_product,
+    _toeplitz_rows,
     adam_step,
     concat_channels,
     conv1d_same,
@@ -616,3 +622,201 @@ class TestAccumulate:
         expect = merged.grad[..., :2] + merged.grad[..., 2:]
         assert np.any(merged.grad[..., 2:] != 0)
         np.testing.assert_array_equal(x.grad, expect)
+
+
+# --- the layer glue as written before its wide-row kernels, as references ---
+# Each kernel must give the same IEEE operations in the same order, so its
+# outputs and gradients must equal these bit for bit.
+
+
+def _conv_bias_reference(x, fb):
+    """conv1d_same with the bias added by a broadcast over C_out after the
+    GEMM; the backward is conv1d_same's own."""
+    out = conv1d_same(x, fb)
+    batch, length, _ = x.data.shape
+    matrix, _ = _toeplitz(fb.weights.data)
+    data = _toeplitz_product(
+        _toeplitz_rows(x.data, fb.width, (fb.width - 1) // 2), matrix, batch, length
+    )
+    data += fb.biases.data
+    out.data = data
+    return out
+
+
+def _maxpool_reference(x, window=3, stride=3):
+    """.max(axis=2) forward; three-pass routing into a zeroed gradient."""
+    batch, length, channels = x.data.shape
+    pooled_len = length // window
+    trimmed = x.data[:, : pooled_len * window, :].reshape(
+        batch, pooled_len, window, channels
+    )
+    out_data = trimmed.max(axis=2)
+
+    def backward(grad):
+        dx = np.zeros(x.data.shape, dtype=x.data.dtype)
+        taps = dx[:, : pooled_len * window].reshape(batch, pooled_len, window, channels)
+        unrouted = np.ones(out_data.shape, dtype=bool)
+        for k in range(window):
+            hit = unrouted & (trimmed[:, :, k] == out_data)
+            np.multiply(grad, hit, out=taps[:, :, k])
+            unrouted &= ~hit
+        _accumulate(x, dx)
+
+    return _node(out_data, (x,), backward)
+
+
+def _tanh_reference(x):
+    out_data = np.tanh(x.data)
+
+    def backward(grad):
+        _accumulate(x, grad * (1.0 - out_data * out_data))
+
+    return _node(out_data, (x,), backward)
+
+
+def _dropout_reference(x, keep_prob, train, seed=0):
+    """Inverted dropout with the mask cast to a float array."""
+    if not train or keep_prob == 1.0:
+        return x
+    rng = np.random.Generator(np.random.PCG64(seed))
+    mask = (rng.random(x.data.shape) < keep_prob).astype(x.data.dtype)
+    scale = 1.0 / keep_prob
+
+    def backward(grad):
+        _accumulate(x, grad * mask * scale)
+
+    return _node(x.data * mask * scale, (x,), backward)
+
+
+def _assert_same_bits(got, expect):
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+
+
+def _run_both(op, reference, data, grad, *args):
+    """(output, input gradient) of op and of reference on copies of data."""
+    results = []
+    for fn in (op, reference):
+        x = Tensor(data.copy())
+        out = fn(x, *args)
+        out._backward(grad.copy())
+        results.append((out.data, x.grad))
+    return results
+
+
+def _signed_zeros_and_ties(rng, shape, dtype):
+    """Values drawn from a few levels, so windows tie, among them -0.0 and
+    +0.0; with normal noise on half the entries."""
+    levels = np.array([-1.0, -0.0, 0.0, 0.5])
+    data = levels[rng.integers(0, len(levels), size=shape)]
+    noisy = rng.random(shape) < 0.5
+    data[noisy] = rng.normal(size=int(noisy.sum()))
+    return data.astype(dtype)
+
+
+KERNEL_DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
+KERNEL_BATCHES = pytest.mark.parametrize("batch", [1, 3, 16])
+# not multiples of P = 8 or of the pooling window 3, and the paper's length
+KERNEL_LENGTHS = pytest.mark.parametrize("length", [9, 13, 512])
+KERNEL_CHANNELS = (1, 2, 8, 24)
+
+
+class TestWideRowKernelsMatchReferences:
+    @KERNEL_DTYPES
+    @KERNEL_BATCHES
+    @KERNEL_LENGTHS
+    def test_conv_bias(self, dtype, batch, length):
+        rng = np.random.Generator(np.random.PCG64(batch * 1000 + length))
+        for c_out in KERNEL_CHANNELS:
+            for c_in, width in ((1, 10), (3, 1), (2, 20)):
+                data = rng.normal(size=(batch, length, c_in)).astype(dtype)
+                fb = ConvFilterBank(
+                    Tensor(rng.normal(size=(c_out, c_in, width)).astype(dtype)),
+                    Tensor(_signed_zeros_and_ties(rng, c_out, dtype)),
+                )
+                grad = rng.normal(size=(batch, length, c_out)).astype(dtype)
+                got, expect = _run_both(conv1d_same, _conv_bias_reference, data, grad, fb)
+                _assert_same_bits(got[0], expect[0])
+                _assert_same_bits(got[1], expect[1])
+
+    @KERNEL_DTYPES
+    @KERNEL_BATCHES
+    @KERNEL_LENGTHS
+    def test_maxpool_with_ties_signed_zeros_and_nan(self, dtype, batch, length):
+        rng = np.random.Generator(np.random.PCG64(batch * 1000 + length + 1))
+        for channels in KERNEL_CHANNELS:
+            data = _signed_zeros_and_ties(rng, (batch, length, channels), dtype)
+            data[0, 1, 0] = np.nan  # the first window of channel 0 holds a NaN
+            data[-1, 3:6, -1] = [-0.0, 0.0, -0.0]  # a window of zeros alone
+            for window in (3, 2, 1):
+                grad = _signed_zeros_and_ties(
+                    rng, (batch, length // window, channels), dtype
+                )
+                got, expect = _run_both(
+                    maxpool1d, _maxpool_reference, data, grad, window, window
+                )
+                nan_window = slice(1 // window * window, (1 // window + 1) * window)
+                assert np.isnan(got[0][0, 1 // window, 0])
+                assert not np.any(got[1][0, nan_window, 0])  # it routes nothing
+                _assert_same_bits(got[0], expect[0])
+                _assert_same_bits(got[1], expect[1])
+
+    @KERNEL_DTYPES
+    @KERNEL_BATCHES
+    @KERNEL_LENGTHS
+    def test_tanh(self, dtype, batch, length):
+        rng = np.random.Generator(np.random.PCG64(batch * 1000 + length + 2))
+        for channels in KERNEL_CHANNELS:
+            shape = (batch, length, channels)
+            data = 3 * _signed_zeros_and_ties(rng, shape, dtype)
+            grad = _signed_zeros_and_ties(rng, shape, dtype)
+            got, expect = _run_both(tanh_act, _tanh_reference, data, grad)
+            _assert_same_bits(got[0], expect[0])
+            _assert_same_bits(got[1], expect[1])
+
+    @KERNEL_DTYPES
+    @KERNEL_BATCHES
+    @KERNEL_LENGTHS
+    def test_dropout(self, dtype, batch, length):
+        rng = np.random.Generator(np.random.PCG64(batch * 1000 + length + 3))
+        for channels in KERNEL_CHANNELS:
+            shape = (batch, length * channels)
+            data = _signed_zeros_and_ties(rng, shape, dtype)
+            grad = _signed_zeros_and_ties(rng, shape, dtype)
+            for keep_prob in (0.8, 0.3):
+                got, expect = _run_both(
+                    dropout, _dropout_reference, data, grad, keep_prob, True, channels
+                )
+                _assert_same_bits(got[0], expect[0])
+                _assert_same_bits(got[1], expect[1])
+
+    def test_bias_of_another_dtype_is_refused(self):
+        # the tiled bias row lives in the filter matrix's allocation
+        with pytest.raises(ShapeMismatch, match="dtype"):
+            ConvFilterBank(Tensor(np.ones((2, 1, 3), np.float32)), Tensor(np.zeros(2)))
+
+    def test_paper_model_training_matches_reference_kernels(self, monkeypatch):
+        rng = np.random.Generator(np.random.PCG64(18))
+        features = rng.normal(size=(48, 512)).astype(np.float32)
+        labels = rng.integers(0, 4, size=48)
+
+        def run():
+            net = model_module.build(model_module.ModelConfig(seed=3))
+            history = model_module.train(
+                net, features, labels, model_module.TrainConfig(iterations=20, seed=5)
+            )
+            return net.flat.tobytes(), np.array([r.loss for r in history]).tobytes()
+
+        kernels = run()
+        used = collections.Counter()
+        for name, reference in [("conv1d_same", _conv_bias_reference),
+                                ("maxpool1d", _maxpool_reference),
+                                ("tanh_act", _tanh_reference),
+                                ("dropout", _dropout_reference)]:
+            def counted(*args, _name=name, _reference=reference, **kwargs):
+                used[_name] += 1
+                return _reference(*args, **kwargs)
+
+            monkeypatch.setattr(model_module, name, counted)
+        assert run() == kernels
+        assert len(used) == 4

@@ -361,13 +361,25 @@ def test_model_without_views_is_one_error_line(tmp_path):
         (["synth", "--classes", "2000", "--clips-per-class", "1", "--clip-seconds", "0.5"],
          None),
         (["simulate"], "n_classes = 2000\n"),
+        (["eval", *SMALL_DATA, *SMALL_PIPE, "--method", "knn_spectrum", "--snr", "4000"],
+         None),
+        (["eval", *SMALL_DATA, *SMALL_PIPE, "--method", "knn_spectrum", "--snr=-4000"],
+         None),
+        (["eval", *SMALL_DATA, *SMALL_PIPE, "--method", "knn_spectrum", "--snr=-inf"],
+         None),
+        (["eval", *SMALL_DATA, *SMALL_PIPE, "--method", "knn_spectrum", "--snr", "nan"],
+         None),
+        (["sweep", *SMALL_DATA, *SMALL_PIPE, "--axis", "snr", "--grid", "4000",
+          "--methods", "knn_spectrum"], None),
     ],
     ids=["prep-threshold", "scenario-threshold", "scenario-window", "sweep-method",
          "sweep-fraction", "sweep-k", "synth-seed", "prep-seed", "train-seed", "eval-seed",
          "sweep-seed", "simulate-seed", "tune-threshold-seed", "train-batch",
          "train-lr", "train-iters", "eval-k", "tune-threshold-window", "sweep-grid",
          "sweep-seeds", "synth-seconds-nan", "synth-seconds-inf", "scenario-seconds-nan",
-         "synth-classes-14", "synth-classes-2000", "scenario-classes-2000"],
+         "synth-classes-14", "synth-classes-2000", "scenario-classes-2000",
+         "eval-snr-4000", "eval-snr-minus-4000", "eval-snr-minus-inf", "eval-snr-nan",
+         "sweep-snr-4000"],
 )
 def test_bad_setting_is_one_error_line(tmp_path, argv, scenario):
     argv = [*argv, "--out", str(tmp_path / "out")]
@@ -383,6 +395,8 @@ def test_bad_setting_is_one_error_line(tmp_path, argv, scenario):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     if "--k" in argv and argv[argv.index("--k") + 1] == "0":
         assert re.search(r"\bk\b", lines[0])  # the message names the bad flag
+    if any(a.startswith("--snr") for a in argv) or "4000" in argv:
+        assert "snr_db" in lines[0]
 
 
 def test_gradcheck_negative_seed_is_one_error_line():

@@ -210,6 +210,20 @@ class TestSynthetic:
         with pytest.raises(error):
             replace(SMALL_PIPE, **change)
 
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, 3083.0, -3200.0,
+                                        float("inf"), float("-inf"), float("nan")])
+    def test_config_refuses_snr_whose_power_ratio_is_not_a_normal_float(self, snr_db):
+        # 10**(snr/10) overflows above ~3082 dB and is subnormal or 0 below
+        # ~-3076 dB; add_noise_snr divides the clip's power by it
+        with pytest.raises(InvalidSetting, match=f"snr_db.*got {snr_db}"):
+            replace(SMALL_PIPE, snr_db=snr_db)
+
+    @pytest.mark.parametrize("snr_db", [-3000.0, -60.0, 0.0, 6, 3000.0])
+    def test_config_keeps_every_snr_with_a_finite_noise_level(self, snr_db):
+        clip = small_dataset().clips[0]
+        assert replace(SMALL_PIPE, snr_db=snr_db).snr_db == snr_db
+        assert np.all(np.isfinite(add_noise_snr(clip, snr_db, seed=1).samples))
+
     def test_feature_len_is_free_for_mfcc(self):
         assert replace(SMALL_PIPE, feature_kind="mfcc", feature_len=9000).feature_dim == 13
 

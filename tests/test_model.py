@@ -268,10 +268,20 @@ class TestTrain:
         dict(batch_size=0), dict(learning_rate=float("nan")),
         dict(learning_rate=float("inf")), dict(learning_rate=0.0),
         dict(learning_rate=-1e-3), dict(iterations=-3), dict(seed=-1),
-    ], ids=["batch", "lr-nan", "lr-inf", "lr-zero", "lr-negative", "iters", "seed"])
+        dict(iterations=2.5), dict(iterations=float("nan")), dict(iterations=20.0),
+        dict(batch_size=8.5), dict(batch_size=float("inf")), dict(seed=1.5),
+        dict(seed=float("nan")),
+    ], ids=["batch", "lr-nan", "lr-inf", "lr-zero", "lr-negative", "iters", "seed",
+            "iters-fraction", "iters-nan", "iters-float", "batch-fraction", "batch-inf",
+            "seed-fraction", "seed-nan"])
     def test_train_config_rejects_settings_that_train_nothing(self, override):
         with pytest.raises(InvalidSetting):
             TrainConfig(**override)
+
+    def test_numpy_integer_counts_are_valid_settings(self):
+        cfg = TrainConfig(iterations=np.int64(2), batch_size=np.int32(4), seed=np.uint64(7))
+        model = build(tiny_config())
+        assert len(train(model, np.zeros((4, 32)), np.array([0, 1, 2, 0]), cfg)) == 2
 
     def test_zero_iterations_is_a_valid_setting(self):
         model = build(tiny_config())
