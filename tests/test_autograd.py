@@ -624,9 +624,9 @@ class TestAccumulate:
         np.testing.assert_array_equal(x.grad, expect)
 
 
-# --- the layer glue as written before its wide-row kernels, as references ---
-# Each kernel must give the same IEEE operations in the same order, so its
-# outputs and gradients must equal these bit for bit.
+# --- references: the layer glue in its plain broadcast and reduce form ---
+# Each wide-row kernel must give the same IEEE operations in the same order,
+# so its outputs and gradients must equal these bit for bit.
 
 
 def _conv_bias_reference(x, fb):
