@@ -7,6 +7,7 @@ new objects and never mutate their inputs.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -71,7 +72,7 @@ class SilenceConfig:
     """Threshold and analysis window for silence removal.
 
     threshold is an RMS level in [0, 0.5]; windows whose RMS falls
-    strictly below it are dropped.
+    strictly below it are dropped. window_seconds is positive and finite.
     """
 
     threshold: float = 0.03
@@ -80,8 +81,10 @@ class SilenceConfig:
     def __post_init__(self):
         if not 0.0 <= self.threshold <= 0.5:
             raise InvalidSetting(f"threshold must be in [0, 0.5], got {self.threshold}")
-        if self.window_seconds <= 0:
-            raise InvalidSetting("window_seconds must be positive")
+        if not 0 < self.window_seconds < math.inf:
+            raise InvalidSetting(
+                f"window_seconds must be positive and finite, got {self.window_seconds}"
+            )
 
 
 def load_wav(path) -> AudioClip:
@@ -167,24 +170,37 @@ def rms(values) -> float:
     return float(np.sqrt(np.mean(arr * arr)))
 
 
-def remove_silence(clip: AudioClip, cfg: SilenceConfig = SilenceConfig()) -> AudioClip:
-    """Drop consecutive fixed-duration windows whose RMS is below threshold.
+def window_rms(clip: AudioClip, cfg: SilenceConfig):
+    """(levels, win): the RMS of each consecutive window of win samples.
 
-    The clip is partitioned into non-overlapping windows of
-    cfg.window_seconds; surviving windows are concatenated in order. A
-    trailing partial window is judged by its own RMS. May return an
-    empty clip.
+    win is cfg.window_seconds of samples, capped at the clip length, so a
+    window longer than the clip makes the whole clip one window. A
+    trailing partial window is judged by its own RMS. An empty clip has
+    no windows.
+
+    Raises:
+        InvalidSetting: the window rounds to no sample.
     """
-    win = int(round(cfg.window_seconds * clip.sample_rate))
+    samples = clip.samples
+    win = int(round(min(cfg.window_seconds * clip.sample_rate, max(len(samples), 1))))
     if win <= 0:
         raise InvalidSetting("silence window shorter than one sample")
-    samples = clip.samples
     full = len(samples) - len(samples) % win
     levels = np.sqrt(np.mean(np.square(samples[:full].reshape(-1, win)), axis=1))
     if full < len(samples):
         levels = np.append(levels, rms(samples[full:]))
-    keep = np.repeat(levels >= cfg.threshold, win)[: len(samples)]
-    return AudioClip(samples[keep], clip.sample_rate)
+    return levels, win
+
+
+def remove_silence(clip: AudioClip, cfg: SilenceConfig = SilenceConfig()) -> AudioClip:
+    """Drop the `window_rms` windows whose RMS is below cfg.threshold.
+
+    Surviving windows are concatenated in order. May return an empty
+    clip.
+    """
+    levels, win = window_rms(clip, cfg)
+    keep = np.repeat(levels >= cfg.threshold, win)[: len(clip.samples)]
+    return AudioClip(clip.samples[keep], clip.sample_rate)
 
 
 def segment(

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioClip, SilenceConfig
+from .audio import AudioClip, SilenceConfig, window_rms
 from .errors import InvalidSetting, MvcnnError
 from .evaluation import (
     DEFAULT_GRIDS,
@@ -32,8 +32,10 @@ from .evaluation import (
     SyntheticClips,
     SyntheticSpec,
     clip_frame_features,
+    fold_rows,
     generate_synthetic,
     load_manifest,
+    make_method,
     prepare_fold,
     run_cv,
     run_sweep,
@@ -50,8 +52,6 @@ from .wasn import (
     train_server_model,
     write_records_csv,
 )
-
-WINDOW_CHOICES = (2**11, 2**12, 2**13, 2**14, 2**15)
 
 
 def resolved_flags(args) -> str:
@@ -71,36 +71,44 @@ def resolved_flags(args) -> str:
 
 
 def add_pipeline_flags(p):
-    p.add_argument("--window", type=int, default=2**14,
-                   help="segment window length in samples (power of two, 2048..32768)")
-    p.add_argument("--overlap", type=float, default=0.5,
+    p.add_argument("--window", type=int, default=PipelineConfig.window_len,
+                   choices=DEFAULT_GRIDS["window_size"],
+                   help="segment window length in samples")
+    p.add_argument("--overlap", type=float, default=PipelineConfig.overlap,
                    help="segment overlap fraction in [0, 1)")
-    p.add_argument("--silence-threshold", type=float, default=0.03,
+    p.add_argument("--silence-threshold", type=float, default=SilenceConfig.threshold,
                    help="RMS silence-removal threshold")
-    p.add_argument("--feature-len", type=int, default=512,
+    p.add_argument("--feature-len", type=int, default=PipelineConfig.feature_len,
                    help="bin-averaged feature vector length")
-    p.add_argument("--snr", type=float, default=None,
+    p.add_argument("--snr", type=float, default=PipelineConfig.snr_db,
                    help="inject Gaussian noise at this SNR (dB) before features")
-    p.add_argument("--highpass", type=float, default=None,
+    p.add_argument("--highpass", type=float, default=PipelineConfig.highpass_hz,
                    help="Butterworth high-pass cutoff (Hz) after any noise; "
                         "off by default, scenario nodes use 200")
 
 
 def add_train_flags(p):
-    p.add_argument("--lr", type=float, default=0.001, help="Adam learning rate")
-    p.add_argument("--dropout", type=float, default=0.8,
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate,
+                   help="Adam learning rate")
+    p.add_argument("--dropout", type=float, default=ModelConfig.keep_prob,
                    help="dropout rate = keep probability (0.8 keeps 80%%)")
-    p.add_argument("--iters", type=int, default=200, help="training iterations")
-    p.add_argument("--batch", type=int, default=16, help="minibatch size")
+    p.add_argument("--iters", type=int, default=TrainConfig.iterations,
+                   help="training iterations")
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size,
+                   help="minibatch size")
+
+
+def add_corpus_flags(p):
+    p.add_argument("--classes", type=int, default=SyntheticSpec.n_classes,
+                   help="synthetic class count")
+    p.add_argument("--clips-per-class", type=int, default=SyntheticSpec.clips_per_class)
+    p.add_argument("--clip-seconds", type=float, default=SyntheticSpec.clip_seconds)
 
 
 def add_dataset_flags(p):
     p.add_argument("--manifest", type=Path, default=None,
                    help="path,label CSV of WAV clips (default: built-in synthetic set)")
-    p.add_argument("--classes", type=int, default=4,
-                   help="synthetic class count when no manifest is given")
-    p.add_argument("--clips-per-class", type=int, default=16)
-    p.add_argument("--clip-seconds", type=float, default=3.0)
+    add_corpus_flags(p)
 
 
 def parse_list(flag, text, kind):
@@ -109,13 +117,6 @@ def parse_list(flag, text, kind):
         return tuple(kind(v) for v in text.split(","))
     except (ValueError, OverflowError):
         raise InvalidSetting(f"{flag} takes comma-separated numbers, got {text!r}") from None
-
-
-def check_window(parser, window):
-    if window not in WINDOW_CHOICES:
-        parser.error(
-            f"--window must be one of {WINDOW_CHOICES}, got {window}"
-        )
 
 
 def get_dataset(args):
@@ -185,33 +186,26 @@ def cmd_prep(args):
 
 
 def cmd_train(args):
-    train_cfg = TrainConfig(args.lr, args.iters, args.batch, args.seed)
     dataset = get_dataset(args)
     pipeline = get_pipeline(args)
+    # the method's configs are checked here, before any feature extraction
+    method = make_method(
+        "multiview" if args.arch == "multiview" else "single_view_cnn",
+        dataset.n_classes, pipeline.feature_dim, args.seed,
+        learning_rate=args.lr, iterations=args.iters, batch_size=args.batch,
+        keep_prob=args.dropout,
+    )
     per_clip = clip_frame_features(dataset, pipeline)
     train_idx, val_idx = stratified_fraction_split(
         dataset.labels, 1.0 - args.val_fraction, seed=args.seed
     )
     fold = prepare_fold(per_clip, dataset.labels, train_idx, val_idx, True)
-    val_frames = [f for f in fold.test_features if len(f)]
-    validation = None
-    if val_frames:
-        val_X = np.vstack(val_frames)
-        val_y = np.concatenate([
-            np.full(len(per_clip[i]), dataset.labels[i])
-            for i in val_idx if len(per_clip[i])
-        ])
-        validation = (val_X, val_y)
-    widths = (10, 15, 20) if args.arch == "multiview" else (10,)
-    model = build(
-        ModelConfig(
-            input_len=pipeline.feature_len, n_classes=dataset.n_classes,
-            view_widths=widths, keep_prob=args.dropout, seed=args.seed,
-        )
-    )
+    val_y = np.repeat(dataset.labels[val_idx], [len(f) for f in fold.test_features])
+    validation = (np.vstack(fold.test_features), val_y) if len(val_y) else None
+    model = build(method.model_cfg)
     history = train(
         model, fold.train_features, fold.train_labels,
-        train_cfg, validation=validation,
+        method.train_cfg, validation=validation,
     )
     model.norm_stats = fold.stats
     save(model, args.out)
@@ -251,14 +245,8 @@ def cmd_eval(args):
     if result.skipped_clips:
         print(f"  skipped {result.skipped_clips} test clips without frames")
     if args.out:
-        rows = [
-            {
-                "axis": "cv", "value": 0.0 if args.snr is None else args.snr,
-                "method": args.method, "fold": f, "seed": args.seed,
-                "accuracy": acc, "precision": prec, "recall": rec, "f1": f1,
-            }
-            for f, (acc, prec, rec, f1) in enumerate(report.fold_metrics)
-        ]
+        snr = 0.0 if args.snr is None else args.snr
+        rows = fold_rows("cv", snr, args.method, args.seed, result)
         write_results_csv(args.out, rows, meta=(resolved_flags(args),))
         print(f"fold metrics written to {args.out}")
     if args.confusion_out:
@@ -343,6 +331,7 @@ def cmd_simulate(args):
 
 
 def cmd_tune_threshold(args):
+    silence = SilenceConfig(window_seconds=args.window_seconds)
     if args.manifest is not None:
         dataset = load_manifest(args.manifest)
         names = {n.lower() for n in dataset.label_names}
@@ -363,16 +352,9 @@ def cmd_tune_threshold(args):
             (AudioClip(np.zeros(3 * sr), sr), 0) for _ in range(len(labeled) // 2)
         ]
         active_ids = {1}
-    windows = []
-    for clip, label in labeled:
-        win = int(round(args.window_seconds * clip.sample_rate))
-        if win < 1:
-            raise InvalidSetting(f"--window-seconds {args.window_seconds} holds no sample")
-        for start in range(0, len(clip.samples), win):
-            chunk = clip.samples[start : start + win]
-            if len(chunk):
-                windows.append((chunk, label in active_ids))
-    rho = tune_silence_threshold(windows)
+    levels = [window_rms(clip, silence)[0] for clip, _ in labeled]
+    active = [np.full(len(lv), lab in active_ids) for lv, (_, lab) in zip(levels, labeled)]
+    rho = tune_silence_threshold(np.concatenate(levels), np.concatenate(active))
     print(f"best silence threshold: {rho:.2f}")
     if args.out:
         Path(args.out).write_text(f"# {resolved_flags(args)}\nthreshold,{rho:.2f}\n")
@@ -388,12 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled corpus")
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--clips-per-class", type=int, default=16)
-    p.add_argument("--clip-seconds", type=float, default=3.0)
-    p.add_argument("--sample-rate", type=int, default=24000)
-    p.add_argument("--amplitude", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    add_corpus_flags(p)
+    p.add_argument("--sample-rate", type=int, default=SyntheticSpec.sample_rate)
+    p.add_argument("--amplitude", type=float, default=SyntheticSpec.amplitude)
+    p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
@@ -401,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_dataset_flags(p)
     add_pipeline_flags(p)
     p.add_argument("--mfcc", action="store_true", help="extract MFCCs instead of spectra")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     p.add_argument("--out", type=Path, required=True, help="output .npz path")
     p.set_defaults(func=cmd_prep)
 
@@ -411,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_train_flags(p)
     p.add_argument("--arch", choices=("multiview", "single"), default="multiview")
     p.add_argument("--val-fraction", type=float, default=0.25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     p.add_argument("--out", type=Path, required=True, help="model file path")
     p.add_argument("--history", type=Path, default=None,
                    help="history CSV path (default: <out>.history.csv)")
@@ -422,10 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_pipeline_flags(p)
     add_train_flags(p)
     p.add_argument("--method", choices=METHOD_NAMES, default="multiview")
-    p.add_argument("--k", type=int, default=10, help="number of folds")
+    p.add_argument("--k", type=int, default=SweepSpec.k, help="number of folds")
     p.add_argument("--frame-level", action="store_true",
                    help="score frames instead of clip-level majority votes")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     p.add_argument("--out", type=Path, default=None, help="fold metrics CSV")
     p.add_argument("--confusion-out", type=Path, default=None)
     p.set_defaults(func=cmd_eval)
@@ -437,12 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", required=True, choices=tuple(DEFAULT_GRIDS))
     p.add_argument("--grid", type=str, default=None,
                    help="comma-separated values (default: the standard grid)")
-    p.add_argument("--methods", type=str, default="multiview",
+    p.add_argument("--methods", type=str, default=",".join(SweepSpec.methods),
                    help="comma-separated method names")
-    p.add_argument("--seeds", type=str, default="0", help="comma-separated seeds")
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--seeds", type=str, default=",".join(map(str, SweepSpec.seeds)),
+                   help="comma-separated seeds")
+    p.add_argument("--k", type=int, default=SweepSpec.k)
     p.add_argument("--frame-level", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     p.add_argument("--out", type=Path, required=True, help="results CSV")
     p.set_defaults(func=cmd_sweep)
 
@@ -451,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, default=3)
     p.add_argument("--samples", type=int, default=24,
                    help="number of parameters to probe")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=ModelConfig.seed)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("simulate", help="run a node-to-server offload scenario")
@@ -460,15 +441,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="server model file (default: train one on the fly)")
     p.add_argument("--iters", type=int, default=150,
                    help="iterations for on-the-fly model training")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--out", type=Path, required=True, help="records CSV")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("tune-threshold", help="exhaustive silence-threshold search")
     p.add_argument("--manifest", type=Path, default=None,
                    help="clips labeled active/silent (default: synthetic demo)")
-    p.add_argument("--window-seconds", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--window-seconds", type=float, default=SilenceConfig.window_seconds)
+    p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_tune_threshold)
 
@@ -479,8 +460,6 @@ def dispatch(argv) -> int:
     """Parse argv and run the verb; argparse itself exits 2 on usage errors."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "window"):
-        check_window(parser, args.window)
     try:
         return args.func(args)
     except (MvcnnError, OSError) as exc:

@@ -20,14 +20,13 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioClip, SilenceConfig, load_wav, remove_silence, rms, save_wav, segment
+from .audio import AudioClip, SilenceConfig, load_wav, remove_silence, save_wav, segment
 from .errors import (
     EmptyDataset,
     EmptyMatrix,
@@ -35,10 +34,11 @@ from .errors import (
     InvalidOverlap,
     InvalidSetting,
     InvalidSpec,
+    LengthMismatch,
     NonPowerOfTwo,
     TooFewSamples,
 )
-from .knn import KnnModel, knn_classify_batch, tune_k
+from .knn import K_CANDIDATES, KnnModel, knn_classify_batch, tune_k
 from .model import ModelConfig, TrainConfig, build, predict, train
 from .spectral import (
     MFCC_COEFFS,
@@ -292,15 +292,14 @@ def kfold_split(labels, k: int = 10, seed: int = 0) -> list:
     if len(labels) < k:
         raise TooFewSamples(f"{len(labels)} samples cannot fill {k} folds")
     rng = np.random.Generator(np.random.PCG64(seed))
-    folds = [[] for _ in range(k)]
+    fold_of = np.empty(len(labels), dtype=np.int64)
     offset = 0
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
-        for j, i in enumerate(idx):
-            folds[(j + offset) % k].append(int(i))
+        fold_of[idx] = (np.arange(len(idx)) + offset) % k
         offset = (offset + len(idx)) % k
-    return [np.array(sorted(f), dtype=np.int64) for f in folds]
+    return [np.flatnonzero(fold_of == f) for f in range(k)]
 
 
 def stratified_fraction_split(labels, train_fraction: float, seed: int = 0):
@@ -433,18 +432,10 @@ class PipelineConfig:
             raise InvalidLength(
                 f"feature length {self.feature_len} outside [1, {bins}] spectrum bins"
             )
-        if self.snr_db is not None:
-            # add_noise_snr divides the clip's power by this ratio; a subnormal
-            # one makes the noise infinite for any clip louder than ~1e-12
-            try:
-                ratio = math.pow(10.0, self.snr_db / 10.0)
-            except OverflowError:
-                ratio = math.inf
-            if not sys.float_info.min <= ratio <= sys.float_info.max:
-                raise InvalidSetting(
-                    f"snr_db must be finite, with 10**(snr_db/10) a positive normal "
-                    f"float (about -3076 to 3082 dB), got {self.snr_db}"
-                )
+        # a power ratio within 1e+-100: for samples in [-1, 1], no square,
+        # sum or FFT power of the noisy clip can overflow
+        if self.snr_db is not None and not -1000 <= self.snr_db <= 1000:
+            raise InvalidSetting(f"snr_db must be in [-1000, 1000] dB, got {self.snr_db}")
 
     @property
     def feature_dim(self) -> int:
@@ -536,7 +527,7 @@ class CnnClassifier:
 class KnnClassifier:
     """KNN with k tuned on an inner stratified split of the training frames."""
 
-    def __init__(self, k_candidates=(1, 3, 5, 7), seed: int = 0):
+    def __init__(self, k_candidates=K_CANDIDATES, seed: int = 0):
         self.k_candidates = k_candidates
         self.seed = seed
         self.model = None
@@ -568,15 +559,16 @@ def make_method(
     feature_dim: int,
     seed: int = 0,
     *,
-    learning_rate: float = 0.001,
-    iterations: int = 200,
-    batch_size: int = 16,
-    keep_prob: float = 0.8,
-    k_candidates=(1, 3, 5, 7),
+    learning_rate: float = TrainConfig.learning_rate,
+    iterations: int = TrainConfig.iterations,
+    batch_size: int = TrainConfig.batch_size,
+    keep_prob: float = ModelConfig.keep_prob,
+    k_candidates=K_CANDIDATES,
 ):
     """Instantiate a classifier by method name with paper-default settings."""
     if name == "multiview" or name == "single_view_cnn":
-        widths = (10, 15, 20) if name == "multiview" else (10,)
+        widths = ModelConfig.view_widths
+        widths = widths if name == "multiview" else widths[:1]
         return CnnClassifier(
             ModelConfig(
                 input_len=feature_dim, n_classes=n_classes, view_widths=widths,
@@ -771,15 +763,21 @@ def run_sweep(
                     result = run_cv(
                         dataset, method, spec.k, seed, pipe, clip_level, **params
                     )
-                for fold, (acc, prec, rec, f1) in enumerate(result.report.fold_metrics):
-                    rows.append({
-                        "axis": spec.axis, "value": value, "method": method,
-                        "fold": fold, "seed": seed, "accuracy": acc,
-                        "precision": prec, "recall": rec, "f1": f1,
-                        "skipped_clips": result.skipped_clips,
-                    })
+                rows += fold_rows(spec.axis, value, method, seed, result)
     rows.sort(key=lambda r: (float(r["value"]), r["method"], r["fold"], r["seed"]))
     return rows
+
+
+def fold_rows(axis, value, method, seed, result: CvResult) -> list:
+    """One results row dict per fold of a run, each with the run's skipped_clips."""
+    return [
+        {
+            "axis": axis, "value": value, "method": method, "fold": fold,
+            "seed": seed, "accuracy": acc, "precision": prec, "recall": rec,
+            "f1": f1, "skipped_clips": result.skipped_clips,
+        }
+        for fold, (acc, prec, rec, f1) in enumerate(result.report.fold_metrics)
+    ]
 
 
 def write_results_csv(path, rows, meta=()) -> None:
@@ -799,22 +797,24 @@ def write_results_csv(path, rows, meta=()) -> None:
 
 # --- silence threshold tuning ---
 
-def tune_silence_threshold(windows) -> float:
+def tune_silence_threshold(levels, active) -> float:
     """Exhaustive threshold search over {0, 0.01, ..., 0.5}.
 
-    windows is a sequence of (samples, is_active) pairs; a window is
-    predicted active when its RMS is >= the threshold. Returns the
-    threshold with the best window-level accuracy, ties resolving to
-    the smallest value.
+    levels holds each labeled window's RMS (`audio.window_rms`) and
+    active its label; a window is predicted active when its level is
+    >= the threshold. Returns the threshold with the best window-level
+    accuracy, ties resolving to the smallest value.
 
     Raises:
         EmptyDataset: no labeled windows.
+        LengthMismatch: not one label per level.
     """
-    windows = list(windows)
-    if not windows:
+    levels = np.asarray(levels, dtype=np.float64)
+    truth = np.asarray(active, dtype=bool)
+    if levels.shape != truth.shape:
+        raise LengthMismatch(f"{len(truth)} labels for {len(levels)} window levels")
+    if not len(levels):
         raise EmptyDataset("no labeled windows to tune on")
-    levels = np.array([rms(w) for w, _ in windows])
-    truth = np.array([bool(a) for _, a in windows])
     rhos = np.arange(51) / 100.0
     acc = np.mean((levels >= rhos[:, None]) == truth, axis=1)
     return float(rhos[np.argmax(acc)])  # first max = smallest threshold

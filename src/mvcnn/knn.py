@@ -25,6 +25,8 @@ from .errors import EmptyDataset, InvalidSetting, LengthMismatch
 # queries arrive; the benchmark's searches each fit in one block.
 _BLOCK_ELEMENTS = 1 << 22
 
+K_CANDIDATES = (1, 3, 5, 7)  # the k values tune_k tries by default
+
 
 @dataclass(frozen=True)
 class KnnModel:
@@ -94,7 +96,7 @@ def tune_k(
     train_labels: np.ndarray,
     val_features: np.ndarray,
     val_labels: np.ndarray,
-    candidates=(1, 3, 5, 7),
+    candidates=K_CANDIDATES,
 ) -> int:
     """Pick the candidate k with the highest validation accuracy.
 

@@ -165,6 +165,8 @@ def server_classify(
 ) -> ClassificationRecord:
     """Normalize a message payload with the model's statistics and classify.
 
+    The server model and the nodes' fallback models both classify here.
+
     Raises:
         LengthMismatch: payload length differs from the model input.
     """
@@ -196,11 +198,11 @@ class Scenario:
     clip_seconds: float = 2.0
     sample_rate: int = 24000
     n_classes: int = 4
-    feature_len: int = 512
-    window_len: int = 2**14
-    overlap: float = 0.5
-    silence_threshold: float = 0.03
-    highpass_hz: float = 200.0
+    feature_len: int = NodeConfig.feature_len
+    window_len: int = NodeConfig.window_len
+    overlap: float = NodeConfig.overlap
+    silence_threshold: float = SilenceConfig.threshold
+    highpass_hz: float = NodeConfig.highpass_hz
     inter_clip_gap_ms: int = 250
     link_latency_ms: int = 10
     node_proc_ms: int = 35
@@ -373,10 +375,6 @@ class SimulationResult:
     events: list  # (time_ms, description), sorted by time
 
 
-def _in_any(t: int, windows) -> bool:
-    return any(start <= t < end for start, end in windows)
-
-
 def _release_time(t: int, windows) -> int:
     """Earliest time >= t outside every (possibly overlapping) window."""
     moved = True
@@ -506,7 +504,13 @@ def simulate(
         for start, end in spec.link_outages:
             events.append((start, f"link_down node={num}"))
             events.append((end, f"link_up node={num}"))
+        outages = tuple(spec.link_outages) + tuple(scenario.server_outages)
         hops = 1 if num == 1 else 2
+        transit = (
+            scenario.node_proc_ms + hops * scenario.link_latency_ms
+            + scenario.server_proc_ms
+        )
+        fb = fallback_models.get(num)
         t_clip = 0
         seq = 0
         for j in range(len(clips)):
@@ -517,45 +521,23 @@ def simulate(
             for msg in messages:
                 t_true = msg.timestamp_ms
                 wire = replace(msg, timestamp_ms=t_true + spec.clock_skew_ms)
-                offline = _in_any(t_true, spec.link_outages) or _in_any(
-                    t_true, scenario.server_outages
-                )
-                transit = (
-                    scenario.node_proc_ms
-                    + hops * scenario.link_latency_ms
-                    + scenario.server_proc_ms
-                )
-                if not offline:
-                    records.append(server_classify(wire, server_model, transit))
-                elif scenario.fallback_policy == "buffer":
-                    held_until = _release_time(
-                        t_true,
-                        tuple(spec.link_outages) + tuple(scenario.server_outages),
-                    )
+                held = _release_time(t_true, outages)
+                if held == t_true or scenario.fallback_policy == "buffer":
                     records.append(
-                        server_classify(
-                            wire, server_model, (held_until - t_true) + transit
-                        )
+                        server_classify(wire, server_model, (held - t_true) + transit)
                     )
-                else:
-                    fb = fallback_models.get(num)
-                    if fb is None:
-                        raise InvalidScenario(
-                            f"node {num} hit an outage at t={t_true} ms but has "
-                            "no fallback model"
-                        )
-                    feats = normalize(
-                        wire.payload.astype(np.float64), fb.norm_stats
+                    continue
+                if fb is None:
+                    raise InvalidScenario(
+                        f"node {num} hit an outage at t={t_true} ms but has "
+                        "no fallback model"
                     )
-                    probs = forward(fb, feats)
-                    predicted = spec.fallback_classes[int(np.argmax(probs))]
-                    records.append(
-                        ClassificationRecord(
-                            wire.node_id, wire.sequence_no, wire.timestamp_ms,
-                            ORIGIN_FALLBACK, predicted, probs,
-                            scenario.node_proc_ms + scenario.fallback_proc_ms,
-                        )
-                    )
+                rec = server_classify(
+                    wire, fb, scenario.node_proc_ms + scenario.fallback_proc_ms
+                )
+                rec.origin = ORIGIN_FALLBACK
+                rec.predicted = spec.fallback_classes[rec.predicted]
+                records.append(rec)
 
     records.sort(key=lambda r: (r.node_id, r.sequence_no))
     events.sort(key=lambda e: (e[0], e[1]))

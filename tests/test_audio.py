@@ -14,8 +14,15 @@ from mvcnn.audio import (
     rms,
     save_wav,
     segment,
+    window_rms,
 )
-from mvcnn.errors import EmptyInput, InvalidOverlap, MalformedWav, UnsupportedFormat
+from mvcnn.errors import (
+    EmptyInput,
+    InvalidOverlap,
+    InvalidSetting,
+    MalformedWav,
+    UnsupportedFormat,
+)
 
 
 def make_wav_bytes(samples_i16, sample_rate=24000, n_channels=1, bits=16, fmt_tag=1):
@@ -185,6 +192,59 @@ class TestRemoveSilence:
             np.testing.assert_array_equal(
                 out.samples, np.concatenate(expected) if expected else np.empty(0)
             )
+
+
+class TestWindowRms:
+    @staticmethod
+    def per_window_levels(samples, win):
+        """Test-only oracle: rms() of each consecutive slice of win samples."""
+        return [rms(samples[s : s + win]) for s in range(0, len(samples), win)]
+
+    def test_matches_per_window_rms(self):
+        rng = np.random.Generator(np.random.PCG64(19))
+        for _ in range(300):
+            sr = int(rng.choice([1000, 8000, 24000]))
+            win = int(rng.integers(1, 400))
+            # full windows, a trailing partial one, or fewer samples than one window
+            n = int(rng.integers(0, 6)) * win + int(rng.integers(0, win + 1))
+            samples = rng.normal(0, rng.uniform(0, 0.5), n)
+            levels, got_win = window_rms(AudioClip(samples, sr),
+                                         SilenceConfig(window_seconds=win / sr))
+            assert got_win == (min(win, n) or 1)
+            np.testing.assert_array_equal(levels, self.per_window_levels(samples, got_win))
+            assert len(levels) == -(-n // win)
+
+    def test_window_longer_than_the_clip_is_the_whole_clip(self):
+        samples = np.linspace(-0.4, 0.3, 100)
+        for seconds in (1.0, 1e6, 1e15, 1e308):
+            levels, win = window_rms(AudioClip(samples, 24000),
+                                     SilenceConfig(window_seconds=seconds))
+            assert win == 100
+            np.testing.assert_array_equal(levels, [rms(samples)])
+
+    def test_empty_clip_has_no_windows(self):
+        levels, _ = window_rms(AudioClip(np.empty(0), 24000), SilenceConfig())
+        assert levels.shape == (0,)
+
+    def test_window_of_no_sample(self):
+        with pytest.raises(InvalidSetting, match="shorter than one sample"):
+            window_rms(AudioClip(np.ones(10), 1000), SilenceConfig(window_seconds=1e-4))
+
+    @pytest.mark.parametrize("seconds", [0.0, -1.0, float("nan"), float("inf")])
+    def test_config_refuses_a_window_that_is_not_positive_and_finite(self, seconds):
+        with pytest.raises(InvalidSetting, match="window_seconds"):
+            SilenceConfig(window_seconds=seconds)
+
+    @pytest.mark.parametrize("seconds", [1e6, 1e15])
+    def test_remove_silence_with_a_window_longer_than_the_clip(self, seconds):
+        # one window of 100 samples, not a mask of a full window's length
+        samples = np.full(100, 0.2)
+        cfg = SilenceConfig(threshold=0.1, window_seconds=seconds)
+        np.testing.assert_array_equal(
+            remove_silence(AudioClip(samples, 24000), cfg).samples, samples
+        )
+        quiet = AudioClip(samples / 4, 24000)
+        assert len(remove_silence(quiet, cfg)) == 0
 
 
 class TestSegment:

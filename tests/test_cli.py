@@ -13,9 +13,12 @@ from mvcnn.evaluation import (
     clip_frame_features,
     generate_synthetic,
     load_manifest,
+    make_method,
+    prepare_fold,
     save_dataset,
+    stratified_fraction_split,
 )
-from mvcnn.model import ModelConfig, build, load, save
+from mvcnn.model import ModelConfig, build, load, save, train
 from mvcnn.wasn import NodeConfig, node_process
 
 SMALL_DATA = ["--classes", "3", "--clips-per-class", "4", "--clip-seconds", "0.5"]
@@ -174,6 +177,24 @@ def test_train_deterministic_outputs(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     # history differs only in the embedded --out/--history flags
     assert h1.read_text().splitlines()[1:] == h2.read_text().splitlines()[1:]
+
+
+def test_train_single_saves_the_single_view_method(tmp_path):
+    # train --arch single builds and trains what the harness's single_view_cnn does
+    out = tmp_path / "single.mvc"
+    assert dispatch([*train_args(out), "--arch", "single", "--val-fraction", "0.5"]) == 0
+    dataset = small_synthetic(seed=3)
+    pipeline = PipelineConfig(window_len=2048, feature_len=64)
+    method = make_method("single_view_cnn", 3, 64, 3, iterations=8)
+    assert method.model_cfg.view_widths == (10,)
+    per_clip = clip_frame_features(dataset, pipeline)
+    train_idx, val_idx = stratified_fraction_split(dataset.labels, 0.5, seed=3)
+    fold = prepare_fold(per_clip, dataset.labels, train_idx, val_idx, True)
+    model = build(method.model_cfg)
+    train(model, fold.train_features, fold.train_labels, method.train_cfg)
+    model.norm_stats = fold.stats
+    save(model, tmp_path / "want.mvc")
+    assert out.read_bytes() == (tmp_path / "want.mvc").read_bytes()
 
 
 def test_eval_knn_writes_metrics(tmp_path, capsys):
@@ -371,6 +392,10 @@ def test_model_without_views_is_one_error_line(tmp_path):
          None),
         (["sweep", *SMALL_DATA, *SMALL_PIPE, "--axis", "snr", "--grid", "4000",
           "--methods", "knn_spectrum"], None),
+        (["eval", *SMALL_DATA, *SMALL_PIPE, "--method", "knn_spectrum", "--snr=-3070"],
+         None),
+        (["tune-threshold", "--window-seconds", "nan"], None),
+        (["tune-threshold", "--window-seconds", "inf"], None),
     ],
     ids=["prep-threshold", "scenario-threshold", "scenario-window", "sweep-method",
          "sweep-fraction", "sweep-k", "synth-seed", "prep-seed", "train-seed", "eval-seed",
@@ -379,7 +404,8 @@ def test_model_without_views_is_one_error_line(tmp_path):
          "sweep-seeds", "synth-seconds-nan", "synth-seconds-inf", "scenario-seconds-nan",
          "synth-classes-14", "synth-classes-2000", "scenario-classes-2000",
          "eval-snr-4000", "eval-snr-minus-4000", "eval-snr-minus-inf", "eval-snr-nan",
-         "sweep-snr-4000"],
+         "sweep-snr-4000", "eval-snr-minus-3070", "tune-threshold-window-nan",
+         "tune-threshold-window-inf"],
 )
 def test_bad_setting_is_one_error_line(tmp_path, argv, scenario):
     argv = [*argv, "--out", str(tmp_path / "out")]
@@ -397,6 +423,8 @@ def test_bad_setting_is_one_error_line(tmp_path, argv, scenario):
         assert re.search(r"\bk\b", lines[0])  # the message names the bad flag
     if any(a.startswith("--snr") for a in argv) or "4000" in argv:
         assert "snr_db" in lines[0]
+    if "--window-seconds" in argv:
+        assert "window_seconds" in lines[0]
 
 
 def test_gradcheck_negative_seed_is_one_error_line():
@@ -417,7 +445,9 @@ def test_runtime_error_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_tune_threshold_with_manifest(tmp_path, capsys):
+@pytest.mark.parametrize("window", [[], ["--window-seconds", "1e15"]],
+                         ids=["one-second", "longer-than-the-clips"])
+def test_tune_threshold_with_manifest(tmp_path, capsys, window):
     sr = 8000
     t = np.arange(sr) / sr
     save_wav(tmp_path / "a.wav", AudioClip(0.5 * np.sin(2 * np.pi * 440 * t), sr))
@@ -427,7 +457,7 @@ def test_tune_threshold_with_manifest(tmp_path, capsys):
     )
     out = tmp_path / "rho.txt"
     code = dispatch([
-        "tune-threshold", "--manifest", str(tmp_path / "m.csv"),
+        "tune-threshold", "--manifest", str(tmp_path / "m.csv"), *window,
         "--out", str(out),
     ])
     assert code == 0

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mvcnn.audio import AudioClip
+from mvcnn.audio import AudioClip, rms
 from mvcnn import evaluation
 from mvcnn.errors import (
     EmptyDataset,
@@ -13,6 +13,7 @@ from mvcnn.errors import (
     InvalidOverlap,
     InvalidSetting,
     InvalidSpec,
+    LengthMismatch,
     NonPowerOfTwo,
     TooFewSamples,
 )
@@ -108,6 +109,33 @@ class TestKfold:
     def test_fold_count_and_seed_checked(self, k, seed):
         with pytest.raises(InvalidSetting):
             kfold_split(np.zeros(8), k, seed=seed)
+
+    @staticmethod
+    def dealt_folds(labels, k, seed):
+        """Test-only oracle: each shuffled class dealt one sample at a time."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        folds = [[] for _ in range(k)]
+        offset = 0
+        for cls in np.unique(labels):
+            idx = np.flatnonzero(labels == cls)
+            rng.shuffle(idx)
+            for j, i in enumerate(idx):
+                folds[(j + offset) % k].append(int(i))
+            offset = (offset + len(idx)) % k
+        return [np.array(sorted(f), dtype=np.int64) for f in folds]
+
+    def test_matches_the_one_sample_at_a_time_deal(self):
+        rng = np.random.Generator(np.random.PCG64(23))
+        for trial in range(200):
+            n = int(rng.integers(2, 120))
+            labels = rng.integers(0, int(rng.integers(1, 9)), n)
+            k = int(rng.integers(2, n + 1))
+            got = kfold_split(labels, k, seed=trial)
+            want = self.dealt_folds(labels, k, trial)
+            assert len(got) == k
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
 
 
 class TestMetrics:
@@ -210,15 +238,17 @@ class TestSynthetic:
         with pytest.raises(error):
             replace(SMALL_PIPE, **change)
 
-    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, 3083.0, -3200.0,
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, 3083.0, -3200.0, -3070.0,
+                                        1000.5, -1000.5,
                                         float("inf"), float("-inf"), float("nan")])
     def test_config_refuses_snr_whose_power_ratio_is_not_a_normal_float(self, snr_db):
-        # 10**(snr/10) overflows above ~3082 dB and is subnormal or 0 below
-        # ~-3076 dB; add_noise_snr divides the clip's power by it
+        # snr_db is bounded to [-1000, 1000] dB, a power ratio of 1e+-100:
+        # -3070 dB is a normal-float ratio, but its noise overflows the
+        # silence gate's mean of squares
         with pytest.raises(InvalidSetting, match=f"snr_db.*got {snr_db}"):
             replace(SMALL_PIPE, snr_db=snr_db)
 
-    @pytest.mark.parametrize("snr_db", [-3000.0, -60.0, 0.0, 6, 3000.0])
+    @pytest.mark.parametrize("snr_db", [-1000.0, -60.0, 0.0, 6, 1000.0])
     def test_config_keeps_every_snr_with_a_finite_noise_level(self, snr_db):
         clip = small_dataset().clips[0]
         assert replace(SMALL_PIPE, snr_db=snr_db).snr_db == snr_db
@@ -694,20 +724,25 @@ class TestTuneThreshold:
     def test_separable_windows_return_smallest_perfect(self):
         rng = np.random.Generator(np.random.PCG64(6))
         t = np.arange(1000) / 1000
-        active = [
-            (0.5 * np.sin(2 * np.pi * 50 * t + rng.uniform()), True)
-            for _ in range(10)
-        ]
-        silent = [(np.zeros(1000), False) for _ in range(10)]
-        assert tune_silence_threshold(active + silent) == pytest.approx(0.01)
+        active = [rms(0.5 * np.sin(2 * np.pi * 50 * t + rng.uniform())) for _ in range(10)]
+        levels = active + [0.0] * 10
+        labels = [True] * 10 + [False] * 10
+        assert tune_silence_threshold(levels, labels) == pytest.approx(0.01)
 
     def test_all_active_returns_zero(self):
-        windows = [(np.full(100, 0.4), True) for _ in range(5)]
-        assert tune_silence_threshold(windows) == 0.0
+        assert tune_silence_threshold(np.full(5, 0.4), np.ones(5, dtype=bool)) == 0.0
+
+    def test_levels_on_a_threshold_count_as_active(self):
+        # 0.07 >= 0.07 is active, so 0.07 separates the two windows
+        assert tune_silence_threshold([0.07, 0.0699], [True, False]) == 0.07
 
     def test_empty(self):
         with pytest.raises(EmptyDataset):
-            tune_silence_threshold([])
+            tune_silence_threshold([], [])
+
+    def test_one_label_per_level(self):
+        with pytest.raises(LengthMismatch):
+            tune_silence_threshold([0.1, 0.2, 0.3], [True])
 
 
 class TestDatasetIo:
