@@ -1,8 +1,8 @@
 """Audio ingestion and node-side time-domain preprocessing.
 
 Covers WAV loading, RMS-threshold silence removal, sliding-window
-segmentation and Hamming windowing. All functions are pure: they return
-new objects and never mutate their inputs.
+segmentation into a read-only frame matrix and the Hamming window. All
+functions are pure: they never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -51,20 +51,6 @@ class AudioClip:
     @property
     def duration_seconds(self) -> float:
         return len(self.samples) / self.sample_rate
-
-
-@dataclass(frozen=True)
-class Frame:
-    """A fixed-length window of samples copied out of a source clip."""
-
-    values: np.ndarray
-    start_offset: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-
-    def __len__(self):
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -203,14 +189,21 @@ def remove_silence(clip: AudioClip, cfg: SilenceConfig = SilenceConfig()) -> Aud
     return AudioClip(clip.samples[keep], clip.sample_rate)
 
 
+def hop_length(window_len: int, overlap_fraction: float) -> int:
+    """Samples between the starts of consecutive frames: window_len *
+    (1 - overlap_fraction) rounded down, at least 1."""
+    return max(1, int(window_len * (1.0 - overlap_fraction)))
+
+
 def segment(
     clip: AudioClip, window_len: int = 2**14, overlap_fraction: float = 0.5
-) -> list[Frame]:
+) -> np.ndarray:
     """Cut a clip into sliding windows of raw (un-windowed) samples.
 
-    Frames start at offsets 0, hop, 2*hop, ... with
-    hop = window_len * (1 - overlap_fraction) rounded down. Returns an
-    empty list when the clip is shorter than one window.
+    Returns a read-only [n_frames, window_len] view of the clip's samples
+    whose row i starts at sample i * hop_length(window_len,
+    overlap_fraction). A clip shorter than one window gives a
+    [0, window_len] array.
 
     Raises:
         InvalidOverlap: overlap_fraction outside [0, 1).
@@ -220,15 +213,10 @@ def segment(
         raise InvalidOverlap(f"overlap must be in [0, 1), got {overlap_fraction}")
     if window_len < 1 or window_len & (window_len - 1):
         raise NonPowerOfTwo(f"window_len must be a power of two, got {window_len}")
-    n = len(clip.samples)
-    if n < window_len:
-        return []
-    hop = max(1, int(window_len * (1.0 - overlap_fraction)))
-    count = (n - window_len) // hop + 1
-    return [
-        Frame(clip.samples[i * hop : i * hop + window_len].copy(), start_offset=i * hop)
-        for i in range(count)
-    ]
+    if len(clip.samples) < window_len:
+        return np.empty((0, window_len))
+    windows = np.lib.stride_tricks.sliding_window_view(clip.samples, window_len)
+    return windows[:: hop_length(window_len, overlap_fraction)]
 
 
 @lru_cache(maxsize=8)
@@ -242,11 +230,3 @@ def hamming_coefficients(n: int) -> np.ndarray:
     window = 0.54 - 0.46 * np.cos(2.0 * np.pi * k / n)
     window.flags.writeable = False
     return window
-
-
-def apply_hamming(frame: Frame) -> Frame:
-    """Multiply a frame by the periodic Hamming window."""
-    n = len(frame.values)
-    if n == 0:
-        raise EmptyInput("cannot window an empty frame")
-    return Frame(frame.values * hamming_coefficients(n), frame.start_offset)

@@ -37,7 +37,6 @@ from .errors import (
     ChannelMismatch,
     InputTooShort,
     InvalidProbability,
-    InvalidSetting,
     NotOneHot,
     ShapeMismatch,
 )
@@ -320,14 +319,13 @@ def tanh_act(x: Tensor) -> Tensor:
     return _node(out_data, (x,), backward)
 
 
-def maxpool1d(x: Tensor, window: int = 3, stride: int = 3) -> Tensor:
-    """Max pooling over the length axis of [B, L, C].
+def maxpool1d(x: Tensor, window: int = 3) -> Tensor:
+    """Max pooling over the length axis of [B, L, C] in non-overlapping
+    windows (stride = window).
 
     Trailing positions that do not fill a window are dropped. The
     gradient routes to the first maximal position of each window.
     """
-    if window != stride:
-        raise InvalidSetting("only window == stride pooling is supported")
     if x.data.ndim != 3:
         raise ShapeMismatch(f"pool input must be [B, L, C], got {x.shape}")
     batch, length, channels = x.data.shape

@@ -186,6 +186,8 @@ def cmd_prep(args):
 
 
 def cmd_train(args):
+    if not 0.0 < args.val_fraction < 1.0:
+        raise InvalidSetting(f"--val-fraction must be in (0, 1), got {args.val_fraction}")
     dataset = get_dataset(args)
     pipeline = get_pipeline(args)
     # the method's configs are checked here, before any feature extraction

@@ -26,7 +26,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioClip, SilenceConfig, load_wav, remove_silence, save_wav, segment
+from .audio import (
+    AudioClip,
+    SilenceConfig,
+    hamming_coefficients,
+    load_wav,
+    remove_silence,
+    save_wav,
+    segment,
+)
 from .errors import (
     EmptyDataset,
     EmptyMatrix,
@@ -44,7 +52,6 @@ from .spectral import (
     MFCC_COEFFS,
     add_noise_snr,
     fit_normalizer,
-    hamming_coefficients,
     highpass_butterworth,
     mfcc_features,
     normalize,
@@ -442,23 +449,18 @@ class PipelineConfig:
         return self.feature_len if self.feature_kind == "spectrum" else MFCC_COEFFS
 
 
-def clip_features(clip: AudioClip, pipeline: PipelineConfig):
-    """([n_frames, D] features, frames) of one clip: optional high-pass,
-    silence removal, segmentation, Hamming window, then bin-averaged FFT
+def clip_features(clip: AudioClip, pipeline: PipelineConfig) -> np.ndarray:
+    """[n_frames, D] features of one clip: optional high-pass, silence
+    removal, segmentation, Hamming window, then bin-averaged FFT
     magnitudes or MFCCs. No frames gives a [0, D] matrix."""
     if pipeline.highpass_hz is not None:
         clip = highpass_butterworth(clip, pipeline.highpass_hz)
     active = remove_silence(clip, pipeline.silence)
-    frames = (
-        segment(active, pipeline.window_len, pipeline.overlap) if len(active) else []
-    )
-    if not frames:
-        return np.empty((0, pipeline.feature_dim)), frames
+    frames = segment(active, pipeline.window_len, pipeline.overlap)
+    windowed = frames * hamming_coefficients(pipeline.window_len)
     if pipeline.feature_kind == "spectrum":
-        return spectrum_features(frames, pipeline.feature_len), frames
-    mat = np.stack([f.values for f in frames])
-    mat = mat * hamming_coefficients(mat.shape[1])
-    return mfcc_features(mat, clip.sample_rate), frames
+        return spectrum_features(windowed, pipeline.feature_len)
+    return mfcc_features(windowed, clip.sample_rate)
 
 
 def clip_frame_features(dataset: ClipDataset, pipeline: PipelineConfig) -> list:
@@ -471,7 +473,7 @@ def clip_frame_features(dataset: ClipDataset, pipeline: PipelineConfig) -> list:
                 clip, pipeline.snr_db,
                 seed=(pipeline.noise_seed * 1_000_003 + i) & 0x7FFFFFFFFFFF,
             )
-        out.append(clip_features(clip, pipeline)[0])
+        out.append(clip_features(clip, pipeline))
     return out
 
 

@@ -195,7 +195,7 @@ def forward_batch(
         assert h.shape[1] == model.config.input_len  # same padding holds per layer
         view_outs.append(h)
     merged = view_outs[0] if len(view_outs) == 1 else concat_channels(view_outs)
-    flat = flatten(maxpool1d(merged, POOL_WINDOW, POOL_WINDOW))
+    flat = flatten(maxpool1d(merged, POOL_WINDOW))
     dropped = dropout(flat, model.config.keep_prob, train, dropout_seed)
     return dense_softmax(dropped, model.fc_weights, model.fc_bias)
 

@@ -4,8 +4,9 @@ FFT magnitude spectra, bin-averaged feature vectors, log/z-score
 normalization, a Butterworth high-pass for wind rejection, MFCCs for
 the baseline classifiers, and SNR-controlled Gaussian noise injection.
 
-Frames must have a power-of-two length. Every transform goes through
-power_spectra, which runs numpy's real FFT over a whole frame batch.
+Frames arrive as one Hamming-windowed [n, N] matrix with N a power of
+two. Every transform goes through power_spectra, which runs numpy's real
+FFT over the whole batch.
 
 The high-pass runs each biquad as a two-level block scan of its
 state-space recurrence (Blelloch, "Prefix Sums and Their Applications",
@@ -27,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import AudioClip, Frame, hamming_coefficients
+from .audio import AudioClip
 from .errors import (
     BadMagic,
     EmptyTrainingSet,
@@ -50,20 +51,6 @@ HIGHPASS_BLOCK = 32
 _GROUP_BLOCKS = 32
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Magnitudes of FFT bins 0..N/2 of a real frame of length N."""
-
-    bins: np.ndarray
-    source_len: int
-    sample_rate: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "bins", np.asarray(self.bins, dtype=np.float64))
-        if len(self.bins) != self.source_len // 2 + 1:
-            raise InvalidSetting("bin count must be source_len/2 + 1")
-
-
 # --- FFT ---
 
 def _check_power_of_two(n: int):
@@ -82,15 +69,6 @@ def power_spectra(frames: np.ndarray) -> np.ndarray:
     return half.real**2 + half.imag**2
 
 
-def fft_magnitude(frame: Frame, sample_rate: int = 24000) -> Spectrum:
-    """Magnitude spectrum of a (windowed) frame, bins 0..N/2 inclusive.
-
-    Raises:
-        NonPowerOfTwo: frame length is not a power of two.
-    """
-    return Spectrum(np.sqrt(power_spectra(frame.values)), len(frame.values), sample_rate)
-
-
 # --- feature vectors ---
 
 def _group_starts(count: int, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -102,16 +80,7 @@ def _group_starts(count: int, L: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _average_groups(values: np.ndarray, L: int) -> np.ndarray:
-    """Average the last axis over L contiguous, near-equal bin groups."""
-    count = values.shape[-1]
-    if not 1 <= L <= count:
-        raise InvalidLength(f"feature length {L} outside [1, {count}] spectrum bins")
-    starts, sizes = _group_starts(count, L)
-    return np.add.reduceat(values, starts, axis=-1) / sizes
-
-
-def bin_average(spec: Spectrum, L: int) -> np.ndarray:
-    """Compress a spectrum to L values by averaging contiguous bin groups.
+    """Compress the last axis to L values by averaging contiguous bin groups.
 
     Bins are split into L groups as equal as possible (the first
     count mod L groups get one extra bin); the output is each group's mean.
@@ -119,20 +88,24 @@ def bin_average(spec: Spectrum, L: int) -> np.ndarray:
     Raises:
         InvalidLength: L outside [1, bin count].
     """
-    return _average_groups(spec.bins, L)
+    count = values.shape[-1]
+    if not 1 <= L <= count:
+        raise InvalidLength(f"feature length {L} outside [1, {count}] spectrum bins")
+    starts, sizes = _group_starts(count, L)
+    return np.add.reduceat(values, starts, axis=-1) / sizes
 
 
-def spectrum_features(frames: list[Frame], feature_len: int = 512) -> np.ndarray:
-    """Hamming-window, FFT and bin-average a list of frames in one batch.
+def spectrum_features(frames: np.ndarray, feature_len: int = 512) -> np.ndarray:
+    """FFT magnitudes of a [n_frames, N] matrix of windowed frames, bin-averaged.
 
     Returns a [n_frames, feature_len] array of non-negative magnitudes
-    (pre-normalization). All frames must share one power-of-two length.
+    (pre-normalization).
+
+    Raises:
+        NonPowerOfTwo: N is not a power of two.
+        InvalidLength: feature_len outside [1, N/2 + 1].
     """
-    if not frames:
-        return np.empty((0, feature_len))
-    n = len(frames[0].values)
-    mat = np.stack([f.values for f in frames]) * hamming_coefficients(n)
-    return _average_groups(np.sqrt(power_spectra(mat)), feature_len)
+    return _average_groups(np.sqrt(power_spectra(frames)), feature_len)
 
 
 # --- normalization ---
@@ -451,33 +424,22 @@ def dct_matrix(n: int) -> np.ndarray:
     return mat
 
 
-def mfcc(
-    frame: Frame,
-    sample_rate: int = 24000,
-    n_filters: int = MFCC_FILTERS,
-    n_coeffs: int = MFCC_COEFFS,
-) -> np.ndarray:
-    """Mel-frequency cepstral coefficients of a Hamming-windowed frame.
-
-    Power spectrum -> triangular mel filterbank -> log (floored at
-    1e-10) -> orthonormal DCT-II, first n_coeffs coefficients.
-
-    Raises:
-        NonPowerOfTwo: frame length unsuitable for the FFT.
-        InvalidCounts: n_coeffs exceeds n_filters.
-    """
-    return mfcc_features(
-        frame.values[None, :], sample_rate, n_filters, n_coeffs
-    )[0]
-
-
 def mfcc_features(
     frames: np.ndarray,
     sample_rate: int = 24000,
     n_filters: int = MFCC_FILTERS,
     n_coeffs: int = MFCC_COEFFS,
 ) -> np.ndarray:
-    """Batched MFCC over a [n_frames, N] matrix of windowed frames."""
+    """Mel-frequency cepstral coefficients of a [n_frames, N] matrix of
+    windowed frames.
+
+    Power spectrum -> triangular mel filterbank -> log (floored at
+    1e-10) -> orthonormal DCT-II, first n_coeffs coefficients.
+
+    Raises:
+        NonPowerOfTwo: N unsuitable for the FFT.
+        InvalidCounts: n_coeffs exceeds n_filters.
+    """
     if n_coeffs > n_filters:
         raise InvalidCounts(f"n_coeffs {n_coeffs} > n_filters {n_filters}")
     frames = np.asarray(frames, dtype=np.float64)

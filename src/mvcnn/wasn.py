@@ -31,7 +31,7 @@ from math import ceil
 
 import numpy as np
 
-from .audio import AudioClip, SilenceConfig
+from .audio import AudioClip, SilenceConfig, hop_length
 from .errors import (
     BadMagic,
     CrcMismatch,
@@ -138,10 +138,10 @@ def node_process(
     Message timestamps mark when each window is fully captured, relative
     to start_ms.
     """
-    features, frames = clip_features(clip, cfg)
+    hop = hop_length(cfg.window_len, cfg.overlap)
     messages = []
-    for i, (frame, row) in enumerate(zip(frames, features)):
-        end_sample = frame.start_offset + cfg.window_len
+    for i, row in enumerate(clip_features(clip, cfg)):
+        end_sample = i * hop + cfg.window_len
         ts = start_ms + int(round(1000.0 * end_sample / clip.sample_rate))
         messages.append(SpectrumMessage(cfg.node_id, seq_start + i, ts, row))
     return messages
@@ -342,7 +342,7 @@ def parse_scenario(text: str) -> Scenario:
             else:
                 raise InvalidScenario(f"line {lineno}: unknown node key {key!r}")
 
-    n_nodes = top.get("n_nodes", 5)
+    n_nodes = top.get("n_nodes", Scenario.n_nodes)
     for num in node_sections:
         if not 1 <= num <= n_nodes:
             raise InvalidScenario(f"section [node {num}] outside 1..{n_nodes}")
@@ -477,6 +477,10 @@ def simulate(
             f"input {server_model.config.input_len}"
         )
     for num, fb in fallback_models.items():
+        if not 1 <= num <= scenario.n_nodes:
+            raise InvalidScenario(
+                f"fallback model for node {num} outside 1..{scenario.n_nodes}"
+            )
         subset = scenario.nodes[num - 1].fallback_classes
         if not subset:
             raise InvalidScenario(f"node {num} has a fallback model but no classes")

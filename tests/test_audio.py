@@ -5,9 +5,7 @@ import pytest
 
 from mvcnn.audio import (
     AudioClip,
-    Frame,
     SilenceConfig,
-    apply_hamming,
     hamming_coefficients,
     load_wav,
     remove_silence,
@@ -249,27 +247,34 @@ class TestWindowRms:
 
 class TestSegment:
     def test_three_frames_half_overlap(self):
-        clip = AudioClip(np.arange(32768) / 32768.0, 24000)
-        frames = segment(clip, 16384, 0.5)
-        assert [f.start_offset for f in frames] == [0, 8192, 16384]
-        assert all(len(f) == 16384 for f in frames)
+        samples = np.arange(32768) / 32768.0
+        frames = segment(AudioClip(samples, 24000), 16384, 0.5)
+        assert frames.shape == (3, 16384)
+        for i, row in enumerate(frames):
+            np.testing.assert_array_equal(row, samples[i * 8192 : i * 8192 + 16384])
 
     def test_short_clip_yields_nothing(self):
-        assert segment(AudioClip(np.zeros(100), 24000), 2048, 0.5) == []
+        assert segment(AudioClip(np.zeros(100), 24000), 2048, 0.5).shape == (0, 2048)
 
     def test_no_overlap_tiles(self):
-        clip = AudioClip(np.zeros(4096), 24000)
-        frames = segment(clip, 2048, 0.0)
-        assert [f.start_offset for f in frames] == [0, 2048]
+        samples = np.arange(4096.0)
+        frames = segment(AudioClip(samples, 24000), 2048, 0.0)
+        np.testing.assert_array_equal(frames, samples.reshape(2, 2048))
 
-    def test_frames_copy_raw_samples(self):
+    def test_rows_are_raw_samples(self):
         rng = np.random.Generator(np.random.PCG64(5))
         samples = rng.normal(size=70000)
-        clip = AudioClip(samples, 24000)
-        for frame in segment(clip, 16384, 0.5):
-            np.testing.assert_array_equal(
-                frame.values, samples[frame.start_offset : frame.start_offset + 16384]
-            )
+        frames = segment(AudioClip(samples, 24000), 16384, 0.5)
+        assert len(frames) == (70000 - 16384) // 8192 + 1
+        for i, row in enumerate(frames):
+            np.testing.assert_array_equal(row, samples[i * 8192 : i * 8192 + 16384])
+
+    def test_frames_are_a_read_only_view(self):
+        clip = AudioClip(np.arange(8192.0), 24000)
+        frames = segment(clip, 2048, 0.5)
+        assert np.shares_memory(frames, clip.samples)
+        with pytest.raises(ValueError, match="read-only"):
+            frames[0, 0] = 1.0
 
     def test_invalid_overlap(self):
         clip = AudioClip(np.zeros(4096), 24000)
@@ -287,20 +292,6 @@ class TestHamming:
         w = hamming_coefficients(1024)
         assert w[0] == pytest.approx(0.08, abs=1e-12)
         assert w[512] == pytest.approx(1.0, abs=1e-12)
-
-    def test_all_ones_frame_yields_coefficients(self):
-        frame = apply_hamming(Frame(np.ones(256)))
-        np.testing.assert_allclose(frame.values, hamming_coefficients(256))
-
-    def test_zero_frame_stays_zero_and_length_preserved(self):
-        frame = apply_hamming(Frame(np.zeros(128), start_offset=64))
-        assert len(frame) == 128
-        assert frame.start_offset == 64
-        np.testing.assert_array_equal(frame.values, np.zeros(128))
-
-    def test_empty_frame_raises(self):
-        with pytest.raises(EmptyInput):
-            apply_hamming(Frame(np.empty(0)))
 
     def test_cached_read_only_and_equal_to_formula(self):
         w = hamming_coefficients(512)

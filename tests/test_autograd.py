@@ -32,7 +32,6 @@ from mvcnn.errors import (
     ChannelMismatch,
     InputTooShort,
     InvalidProbability,
-    InvalidSetting,
     NotOneHot,
     ShapeMismatch,
 )
@@ -117,10 +116,6 @@ class TestMaxpool:
         x = Tensor(np.array([1, 5, 2, 4, 4, 4], dtype=float).reshape(1, 6, 1))
         out = maxpool1d(x)
         np.testing.assert_allclose(out.data[0, :, 0], [5, 4])
-
-    def test_window_must_equal_stride(self):
-        with pytest.raises(InvalidSetting):
-            maxpool1d(Tensor(np.zeros((1, 9, 1))), window=3, stride=2)
 
     def test_constant_input(self):
         out = maxpool1d(Tensor(np.full((1, 9, 2), 3.25)))
@@ -643,7 +638,7 @@ def _conv_bias_reference(x, fb):
     return out
 
 
-def _maxpool_reference(x, window=3, stride=3):
+def _maxpool_reference(x, window=3):
     """.max(axis=2) forward; three-pass routing into a zeroed gradient."""
     batch, length, channels = x.data.shape
     pooled_len = length // window
@@ -753,7 +748,7 @@ class TestWideRowKernelsMatchReferences:
                     rng, (batch, length // window, channels), dtype
                 )
                 got, expect = _run_both(
-                    maxpool1d, _maxpool_reference, data, grad, window, window
+                    maxpool1d, _maxpool_reference, data, grad, window
                 )
                 nan_window = slice(1 // window * window, (1 // window + 1) * window)
                 assert np.isnan(got[0][0, 1 // window, 0])

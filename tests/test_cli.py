@@ -197,6 +197,19 @@ def test_train_single_saves_the_single_view_method(tmp_path):
     assert out.read_bytes() == (tmp_path / "want.mvc").read_bytes()
 
 
+@pytest.mark.parametrize("fraction", ["0", "1", "1.5", "nan"])
+def test_train_val_fraction_checked_first(tmp_path, capsys, monkeypatch, fraction):
+    def no_features(*args, **kwargs):
+        raise AssertionError("features extracted before --val-fraction was checked")
+
+    monkeypatch.setattr("mvcnn.cli.clip_frame_features", no_features)
+    args = [*train_args(tmp_path / "m.mvc"), "--val-fraction", fraction]
+    assert dispatch(args) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --val-fraction must be in (0, 1), got {float(fraction)}"
+    ]
+
+
 def test_eval_knn_writes_metrics(tmp_path, capsys):
     out = tmp_path / "metrics.csv"
     code = dispatch([

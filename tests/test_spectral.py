@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvcnn.audio import AudioClip, Frame, hamming_coefficients
+from mvcnn.audio import AudioClip, hamming_coefficients
 from mvcnn.errors import (
     EmptyTrainingSet,
     InvalidCounts,
@@ -15,21 +15,20 @@ from mvcnn.errors import (
 from mvcnn.spectral import (
     HIGHPASS_BLOCK,
     NormStats,
-    Spectrum,
     add_noise_snr,
-    bin_average,
     dct_matrix,
     design_highpass,
-    fft_magnitude,
     fit_normalizer,
     highpass_butterworth,
     measure_snr,
     mel_filterbank,
-    mfcc,
+    mfcc_features,
     normalize,
+    power_spectra,
     sos_response,
     spectrum_features,
     _GROUP_BLOCKS,
+    _average_groups,
     _highpass_operators,
 )
 
@@ -56,31 +55,34 @@ def tdf2_reference(sections, x, dtype=np.float64):
     return y
 
 
+def magnitudes(x):
+    """|X[k]|, bins 0..N/2, of a frame or a batch of frames."""
+    return np.sqrt(power_spectra(x))
+
+
 class TestFftMagnitude:
     def test_dc_only(self):
-        spec = fft_magnitude(Frame(np.ones(8)))
-        np.testing.assert_allclose(spec.bins, [8, 0, 0, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(magnitudes(np.ones(8)), [8, 0, 0, 0, 0], atol=1e-12)
 
     def test_on_grid_cosine_single_peak(self):
         n = 16
         x = np.cos(2 * np.pi * 3 * np.arange(n) / n)
-        spec = fft_magnitude(Frame(x))
-        assert spec.bins[3] == pytest.approx(n / 2, abs=1e-9)
-        others = np.delete(spec.bins, 3)
+        bins = magnitudes(x)
+        assert bins[3] == pytest.approx(n / 2, abs=1e-9)
+        others = np.delete(bins, 3)
         assert np.max(others) < 1e-9
 
     def test_matches_naive_dft(self):
         rng = np.random.Generator(np.random.PCG64(1))
         for n in (8, 64, 256):
             x = rng.normal(size=n)
-            spec = fft_magnitude(Frame(x))
-            np.testing.assert_allclose(spec.bins, naive_dft_magnitudes(x), atol=1e-9)
+            np.testing.assert_allclose(magnitudes(x), naive_dft_magnitudes(x), atol=1e-9)
 
     def test_parseval(self):
         rng = np.random.Generator(np.random.PCG64(2))
         for _ in range(100):
             x = rng.normal(size=1024)
-            bins = fft_magnitude(Frame(x)).bins
+            bins = magnitudes(x)
             # reconstruct the full power spectrum by conjugate symmetry
             full = bins[0] ** 2 + bins[-1] ** 2 + 2 * np.sum(bins[1:-1] ** 2)
             time_energy = np.sum(x * x)
@@ -89,56 +91,41 @@ class TestFftMagnitude:
     def test_linearity_in_scale(self):
         rng = np.random.Generator(np.random.PCG64(3))
         x = rng.normal(size=128)
-        base = fft_magnitude(Frame(x)).bins
+        base = magnitudes(x)
         for a in (-2.0, 0.5):
-            np.testing.assert_allclose(
-                fft_magnitude(Frame(a * x)).bins, abs(a) * base, atol=1e-10
-            )
+            np.testing.assert_allclose(magnitudes(a * x), abs(a) * base, atol=1e-10)
 
     def test_non_power_of_two(self):
         with pytest.raises(NonPowerOfTwo):
-            fft_magnitude(Frame(np.zeros(100)))
+            magnitudes(np.zeros(100))
 
     def test_bin_count_invariant(self):
-        spec = fft_magnitude(Frame(np.zeros(2048)))
-        assert len(spec.bins) == 1025
-        assert spec.source_len == 2048
+        assert magnitudes(np.zeros((3, 2048))).shape == (3, 1025)
 
 
 class TestBinAverage:
-    def _spec(self, bins):
-        bins = np.asarray(bins, dtype=float)
-        return Spectrum(bins, (len(bins) - 1) * 2, 24000)
-
-    def test_bin_count_must_match_source_len(self):
-        with pytest.raises(InvalidSetting):
-            Spectrum(np.ones(9), 20, 24000)
-
     def test_all_ones(self):
-        spec = self._spec(np.ones(9))
         for L in (1, 2, 3, 9):
-            np.testing.assert_allclose(bin_average(spec, L), np.ones(L))
+            np.testing.assert_allclose(_average_groups(np.ones(9), L), np.ones(L))
 
     def test_identity_when_L_equals_count(self):
         bins = np.arange(5, dtype=float)
-        np.testing.assert_array_equal(bin_average(self._spec(bins), 5), bins)
+        np.testing.assert_array_equal(_average_groups(bins, 5), bins)
 
     def test_hand_computed_groups(self):
-        # {1,2,3,4} with L=2 -> {1.5, 3.5}; need a valid 4-bin spectrum? bins
-        # count must be N/2+1, so pad to 5 bins and group remainder first.
-        spec = self._spec([1.0, 2.0, 3.0, 4.0, 5.0])
-        np.testing.assert_allclose(bin_average(spec, 2), [2.0, 4.5])
+        # 5 bins (N/2 + 1 of an 8-sample frame) in 2 groups, remainder first
+        bins = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        np.testing.assert_allclose(_average_groups(bins, 2), [2.0, 4.5])
 
     def test_first_groups_take_remainder(self):
-        spec = self._spec([2.0, 4.0, 6.0, 8.0, 10.0])
+        bins = np.array([2.0, 4.0, 6.0, 8.0, 10.0])
         # sizes (2, 2, 1)
-        np.testing.assert_allclose(bin_average(spec, 3), [3.0, 7.0, 10.0])
+        np.testing.assert_allclose(_average_groups(bins, 3), [3.0, 7.0, 10.0])
 
     def test_invalid_lengths(self):
-        spec = self._spec(np.ones(5))
         for L in (0, 6, -1):
             with pytest.raises(InvalidLength):
-                bin_average(spec, L)
+                _average_groups(np.ones(5), L)
 
 
 def test_bin_average_four_bin_example():
@@ -154,15 +141,15 @@ def test_bin_average_four_bin_example():
 class TestSpectrumFeatures:
     def test_matches_per_frame_path(self):
         rng = np.random.Generator(np.random.PCG64(9))
-        frames = [Frame(rng.normal(size=1024)) for _ in range(5)]
-        batch = spectrum_features(frames, feature_len=64)
-        w = hamming_coefficients(1024)
-        for row, frame in zip(batch, frames):
-            spec = fft_magnitude(Frame(frame.values * w))
-            np.testing.assert_allclose(row, bin_average(spec, 64), atol=1e-9)
+        windowed = rng.normal(size=(5, 1024)) * hamming_coefficients(1024)
+        batch = spectrum_features(windowed, feature_len=64)
+        for row, frame in zip(batch, windowed):
+            np.testing.assert_allclose(
+                row, _average_groups(magnitudes(frame), 64), atol=1e-9
+            )
 
     def test_empty_input(self):
-        assert spectrum_features([], 32).shape == (0, 32)
+        assert spectrum_features(np.empty((0, 64)), 32).shape == (0, 32)
 
 
 class TestNormalizer:
@@ -417,7 +404,7 @@ def oracle_mfcc(values, sample_rate, n_filters, n_coeffs):
 
 class TestMfcc:
     def test_zero_frame_constant_dct(self):
-        coeffs = mfcc(Frame(np.zeros(512)), 24000, n_filters=26, n_coeffs=13)
+        coeffs = mfcc_features(np.zeros((1, 512)), 24000, n_filters=26, n_coeffs=13)[0]
         assert coeffs[0] == pytest.approx(np.sqrt(26) * np.log(1e-10), rel=1e-9)
         np.testing.assert_allclose(coeffs[1:], np.zeros(12), atol=1e-9)
 
@@ -425,17 +412,17 @@ class TestMfcc:
         rng = np.random.Generator(np.random.PCG64(8))
         for _ in range(20):
             x = rng.normal(size=256)
-            got = mfcc(Frame(x), 24000, n_filters=20, n_coeffs=12)
+            got = mfcc_features(x[None], 24000, n_filters=20, n_coeffs=12)[0]
             want = oracle_mfcc(x, 24000, 20, 12)
             np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_invalid_counts(self):
         with pytest.raises(InvalidCounts):
-            mfcc(Frame(np.zeros(256)), 24000, n_filters=13, n_coeffs=14)
+            mfcc_features(np.zeros((1, 256)), 24000, n_filters=13, n_coeffs=14)
 
     def test_non_power_of_two(self):
         with pytest.raises(NonPowerOfTwo):
-            mfcc(Frame(np.zeros(300)))
+            mfcc_features(np.zeros((1, 300)))
 
     def test_filterbank_shape_and_coverage(self):
         fbank = mel_filterbank(26, 2048, 24000)

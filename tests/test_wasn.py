@@ -431,6 +431,15 @@ class TestSimulate:
         with pytest.raises(InvalidScenario):
             simulate(scenario, server)
 
+    @pytest.mark.parametrize("num", [0, 4])
+    def test_fallback_model_for_unknown_node_rejected(self, num):
+        nodes = (NodeSpec(fallback_classes=(0, 1)),) * 3
+        scenario = small_scenario(nodes=nodes)
+        server, fallbacks = small_models(scenario, fallback_nodes=(1,))
+        message = rf"^fallback model for node {num} outside 1\.\.3$"
+        with pytest.raises(InvalidScenario, match=message):
+            simulate(scenario, server, {num: fallbacks[1]})
+
     def test_buffer_policy_forwards_after_outage(self):
         nodes = (NodeSpec(link_outages=((300, 1500),)), NodeSpec(), NodeSpec())
         scenario = small_scenario(nodes=nodes, fallback_policy="buffer")
