@@ -48,10 +48,6 @@ class AudioClip:
     def __len__(self):
         return len(self.samples)
 
-    @property
-    def duration_seconds(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class SilenceConfig:
@@ -178,7 +174,7 @@ def window_rms(clip: AudioClip, cfg: SilenceConfig):
     return levels, win
 
 
-def remove_silence(clip: AudioClip, cfg: SilenceConfig = SilenceConfig()) -> AudioClip:
+def remove_silence(clip: AudioClip, cfg: SilenceConfig) -> AudioClip:
     """Drop the `window_rms` windows whose RMS is below cfg.threshold.
 
     Surviving windows are concatenated in order. May return an empty
@@ -195,9 +191,7 @@ def hop_length(window_len: int, overlap_fraction: float) -> int:
     return max(1, int(window_len * (1.0 - overlap_fraction)))
 
 
-def segment(
-    clip: AudioClip, window_len: int = 2**14, overlap_fraction: float = 0.5
-) -> np.ndarray:
+def segment(clip: AudioClip, window_len: int, overlap_fraction: float) -> np.ndarray:
     """Cut a clip into sliding windows of raw (un-windowed) samples.
 
     Returns a read-only [n_frames, window_len] view of the clip's samples

@@ -37,6 +37,7 @@ from .errors import (
     ChannelMismatch,
     InputTooShort,
     InvalidProbability,
+    InvalidSetting,
     NotOneHot,
     ShapeMismatch,
 )
@@ -47,8 +48,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, dtype=None, parents=(), backward=None):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, parents=(), backward=None):
+        self.data = np.asarray(data)
         self.grad = None
         # False on an input whose gradient nobody reads; conv1d_same skips it
         self.requires_grad = True
@@ -65,9 +66,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
-
-    def item(self) -> float:
-        return float(self.data)
 
     def backward(self):
         """Reverse-mode sweep from a scalar; accumulates into .grad fields."""
@@ -319,9 +317,13 @@ def tanh_act(x: Tensor) -> Tensor:
     return _node(out_data, (x,), backward)
 
 
-def maxpool1d(x: Tensor, window: int = 3) -> Tensor:
+# Pooling window (and stride) of the network's one max-pool layer.
+POOL_WINDOW = 3
+
+
+def maxpool1d(x: Tensor) -> Tensor:
     """Max pooling over the length axis of [B, L, C] in non-overlapping
-    windows (stride = window).
+    windows of POOL_WINDOW positions (stride = window).
 
     Trailing positions that do not fill a window are dropped. The
     gradient routes to the first maximal position of each window.
@@ -329,30 +331,27 @@ def maxpool1d(x: Tensor, window: int = 3) -> Tensor:
     if x.data.ndim != 3:
         raise ShapeMismatch(f"pool input must be [B, L, C], got {x.shape}")
     batch, length, channels = x.data.shape
-    if length < window:
-        raise InputTooShort(f"length {length} < pooling window {window}")
-    pooled_len = length // window
-    kept = pooled_len * window
-    trimmed = x.data[:, :kept].reshape(batch, pooled_len, window, channels)
+    if length < POOL_WINDOW:
+        raise InputTooShort(f"length {length} < pooling window {POOL_WINDOW}")
+    pooled_len = length // POOL_WINDOW
+    kept = pooled_len * POOL_WINDOW
+    trimmed = x.data[:, :kept].reshape(batch, pooled_len, POOL_WINDOW, channels)
     # one np.maximum per tap over [B, L/w, C] views: the comparisons of
     # trimmed.max(axis=2) in the same order, without its C-wide reduce loop
-    if window == 1:
-        out_data = trimmed[:, :, 0].copy()
-    else:
-        out_data = np.maximum(trimmed[:, :, 0], trimmed[:, :, 1])
-    for k in range(2, window):
+    out_data = np.maximum(trimmed[:, :, 0], trimmed[:, :, 1])
+    for k in range(2, POOL_WINDOW):
         np.maximum(out_data, trimmed[:, :, k], out=out_data)
 
     def backward(grad):
         dx = np.empty(x.data.shape, dtype=x.data.dtype)
         dx[:, kept:] = 0
-        taps = dx[:, :kept].reshape(batch, pooled_len, window, channels)
+        taps = dx[:, :kept].reshape(batch, pooled_len, POOL_WINDOW, channels)
         # tap k gets grad * hit, hit where it equals the window max and no
         # earlier tap did; a NaN window equals nothing and routes nothing
         routed = np.equal(trimmed[:, :, 0], out_data)
         np.multiply(grad, routed, out=taps[:, :, 0])
         hit = np.empty_like(routed)
-        for k in range(1, window):
+        for k in range(1, POOL_WINDOW):
             np.equal(trimmed[:, :, k], out_data, out=hit)
             np.greater(hit, routed, out=hit)  # hit and not yet routed
             np.multiply(grad, hit, out=taps[:, :, k])
@@ -459,8 +458,6 @@ def cross_entropy(probs: Tensor, one_hot) -> Tensor:
         NotOneHot: label rows are not valid one-hot vectors.
     """
     labels = np.asarray(one_hot)
-    if labels.ndim == 1:
-        labels = labels[None, :]
     if labels.shape != probs.data.shape:
         raise ShapeMismatch(
             f"labels {labels.shape} do not match probabilities {probs.data.shape}"
@@ -495,11 +492,11 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
-    learning_rate: float = 0.001
+    learning_rate: float
     step_count: int = 0
 
     @classmethod
-    def for_params(cls, params: np.ndarray, learning_rate: float = 0.001):
+    def for_params(cls, params: np.ndarray, learning_rate: float):
         return cls(np.zeros_like(params), np.zeros_like(params), learning_rate)
 
 
@@ -540,7 +537,12 @@ def grad_check(loss_fn, params: list[Tensor], h: float = 1e-5,
     values (and must be deterministic: dropout off). Samples n_samples
     parameter entries uniformly across all tensors and returns the
     worst relative error.
+
+    Raises:
+        InvalidSetting: n_samples below 1, which would check nothing.
     """
+    if n_samples < 1:
+        raise InvalidSetting(f"n_samples must be >= 1, got {n_samples}")
     for p in params:
         p.grad = None
     loss_fn().backward()

@@ -255,7 +255,7 @@ def cmd_eval(args):
         with open(args.confusion_out, "w", newline="") as fh:
             fh.write(f"# {resolved_flags(args)}\n")
             fh.write("," + ",".join(dataset.label_names) + "\n")
-            for name, row in zip(dataset.label_names, result.confusion.counts):
+            for name, row in zip(dataset.label_names, result.confusion):
                 fh.write(name + "," + ",".join(str(c) for c in row) + "\n")
         print(f"confusion matrix written to {args.confusion_out}")
     return 0

@@ -46,7 +46,7 @@ from .errors import (
     NonPowerOfTwo,
     TooFewSamples,
 )
-from .knn import K_CANDIDATES, KnnModel, knn_classify_batch, tune_k
+from .knn import KnnModel, knn_classify_batch, tune_k
 from .model import ModelConfig, TrainConfig, build, predict, train
 from .spectral import (
     MFCC_COEFFS,
@@ -96,13 +96,18 @@ def _default_classes():
             return
 
 
-def default_signatures(n_classes: int, tones_fit=lambda sig: True) -> tuple:
+def default_signatures(n_classes: int, tones_fit) -> tuple:
     """The first n_classes default signatures, or fewer: the tuple ends before
     the first class whose tones fail tones_fit or whose period overflows.
     Tones and periods rise with the class index, so every later class would
     fail too, and no signature past the first misfit is built."""
     classes = itertools.islice(_default_classes(), n_classes)
     return tuple(itertools.takewhile(tones_fit, classes))
+
+
+# Per-clip relative spread of the tone frequencies and the envelope period
+FREQ_JITTER = 0.01
+PERIOD_JITTER = 0.02
 
 
 @dataclass(frozen=True)
@@ -112,9 +117,6 @@ class SyntheticSpec:
     clip_seconds: float = 3.0
     sample_rate: int = 24000
     amplitude: float = 0.5
-    signatures: tuple | None = None
-    freq_jitter: float = 0.01  # per-clip relative tone frequency spread
-    period_jitter: float = 0.02  # per-clip relative envelope period spread
     seed: int = 0
 
 
@@ -174,11 +176,9 @@ class SyntheticClips(Sequence):
 
     Raises (on construction; reading a clip does not re-check the spec):
         InvalidSpec: more classes than the default signatures fit below
-        Nyquist (when spec.signatures is unset), non-distinct signatures,
-        a signature without tones, a tone whose jittered frequency reaches
-        Nyquist, a non-positive or non-finite envelope period or clip
-        length, a non-positive sample rate, a jitter outside [0, 1),
-        degenerate sizes, or a negative seed.
+        Nyquist with their tones jittered by FREQ_JITTER, a non-positive
+        or non-finite clip length, a non-positive sample rate, an
+        amplitude outside (0, 1], degenerate sizes, or a negative seed.
     """
 
     def __init__(self, spec: SyntheticSpec):
@@ -195,35 +195,18 @@ class SyntheticClips(Sequence):
             raise InvalidSpec("clip_seconds too short for the sample rate")
         if not 0.0 < spec.amplitude <= 1.0:
             raise InvalidSpec("amplitude must be in (0, 1]")
-        for name in ("freq_jitter", "period_jitter"):
-            if not 0.0 <= getattr(spec, name) < 1.0:
-                raise InvalidSpec(f"{name} must be in [0, 1), got {getattr(spec, name)}")
         nyquist = spec.sample_rate / 2
 
         def tones_fit(sig):
-            return all(0 < f * (1.0 + spec.freq_jitter) < nyquist for f in sig.tones_hz)
+            return all(0 < f * (1.0 + FREQ_JITTER) < nyquist for f in sig.tones_hz)
 
-        signatures = spec.signatures or default_signatures(spec.n_classes, tones_fit)
-        if not spec.signatures and len(signatures) < spec.n_classes:
+        signatures = default_signatures(spec.n_classes, tones_fit)
+        if len(signatures) < spec.n_classes:
             raise InvalidSpec(
                 f"n_classes={spec.n_classes}, but only {len(signatures)} default classes "
                 f"fit below Nyquist at sample_rate {spec.sample_rate} with freq_jitter "
-                f"{spec.freq_jitter} and have a finite envelope period"
+                f"{FREQ_JITTER} and have a finite envelope period"
             )
-        if len(signatures) < spec.n_classes:
-            raise InvalidSpec("need one signature per class")
-        signatures = tuple(signatures[: spec.n_classes])
-        if len(set(signatures)) != len(signatures):
-            raise InvalidSpec("class signatures must be pairwise distinct")
-        for sig in signatures:
-            if not sig.tones_hz:
-                raise InvalidSpec("every class signature needs at least one tone")
-            if not tones_fit(sig):
-                raise InvalidSpec(
-                    f"tones with {spec.freq_jitter} jitter must lie in (0, {nyquist}) Hz"
-                )
-            if not 0 < sig.envelope_period_s < math.inf:
-                raise InvalidSpec("envelope period must be positive and finite")
 
         self.spec = spec
         self.signatures = signatures
@@ -243,9 +226,7 @@ class SyntheticClips(Sequence):
         rad_per_sample = 2 * np.pi / spec.sample_rate
         rng = np.random.Generator(np.random.PCG64([spec.seed, cls, j]))
         env_phase = rng.uniform()
-        period = sig.envelope_period_s * (
-            1.0 + rng.uniform(-spec.period_jitter, spec.period_jitter)
-        )
+        period = sig.envelope_period_s * (1.0 + rng.uniform(-PERIOD_JITTER, PERIOD_JITTER))
         # 0.5 - 0.5*cos(x) == 0.5 + (-0.5)*sin(x + pi/2) bit for bit;
         # adding in place makes no clip-sized temporary
         envelope = _sines(
@@ -256,7 +237,7 @@ class SyntheticClips(Sequence):
         amps = rng.uniform(0.6, 1.0, len(sig.tones_hz))
         steps, phases = [], []
         for freq in sig.tones_hz:
-            jittered = freq * (1.0 + rng.uniform(-spec.freq_jitter, spec.freq_jitter))
+            jittered = freq * (1.0 + rng.uniform(-FREQ_JITTER, FREQ_JITTER))
             steps.append(rad_per_sample * jittered)
             phases.append(rng.uniform(0, 2 * np.pi))
         wave = _sines(self.n_samples, steps, phases, amps * (spec.amplitude / amps.sum()))
@@ -334,27 +315,6 @@ def stratified_fraction_split(labels, train_fraction: float, seed: int = 0):
 # --- metrics ---
 
 @dataclass
-class ConfusionMatrix:
-    """Rows are true classes, columns predictions."""
-
-    counts: np.ndarray
-
-    @classmethod
-    def zeros(cls, n_classes: int) -> "ConfusionMatrix":
-        return cls(np.zeros((n_classes, n_classes), dtype=np.int64))
-
-    def add(self, true_class: int, predicted: int, n: int = 1):
-        self.counts[true_class, predicted] += n
-
-    def merge(self, other: "ConfusionMatrix"):
-        self.counts += other.counts
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-@dataclass
 class MetricsReport:
     accuracy: float
     macro_precision: float
@@ -373,8 +333,9 @@ class MetricsReport:
         return np.std(np.asarray(self.fold_metrics), axis=0)
 
 
-def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
-    """Accuracy plus macro precision/recall/F1 from a confusion matrix.
+def compute_metrics(counts: np.ndarray) -> MetricsReport:
+    """Accuracy plus macro precision/recall/F1 from an [H, H] confusion
+    matrix of counts, rows true classes and columns predictions.
 
     Classes with an empty precision or recall denominator contribute 0
     to the macro average and are listed in flagged_classes.
@@ -382,7 +343,6 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
     Raises:
         EmptyMatrix: no counts at all.
     """
-    counts = cm.counts
     total = counts.sum()
     if total == 0:
         raise EmptyMatrix("confusion matrix has no observations")
@@ -529,8 +489,7 @@ class CnnClassifier:
 class KnnClassifier:
     """KNN with k tuned on an inner stratified split of the training frames."""
 
-    def __init__(self, k_candidates=K_CANDIDATES, seed: int = 0):
-        self.k_candidates = k_candidates
+    def __init__(self, seed: int = 0):
         self.seed = seed
         self.model = None
         self.k = None
@@ -544,7 +503,6 @@ class KnnClassifier:
             self.k = tune_k(
                 features[fit_idx], labels[fit_idx],
                 features[val_idx], labels[val_idx],
-                candidates=self.k_candidates,
             )
         else:
             self.k = 1
@@ -565,7 +523,6 @@ def make_method(
     iterations: int = TrainConfig.iterations,
     batch_size: int = TrainConfig.batch_size,
     keep_prob: float = ModelConfig.keep_prob,
-    k_candidates=K_CANDIDATES,
 ):
     """Instantiate a classifier by method name with paper-default settings."""
     if name == "multiview" or name == "single_view_cnn":
@@ -579,7 +536,7 @@ def make_method(
             TrainConfig(learning_rate, iterations, batch_size, seed),
         )
     if name in ("knn_spectrum", "knn_mfcc"):
-        return KnnClassifier(k_candidates, seed)
+        return KnnClassifier(seed)
     raise InvalidSetting(f"unknown method {name!r}; expected one of {METHOD_NAMES}")
 
 
@@ -594,23 +551,24 @@ def pipeline_for_method(method: str, base: PipelineConfig) -> PipelineConfig:
 @dataclass
 class CvResult:
     report: MetricsReport
-    confusion: ConfusionMatrix
+    confusion: np.ndarray  # [H, H] int64 counts, rows true classes
     skipped_clips: int = 0  # test clips left unscored: no frames survived
 
 
 def evaluate_split(per_clip, labels, test_idx, fold: FoldData, classifier,
-                   n_classes: int, clip_level: bool = True) -> ConfusionMatrix:
-    """Fit a classifier on a fold's training data and score its test clips."""
+                   n_classes: int, clip_level: bool = True) -> np.ndarray:
+    """Fit a classifier on a fold's training data and score its test clips;
+    returns the [H, H] int64 confusion counts, rows true classes."""
     classifier.fit(fold.train_features, fold.train_labels)
-    cm = ConfusionMatrix.zeros(n_classes)
+    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
     for clip_i, feats in zip(test_idx, fold.test_features):
         if len(feats) == 0:
             continue
         votes = np.bincount(classifier.predict(feats), minlength=n_classes)
         if clip_level:
-            cm.add(int(labels[clip_i]), int(np.argmax(votes)))
+            cm[labels[clip_i], np.argmax(votes)] += 1
         else:
-            cm.counts[labels[clip_i]] += votes
+            cm[labels[clip_i]] += votes
     return cm
 
 
@@ -648,7 +606,7 @@ def _run_splits(dataset, method, splits, seed, pipeline, clip_level,
     per_clip = clip_frame_features(dataset, pipe)
     labels = dataset.labels
     normalize_features = pipe.feature_kind == "spectrum"
-    pooled = ConfusionMatrix.zeros(dataset.n_classes)
+    pooled = np.zeros((dataset.n_classes, dataset.n_classes), dtype=np.int64)
     fold_metrics = []
     skipped = 0
     for f, (train_idx, test_idx) in enumerate(splits):
@@ -664,7 +622,7 @@ def _run_splits(dataset, method, splits, seed, pipeline, clip_level,
         fold_metrics.append(
             (m.accuracy, m.macro_precision, m.macro_recall, m.macro_f1)
         )
-        pooled.merge(fold_cm)
+        pooled += fold_cm
     report = compute_metrics(pooled)
     report.fold_metrics = fold_metrics
     return CvResult(report, pooled, skipped)

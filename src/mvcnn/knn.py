@@ -86,11 +86,6 @@ def knn_classify_batch(model: KnnModel, queries: np.ndarray) -> np.ndarray:
     return _vote(_nearest_labels(model, queries, model.k), model.k)
 
 
-def knn_classify(model: KnnModel, query: np.ndarray) -> int:
-    """Classify one query as a one-row batch."""
-    return int(knn_classify_batch(model, np.reshape(query, (1, -1)))[0])
-
-
 def tune_k(
     train_features: np.ndarray,
     train_labels: np.ndarray,

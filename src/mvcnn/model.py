@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import (
+    POOL_WINDOW,
     AdamState,
     ConvFilterBank,
     Tensor,
@@ -47,7 +48,6 @@ from .spectral import NormStats
 
 MODEL_MAGIC = b"MVC1"
 MODEL_VERSION = 2
-POOL_WINDOW = 3
 FLOAT_TYPES = {4: np.float32, 8: np.float64}  # keyed by item size, the file's dtype code
 
 
@@ -128,10 +128,6 @@ class MultiViewCnn:
     def parameters(self) -> list[Tensor]:
         return list(self._params)
 
-    @property
-    def flat_features(self) -> int:
-        return self.fc_weights.shape[0]
-
 
 def _parameter_shapes(config: ModelConfig) -> list[tuple]:
     """Shapes of parameters(), in order: per view and layer the [out, in,
@@ -160,9 +156,17 @@ def _views(flat: np.ndarray, config: ModelConfig) -> list[np.ndarray]:
 
 def build(config: ModelConfig) -> MultiViewCnn:
     """Initialize a model with seeded Glorot-uniform weights, zero biases,
-    drawn in parameters() order."""
+    drawn in parameters() order.
+
+    Raises:
+        InvalidConfig: the parameter array cannot be allocated.
+    """
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    flat = np.zeros(sum(math.prod(s) for s in _parameter_shapes(config)), dtype=config.dtype)
+    count = sum(math.prod(s) for s in _parameter_shapes(config))
+    try:
+        flat = np.zeros(count, dtype=config.dtype)
+    except MemoryError:
+        raise InvalidConfig(f"cannot allocate a model of {count} parameters") from None
     for view in _views(flat, config):
         shape = view.shape
         if len(shape) > 1:  # fans in*w, out*w of an [out, in, w] filter; F, H of [F, H]
@@ -195,14 +199,13 @@ def forward_batch(
         assert h.shape[1] == model.config.input_len  # same padding holds per layer
         view_outs.append(h)
     merged = view_outs[0] if len(view_outs) == 1 else concat_channels(view_outs)
-    flat = flatten(maxpool1d(merged, POOL_WINDOW))
+    flat = flatten(maxpool1d(merged))
     dropped = dropout(flat, model.config.keep_prob, train, dropout_seed)
     return dense_softmax(dropped, model.fc_weights, model.fc_bias)
 
 
-def forward(model: MultiViewCnn, features: np.ndarray, train: bool = False,
-            dropout_seed: int = 0) -> np.ndarray:
-    """Probability vector [H] for a single feature vector of length L.
+def forward(model: MultiViewCnn, features: np.ndarray) -> np.ndarray:
+    """Eval-mode probability vector [H] for a single feature vector of length L.
 
     Runs under no_grad(), so no backward graph is built for the row.
     """
@@ -210,23 +213,28 @@ def forward(model: MultiViewCnn, features: np.ndarray, train: bool = False,
     if features.ndim != 1:
         raise LengthMismatch(f"expected a flat feature vector, got {features.shape}")
     with no_grad():
-        return forward_batch(model, features[None, :], train, dropout_seed).data[0]
+        return forward_batch(model, features[None, :]).data[0]
 
 
-def predict(model: MultiViewCnn, features: np.ndarray, chunk: int = 16) -> np.ndarray:
-    """Eval-mode argmax labels for a [n, L] feature matrix, chunk rows per pass.
+# Rows per predict() pass, the training batch size: chunks of 8 to 32 rows
+# ran equally fast, and larger ones were slower and raised the process's
+# peak memory.
+PREDICT_CHUNK = 16
+
+
+def predict(model: MultiViewCnn, features: np.ndarray) -> np.ndarray:
+    """Eval-mode argmax labels for a [n, L] feature matrix, PREDICT_CHUNK
+    rows per pass.
 
     Builds no autograd graph, so each conv's lowered input rows are freed as
-    soon as its product is taken. The default chunk is the training batch size:
-    chunks of 8 to 32 rows ran equally fast, and larger ones were slower and
-    raised the process's peak memory.
+    soon as its product is taken.
     """
     features = np.asarray(features)
     out = np.empty(len(features), dtype=np.int64)
     with no_grad():
-        for start in range(0, len(features), chunk):
-            probs = forward_batch(model, features[start : start + chunk], train=False)
-            out[start : start + chunk] = np.argmax(probs.data, axis=1)
+        for start in range(0, len(features), PREDICT_CHUNK):
+            probs = forward_batch(model, features[start : start + PREDICT_CHUNK])
+            out[start : start + PREDICT_CHUNK] = np.argmax(probs.data, axis=1)
     return out
 
 

@@ -35,7 +35,6 @@ from .errors import (
     InvalidCounts,
     InvalidCutoff,
     InvalidLength,
-    InvalidSetting,
     LengthMismatch,
     NonPowerOfTwo,
     ZeroPowerSignal,
@@ -47,6 +46,8 @@ LOG_FLOOR = 1e-10
 MFCC_FILTERS = 26
 MFCC_COEFFS = 13
 HIGHPASS_BLOCK = 32
+# Butterworth order of the wind-rejection high-pass: two biquad sections
+HIGHPASS_ORDER = 4
 # blocks per group of the high-pass scan's second level
 _GROUP_BLOCKS = 32
 
@@ -95,7 +96,7 @@ def _average_groups(values: np.ndarray, L: int) -> np.ndarray:
     return np.add.reduceat(values, starts, axis=-1) / sizes
 
 
-def spectrum_features(frames: np.ndarray, feature_len: int = 512) -> np.ndarray:
+def spectrum_features(frames: np.ndarray, feature_len: int) -> np.ndarray:
     """FFT magnitudes of a [n_frames, N] matrix of windowed frames, bin-averaged.
 
     Returns a [n_frames, feature_len] array of non-negative magnitudes
@@ -179,24 +180,22 @@ def normalize(features: np.ndarray, stats: NormStats) -> np.ndarray:
 
 # --- Butterworth high-pass ---
 
-def design_highpass(cutoff_hz: float, sample_rate: int, order: int = 4) -> np.ndarray:
-    """Design an even-order Butterworth high-pass as cascaded biquads.
+def design_highpass(cutoff_hz: float, sample_rate: int) -> np.ndarray:
+    """Design a HIGHPASS_ORDER Butterworth high-pass as cascaded biquads.
 
     Analog prototype poles are frequency-warped to the bilinear-transform
     cutoff and mapped pairwise to second-order sections. Returns an
-    [order/2, 6] array of (b0, b1, b2, a0, a1, a2) rows with a0 = 1.
+    [HIGHPASS_ORDER/2, 6] array of (b0, b1, b2, a0, a1, a2) rows with a0 = 1.
 
     Raises:
         InvalidCutoff: cutoff outside (0, Nyquist).
-        InvalidSetting: order is not a positive even integer.
     """
     if not 0 < cutoff_hz < sample_rate / 2:
         raise InvalidCutoff(
             f"cutoff {cutoff_hz} Hz outside (0, {sample_rate / 2}) at fs={sample_rate}"
         )
-    if order < 2 or order % 2:
-        raise InvalidSetting(f"order must be a positive even integer, got {order}")
 
+    order = HIGHPASS_ORDER
     warped = np.tan(np.pi * cutoff_hz / sample_rate)
     sections = np.empty((order // 2, 6))
     for i in range(order // 2):
@@ -215,15 +214,6 @@ def design_highpass(cutoff_hz: float, sample_rate: int, order: int = 4) -> np.nd
             (1.0 - b1 + b0) / a0,
         ]
     return sections
-
-
-def sos_response(sections: np.ndarray, freq_hz: float, sample_rate: int) -> complex:
-    """Frequency response of a biquad cascade at a single frequency."""
-    z = np.exp(-2j * np.pi * freq_hz / sample_rate)
-    resp = 1.0 + 0j
-    for b0, b1, b2, _, a1, a2 in sections:
-        resp *= (b0 + b1 * z + b2 * z * z) / (1.0 + a1 * z + a2 * z * z)
-    return resp
 
 
 def _scan_operators(m, b, c, d, length: int) -> tuple[np.ndarray, ...]:
@@ -287,12 +277,11 @@ def _section_operators(section: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=8)
-def _highpass_operators(cutoff_hz: float, sample_rate: int, order: int) -> tuple:
+def _highpass_operators(cutoff_hz: float, sample_rate: int) -> tuple:
     """Per-section block operators of one Butterworth design, built once per
-    argument triple because highpass_butterworth runs on every node clip."""
+    argument pair because highpass_butterworth runs on every node clip."""
     return tuple(
-        _section_operators(section)
-        for section in design_highpass(cutoff_hz, sample_rate, order)
+        _section_operators(section) for section in design_highpass(cutoff_hz, sample_rate)
     )
 
 
@@ -340,11 +329,9 @@ def _sosfilt(operators: tuple, x: np.ndarray) -> np.ndarray:
     return cur[:n]
 
 
-def highpass_butterworth(
-    clip: AudioClip, cutoff_hz: float = 200.0, order: int = 4
-) -> AudioClip:
+def highpass_butterworth(clip: AudioClip, cutoff_hz: float) -> AudioClip:
     """High-pass filter a clip through cascaded Butterworth biquads."""
-    operators = _highpass_operators(cutoff_hz, clip.sample_rate, order)
+    operators = _highpass_operators(cutoff_hz, clip.sample_rate)
     return AudioClip(_sosfilt(operators, clip.samples), clip.sample_rate)
 
 

@@ -1,11 +1,15 @@
-"""Node-to-server offload simulator with a framed spectrum protocol.
+"""Node-to-server offload simulator and the framed spectrum upload format.
 
 Nodes run training's feature chain (`evaluation.clip_features`) with a
-`NodeConfig`, high-pass on at 200 Hz, and upload one framed message per
-window. A star topology relays non-hub traffic through node 1. During a
-node's link outage, or a server outage, messages are classified on the
-node by a reduced-class fallback model; otherwise the server model
-classifies them. Everything is a pure function of (scenario, models):
+`NodeConfig`, high-pass on at 200 Hz, and produce one `SpectrumMessage`
+per window. SPM1 is the format a node uploads a message in: `encode` and
+`decode` implement it, and acceptance criterion 9 round-trips it.
+`simulate` skips serialization and hands each message to
+`server_classify` in memory; its float32 payload holds the values a
+frame would carry. A star topology relays non-hub traffic through node
+1. During a node's link outage, or a server outage, messages are
+classified on the node by a reduced-class fallback model; otherwise the
+server model classifies them. Everything is a pure function of (scenario, models):
 no wall clock, no global state. The simulator streams its audio: each
 node clip is synthesized when the node replays it and freed once its
 messages are out, so memory holds one clip at a time, however many
@@ -571,8 +575,7 @@ def _fit(frames, labels, n_classes: int, iterations: int, seed: int) -> MultiVie
 
 
 def train_server_model(
-    scenario: Scenario, iterations: int = 150, clips_per_class: int = 6,
-    seed: int = 0,
+    scenario: Scenario, iterations: int, clips_per_class: int = 6, seed: int = 0,
 ) -> MultiViewCnn:
     """Train a full-class server model on scenario-matched synthetic data."""
     frames, labels = _scenario_training_frames(scenario, clips_per_class, seed)
@@ -580,8 +583,7 @@ def train_server_model(
 
 
 def train_fallback_models(
-    scenario: Scenario, iterations: int = 80, clips_per_class: int = 6,
-    seed: int = 0,
+    scenario: Scenario, iterations: int, clips_per_class: int = 6, seed: int = 0,
 ) -> dict:
     """Fallback model per node that declares fallback classes.
 

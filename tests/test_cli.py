@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mvcnn.audio import AudioClip, save_wav
-from mvcnn.cli import dispatch
+from mvcnn.cli import dispatch, main
 from mvcnn.evaluation import (
     PipelineConfig,
     SyntheticSpec,
@@ -447,6 +447,26 @@ def test_gradcheck_negative_seed_is_one_error_line():
     )
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["error: seed must be in [0, 2**64), got -1"]
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_gradcheck_without_samples_is_one_error_line(capsys, samples):
+    # no probed parameter would report a zero error without checking anything
+    assert dispatch(["gradcheck", "--samples", samples]) == 1
+    captured = capsys.readouterr()
+    assert "gradient error" not in captured.out
+    assert captured.err.splitlines() == [f"error: n_samples must be >= 1, got {samples}"]
+
+
+@pytest.mark.parametrize("flag", ["--classes", "--input-len"])
+def test_gradcheck_unallocatable_model_is_one_error_line(capsys, flag):
+    # 2**40 classes or input positions ask for a parameter array of 1.9 PiB or
+    # 192 TiB, beyond any memory and any 47-bit address space, so numpy
+    # refuses it before a page is touched
+    assert main(["gradcheck", flag, "1099511627776"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert re.fullmatch(r"error: cannot allocate a model of \d+ parameters", lines[0])
 
 
 def test_runtime_error_exits_1(tmp_path, capsys):

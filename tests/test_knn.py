@@ -5,7 +5,7 @@ import pytest
 
 from mvcnn import knn
 from mvcnn.errors import EmptyDataset, LengthMismatch
-from mvcnn.knn import KnnModel, _nearest_labels, knn_classify, knn_classify_batch, tune_k
+from mvcnn.knn import KnnModel, _nearest_labels, knn_classify_batch, tune_k
 
 
 def oracle_classify(features, labels, query, k):
@@ -51,7 +51,7 @@ class TestKnnClassify:
     def test_exact_training_point_k1(self):
         feats = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         model = KnnModel(feats, np.array([5, 7, 9]), k=1)
-        assert knn_classify(model, np.array([1.0, 1.0])) == 7
+        assert knn_classify_batch(model, np.array([[1.0, 1.0]]))[0] == 7
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.Generator(np.random.PCG64(0))
@@ -61,23 +61,24 @@ class TestKnnClassify:
             model = KnnModel(feats, labels, k=k)
             for _ in range(200):
                 q = rng.normal(size=8)
-                assert knn_classify(model, q) == oracle_classify(feats, labels, q, k)
+                got = knn_classify_batch(model, q[None])[0]
+                assert got == oracle_classify(feats, labels, q, k)
 
     def test_vote_tie_prefers_lowest_class(self):
         feats = np.array([[1.0], [-1.0]])
         model = KnnModel(feats, np.array([3, 1]), k=2)
-        assert knn_classify(model, np.array([0.0])) == 1
+        assert knn_classify_batch(model, np.array([[0.0]]))[0] == 1
 
     def test_distance_tie_prefers_lower_index(self):
         # two equidistant neighbours with different labels, k=1
         feats = np.array([[1.0], [-1.0]])
         model = KnnModel(feats, np.array([4, 2]), k=1)
-        assert knn_classify(model, np.array([0.0])) == 4
+        assert knn_classify_batch(model, np.array([[0.0]]))[0] == 4
 
     def test_length_mismatch(self):
         model = KnnModel(np.zeros((3, 4)), np.zeros(3, dtype=int), k=1)
         with pytest.raises(LengthMismatch):
-            knn_classify(model, np.zeros(5))
+            knn_classify_batch(model, np.zeros((1, 5)))
 
     def test_training_order_permutation_invariant(self):
         rng = np.random.Generator(np.random.PCG64(1))
@@ -88,7 +89,7 @@ class TestKnnClassify:
         b = KnnModel(feats[perm], labels[perm], k=5)
         for _ in range(50):
             q = rng.normal(size=6)
-            assert knn_classify(a, q) == knn_classify(b, q)
+            assert knn_classify_batch(a, q[None])[0] == knn_classify_batch(b, q[None])[0]
 
     def test_feature_scaling_invariance(self):
         rng = np.random.Generator(np.random.PCG64(2))
@@ -211,4 +212,5 @@ class TestSearchOracle:
         for k in (1, 3, 7):
             model = KnnModel(feats, labels, k=k)
             batch = knn_classify_batch(model, queries)
-            np.testing.assert_array_equal(batch, [knn_classify(model, q) for q in queries])
+            single = [knn_classify_batch(model, q[None])[0] for q in queries]
+            np.testing.assert_array_equal(batch, single)

@@ -20,6 +20,7 @@ from mvcnn.errors import (
     VersionMismatch,
 )
 from mvcnn.model import (
+    PREDICT_CHUNK,
     ModelConfig,
     TrainConfig,
     accuracy,
@@ -44,8 +45,7 @@ def tiny_config(**overrides):
 class TestBuild:
     def test_flattened_feature_length(self):
         model = build(ModelConfig(input_len=512, n_classes=14))
-        assert model.flat_features == 170 * 24 == 4080
-        assert model.fc_weights.shape == (4080, 14)
+        assert model.fc_weights.shape == (170 * 24, 14) == (4080, 14)
 
     def test_channel_progression(self):
         model = build(tiny_config())
@@ -90,7 +90,7 @@ class TestBuild:
     def test_single_view_ablation_shares_code_path(self):
         model = build(tiny_config(view_widths=(10,)))
         assert len(model.views) == 1
-        assert model.flat_features == (32 // 3) * 8
+        assert model.fc_weights.shape[0] == (32 // 3) * 8
         probs = forward(model, np.zeros(32))
         assert probs.shape == (3,)
 
@@ -122,10 +122,10 @@ class TestForward:
     def test_train_flag_controls_dropout_only(self):
         model = build(tiny_config(keep_prob=0.5))
         x = np.linspace(-1, 1, 32)
-        eval_probs = forward(model, x, train=False)
-        train_probs = forward(model, x, train=True, dropout_seed=3)
+        eval_probs = forward(model, x)
+        train_probs = forward_batch(model, x[None, :], train=True, dropout_seed=3).data[0]
         assert not np.allclose(eval_probs, train_probs)
-        np.testing.assert_array_equal(eval_probs, forward(model, x, train=False))
+        np.testing.assert_array_equal(eval_probs, forward(model, x))
 
 
 def separable_dataset(n_per_class=40, length=32, seed=0):
@@ -499,8 +499,8 @@ class TestGradientCheck:
 def test_predict_batches_match_single(tmp_path):
     model = build(tiny_config())
     rng = np.random.Generator(np.random.PCG64(6))
-    X = rng.normal(size=(20, 32))
-    batched = predict(model, X, chunk=7)
+    X = rng.normal(size=(PREDICT_CHUNK + 1, 32))  # one full chunk, one short
+    batched = predict(model, X)
     single = np.array([int(np.argmax(forward(model, x))) for x in X])
     np.testing.assert_array_equal(batched, single)
 
@@ -519,18 +519,19 @@ class TestNoGraphInference:
             graph = forward_batch(model, x[None, :]).data[0]
             np.testing.assert_array_equal(forward(model, x), graph)
 
-    @pytest.mark.parametrize("chunk", [1, 7, 256])
-    def test_predict_equals_graph_path(self, chunk):
-        # 263 rows: neither 7 nor 256 divides it, so the last chunk is short
-        model, X = self._model_and_rows(263)
+    @pytest.mark.parametrize("rows", [1, 15, 16, 17, 263])
+    def test_predict_equals_graph_path(self, rows):
+        # around one chunk of PREDICT_CHUNK = 16 rows, and 263 = 16 * 16 + 7,
+        # whose last chunk is short
+        model, X = self._model_and_rows(rows)
         graph = np.concatenate([
-            np.argmax(forward_batch(model, X[i : i + chunk]).data, axis=1)
-            for i in range(0, len(X), chunk)
+            np.argmax(forward_batch(model, X[i : i + PREDICT_CHUNK]).data, axis=1)
+            for i in range(0, len(X), PREDICT_CHUNK)
         ])
-        np.testing.assert_array_equal(predict(model, X, chunk=chunk), graph)
+        np.testing.assert_array_equal(predict(model, X), graph)
 
     def test_forward_and_predict_build_no_graph(self, monkeypatch):
-        model, X = self._model_and_rows(3)
+        model, X = self._model_and_rows(PREDICT_CHUNK + 1)  # two chunks
         outputs = []
 
         def recording(*args, **kwargs):
@@ -538,7 +539,7 @@ class TestNoGraphInference:
             return outputs[-1]
 
         monkeypatch.setattr(model_module, "forward_batch", recording)
-        predict(model, X, chunk=2)
+        predict(model, X)
         forward(model, X[0])
         assert len(outputs) == 3
         assert all(t._parents == () and t._backward is None for t in outputs)
