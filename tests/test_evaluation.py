@@ -275,6 +275,21 @@ class TestSynthetic:
         [
             (dict(clip_seconds=float("nan")), "clip_seconds"),
             (dict(clip_seconds=float("inf")), "clip_seconds"),
+            # finite alone, but its sample count is not
+            (dict(clip_seconds=1e305), "clip_seconds must be finite"),
+            (dict(clip_seconds=0.0), "too short"),
+            (dict(clip_seconds=-1.0), "too short"),
+            # 1e-5 s is a quarter of a sample at 24 kHz
+            (dict(clip_seconds=1e-5), "too short"),
+            (dict(sample_rate=0), "sample_rate must be positive"),
+            (dict(sample_rate=-24000), "sample_rate must be positive"),
+            (dict(amplitude=0.0), "amplitude"),
+            (dict(amplitude=-0.5), "amplitude"),
+            (dict(amplitude=1.5), "amplitude"),
+            (dict(amplitude=float("nan")), "amplitude"),
+            (dict(n_classes=1), "at least 2 classes"),
+            (dict(clips_per_class=0), "1 clip per class"),
+            (dict(seed=-1), "seed"),
             # class 13's upper default tone is 2.15 * (650 + 380 * 13) Hz > 12 kHz
             (dict(n_classes=14), "n_classes=14, but only 13 default classes fit "
              "below Nyquist at sample_rate 24000 with freq_jitter 0.01"),
@@ -285,7 +300,11 @@ class TestSynthetic:
             (dict(n_classes=1200, sample_rate=4_000_000),
              "n_classes=1200, but only 1109 default classes .* finite envelope period"),
         ],
-        ids=["seconds-nan", "seconds-inf", "default-classes-past-nyquist",
+        ids=["seconds-nan", "seconds-inf", "seconds-overflow", "seconds-zero",
+             "seconds-negative", "seconds-under-one-sample", "rate-zero",
+             "rate-negative", "amplitude-zero", "amplitude-negative",
+             "amplitude-above-one", "amplitude-nan", "one-class", "no-clips",
+             "seed-negative", "default-classes-past-nyquist",
              "default-tones-past-nyquist", "default-classes-2000",
              "default-periods-overflow"],
     )

@@ -231,6 +231,16 @@ class TestHighpass:
     def test_cutoff_gain_is_half_power(self):
         assert steady_gain(200.0, 24000) == pytest.approx(1 / np.sqrt(2), rel=1e-9)
 
+    @pytest.mark.parametrize("freq_hz", (50.0, 100.0, 400.0, 3000.0))
+    def test_gain_is_the_warped_butterworth_magnitude(self, freq_hz):
+        # a bilinear Butterworth high-pass of order N has
+        # |H(f)| = 1 / sqrt(1 + (tan(pi fc / fs) / tan(pi f / fs)) ** (2 N)),
+        # so the stopband slope pins the order to HIGHPASS_ORDER
+        sr = 24000
+        ratio = np.tan(np.pi * 200.0 / sr) / np.tan(np.pi * freq_hz / sr)
+        want = 1.0 / np.sqrt(1.0 + ratio ** (2 * HIGHPASS_ORDER))
+        assert steady_gain(freq_hz, sr) == pytest.approx(want, rel=1e-6)
+
     def test_invalid_cutoffs(self):
         clip = AudioClip(np.zeros(100), 24000)
         for bad in (0.0, -5.0, 12000.0, 13000.0):
@@ -252,6 +262,15 @@ class TestHighpass:
             assert got.shape == want.shape
             scale = np.max(np.abs(want), initial=0.0)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("cutoff", (50.0, 1000.0, 5000.0))
+    def test_block_filter_matches_recurrence_at_other_cutoffs(self, cutoff):
+        # the pole layout moves with the cutoff; one 2 s clip at 24 kHz
+        sr = 24000
+        x = np.random.Generator(np.random.PCG64(int(cutoff))).normal(size=48000)
+        got = highpass_butterworth(AudioClip(x, sr), cutoff).samples
+        want = tdf2_reference(design_highpass(cutoff, sr), x)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("cutoff, sr", ((3990.0, 8000), (1.0, 48000)))
     def test_block_filter_at_extreme_cutoffs(self, cutoff, sr):
