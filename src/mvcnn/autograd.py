@@ -37,7 +37,6 @@ from .errors import (
     ChannelMismatch,
     InputTooShort,
     InvalidProbability,
-    InvalidSetting,
     NotOneHot,
     ShapeMismatch,
 )
@@ -518,55 +517,3 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
     v_hat = state.v / (1.0 - _BETA2**t)
     params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
 
-
-# --- numerical validation ---
-
-def max_relative_error(a, b) -> float:
-    """max |a-b| / max(|a|, |b|, 1e-8), elementwise over arrays."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
-    return float(np.max(np.abs(a - b) / denom))
-
-
-def grad_check(loss_fn, params: list[Tensor], h: float = 1e-5,
-               n_samples: int = 24, seed: int = 0) -> float:
-    """Compare analytic gradients against central finite differences.
-
-    loss_fn() must rebuild the loss graph from the current parameter
-    values (and must be deterministic: dropout off). Samples n_samples
-    parameter entries uniformly across all tensors and returns the
-    worst relative error.
-
-    Raises:
-        InvalidSetting: n_samples below 1, which would check nothing.
-    """
-    if n_samples < 1:
-        raise InvalidSetting(f"n_samples must be >= 1, got {n_samples}")
-    for p in params:
-        p.grad = None
-    loss_fn().backward()
-    analytic = [
-        p.grad if p.grad is not None else np.zeros_like(p.data) for p in params
-    ]
-
-    sizes = np.array([p.data.size for p in params])
-    total = int(sizes.sum())
-    rng = np.random.Generator(np.random.PCG64(seed))
-    picks = rng.choice(total, size=min(n_samples, total), replace=False)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-
-    worst = 0.0
-    for pick in picks:
-        which = int(np.searchsorted(offsets, pick, side="right") - 1)
-        index = int(pick - offsets[which])
-        param = params[which]
-        original = param.data.flat[index]
-        param.data.flat[index] = original + h
-        plus = float(loss_fn().data)
-        param.data.flat[index] = original - h
-        minus = float(loss_fn().data)
-        param.data.flat[index] = original
-        numeric = (plus - minus) / (2.0 * h)
-        worst = max(worst, max_relative_error(analytic[which].flat[index], numeric))
-    return worst

@@ -57,10 +57,6 @@ class ZeroPowerSignal(MvcnnError):
     """Signal power is zero, so SNR is undefined."""
 
 
-class InvalidCounts(MvcnnError):
-    """MFCC coefficient count exceeds filter count."""
-
-
 # --- tensor / network ---
 
 class ShapeMismatch(MvcnnError):

@@ -99,10 +99,15 @@ def tune_k(
     resolve to the smallest k.
 
     Raises:
+        LengthMismatch: not one label per validation row.
         EmptyDataset: empty training/validation set or no usable candidate.
     """
     train_labels = np.asarray(train_labels)
     val_labels = np.asarray(val_labels)
+    if len(val_labels) != len(val_features):
+        raise LengthMismatch(
+            f"{len(val_labels)} labels for {len(val_features)} validation rows"
+        )
     if len(train_labels) == 0 or len(val_labels) == 0:
         raise EmptyDataset("tune_k needs nonempty train and validation sets")
     usable = sorted(k for k in candidates if 1 <= k <= len(train_labels))

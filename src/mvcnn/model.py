@@ -29,7 +29,6 @@ from .autograd import (
     dense_softmax,
     dropout,
     flatten,
-    grad_check,
     maxpool1d,
     no_grad,
     tanh_act,
@@ -154,6 +153,16 @@ def _views(flat: np.ndarray, config: ModelConfig) -> list[np.ndarray]:
     return views
 
 
+def _bind_grads(model: MultiViewCnn) -> np.ndarray:
+    """A zeroed array shaped like model.flat whose views become the
+    parameters' .grad fields, so backward adds each parameter's gradient
+    into its slice of it."""
+    grads = np.zeros_like(model.flat)
+    for p, view in zip(model.parameters(), _views(grads, model.config)):
+        p.grad = view
+    return grads
+
+
 def build(config: ModelConfig) -> MultiViewCnn:
     """Initialize a model with seeded Glorot-uniform weights, zero biases,
     drawn in parameters() order.
@@ -198,8 +207,7 @@ def forward_batch(
             h = tanh_act(conv1d_same(h, bank))
         assert h.shape[1] == model.config.input_len  # same padding holds per layer
         view_outs.append(h)
-    merged = view_outs[0] if len(view_outs) == 1 else concat_channels(view_outs)
-    flat = flatten(maxpool1d(merged))
+    flat = flatten(maxpool1d(concat_channels(view_outs)))
     dropped = dropout(flat, model.config.keep_prob, train, dropout_seed)
     return dense_softmax(dropped, model.fc_weights, model.fc_bias)
 
@@ -258,11 +266,14 @@ def train(
     deterministic given (features, labels, model seed, cfg.seed).
 
     Raises:
+        LengthMismatch: not one label per feature row.
         EmptyDataset: no training rows.
         LabelOutOfRange: a label outside 0..n_classes-1.
     """
     features = np.asarray(features)
     labels = np.asarray(labels, dtype=np.int64)
+    if len(labels) != len(features):
+        raise LengthMismatch(f"{len(labels)} labels for {len(features)} feature rows")
     if len(features) == 0:
         raise EmptyDataset("no training samples")
     n_classes = model.config.n_classes
@@ -273,9 +284,7 @@ def train(
 
     one_hot = np.eye(n_classes, dtype=model.config.dtype)
     state = AdamState.for_params(model.flat, cfg.learning_rate)
-    grads = np.zeros_like(model.flat)
-    for p, view in zip(model.parameters(), _views(grads, model.config)):
-        p.grad = view  # backward adds each parameter's gradient into its view
+    grads = _bind_grads(model)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     history = []
     for it in range(cfg.iterations):
@@ -385,20 +394,53 @@ def load(path) -> MultiViewCnn:
     return MultiViewCnn(config, flat.astype(config.dtype), stats)
 
 
+# Central-difference step of gradient_check, in parameter units.
+GRADCHECK_STEP = 1e-5
+
+
+def max_relative_error(a, b) -> float:
+    """max |a-b| / max(|a|, |b|, 1e-8), elementwise over arrays."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
+    return float(np.max(np.abs(a - b) / denom))
+
+
 def gradient_check(
-    model: MultiViewCnn, features: np.ndarray, label: int,
-    h: float = 1e-5, n_samples: int = 24, seed: int = 0,
+    model: MultiViewCnn, features: np.ndarray, label: int, n_samples: int, seed: int,
 ) -> float:
     """Finite-difference validation of the full model's gradients.
 
-    Runs with dropout disabled; the model should be built with
-    dtype=np.float64 for a meaningful comparison. Returns the worst
-    relative error over the sampled parameters.
+    Compares the backward pass's gradient with the central difference of
+    the loss at n_samples entries of model.flat, drawn without replacement
+    from PCG64(seed) (every entry when n_samples exceeds their count), each
+    perturbed by GRADCHECK_STEP and then restored. Runs with dropout
+    disabled; the model should be built with dtype=np.float64 for a
+    meaningful comparison. Returns the worst relative error.
+
+    Raises:
+        InvalidSetting: n_samples below 1, which would check nothing.
     """
+    if n_samples < 1:
+        raise InvalidSetting(f"n_samples must be >= 1, got {n_samples}")
+    rows = np.asarray(features)[None, :]
     one_hot = np.eye(model.config.n_classes, dtype=model.config.dtype)[[label]]
 
-    def loss_fn():
-        probs = forward_batch(model, np.asarray(features)[None, :], train=False)
-        return cross_entropy(probs, one_hot)
+    def loss():
+        return cross_entropy(forward_batch(model, rows), one_hot)
 
-    return grad_check(loss_fn, model.parameters(), h=h, n_samples=n_samples, seed=seed)
+    grads = _bind_grads(model)
+    loss().backward()
+    flat = model.flat
+    rng = np.random.Generator(np.random.PCG64(seed))
+    worst = 0.0
+    for i in rng.choice(flat.size, size=min(n_samples, flat.size), replace=False):
+        original = flat[i]
+        flat[i] = original + GRADCHECK_STEP
+        plus = float(loss().data)
+        flat[i] = original - GRADCHECK_STEP
+        minus = float(loss().data)
+        flat[i] = original
+        numeric = (plus - minus) / (2.0 * GRADCHECK_STEP)
+        worst = max(worst, max_relative_error(grads[i], numeric))
+    return worst

@@ -32,7 +32,6 @@ from .audio import AudioClip
 from .errors import (
     BadMagic,
     EmptyTrainingSet,
-    InvalidCounts,
     InvalidCutoff,
     InvalidLength,
     LengthMismatch,
@@ -411,26 +410,18 @@ def dct_matrix(n: int) -> np.ndarray:
     return mat
 
 
-def mfcc_features(
-    frames: np.ndarray,
-    sample_rate: int = 24000,
-    n_filters: int = MFCC_FILTERS,
-    n_coeffs: int = MFCC_COEFFS,
-) -> np.ndarray:
+def mfcc_features(frames: np.ndarray, sample_rate: int) -> np.ndarray:
     """Mel-frequency cepstral coefficients of a [n_frames, N] matrix of
     windowed frames.
 
-    Power spectrum -> triangular mel filterbank -> log (floored at
-    1e-10) -> orthonormal DCT-II, first n_coeffs coefficients.
+    Power spectrum -> MFCC_FILTERS triangular mel filters -> log (floored
+    at 1e-10) -> orthonormal DCT-II, first MFCC_COEFFS coefficients.
 
     Raises:
         NonPowerOfTwo: N unsuitable for the FFT.
-        InvalidCounts: n_coeffs exceeds n_filters.
     """
-    if n_coeffs > n_filters:
-        raise InvalidCounts(f"n_coeffs {n_coeffs} > n_filters {n_filters}")
     frames = np.asarray(frames, dtype=np.float64)
     power = power_spectra(frames)
-    fbank = mel_filterbank(n_filters, frames.shape[-1], sample_rate)
+    fbank = mel_filterbank(MFCC_FILTERS, frames.shape[-1], sample_rate)
     energies = np.maximum(power @ fbank.T, LOG_FLOOR)
-    return np.log(energies) @ dct_matrix(n_filters)[:n_coeffs].T
+    return np.log(energies) @ dct_matrix(MFCC_FILTERS)[:MFCC_COEFFS].T

@@ -22,8 +22,6 @@ from mvcnn.autograd import (
     dense_softmax,
     dropout,
     flatten,
-    grad_check,
-    max_relative_error,
     maxpool1d,
     no_grad,
     tanh_act,
@@ -354,45 +352,6 @@ class TestAdam:
         state = AdamState.for_params(p, learning_rate=0.001)
         with pytest.raises(ShapeMismatch):
             adam_step(p, np.zeros(4), state)
-
-
-class TestGradCheck:
-    def _composite(self, dtype=np.float64):
-        rng = np.random.Generator(np.random.PCG64(8))
-        x_data = rng.normal(size=(1, 18, 1)).astype(dtype)
-        fb = ConvFilterBank(
-            Tensor(rng.normal(scale=0.5, size=(2, 1, 5)).astype(dtype)),
-            Tensor(rng.normal(scale=0.1, size=2).astype(dtype)),
-        )
-        w = Tensor(rng.normal(scale=0.5, size=(12, 3)).astype(dtype))
-        b = Tensor(np.zeros(3, dtype=dtype))
-        y = np.eye(3)[[1]]
-
-        def loss_fn():
-            h = tanh_act(conv1d_same(Tensor(x_data), fb))
-            return cross_entropy(dense_softmax(flatten(maxpool1d(h)), w, b), y)
-
-        return loss_fn, [fb.weights, fb.biases, w, b]
-
-    def test_composite_model_under_1e4(self):
-        loss_fn, params = self._composite()
-        assert grad_check(loss_fn, params, n_samples=30) < 1e-4
-
-    def test_linear_model_under_1e7(self):
-        rng = np.random.Generator(np.random.PCG64(9))
-        x = rng.normal(size=(1, 8))
-        w = Tensor(rng.normal(scale=0.5, size=(8, 3)))
-        b = Tensor(np.zeros(3))
-        y = np.eye(3)[[0]]
-
-        def loss_fn():
-            return cross_entropy(dense_softmax(Tensor(x), w, b), y)
-
-        assert grad_check(loss_fn, [w, b], n_samples=20) < 1e-7
-
-    def test_doubled_gradient_reports_half(self):
-        g = np.array([0.4, -1.2, 3.0])
-        assert max_relative_error(2 * g, g) == pytest.approx(0.5, abs=1e-12)
 
 
 def _conv_reference(x, w, b, grad):

@@ -147,6 +147,13 @@ class TestTuneK:
         with pytest.raises(EmptyDataset):
             tune_k(np.zeros((0, 2)), np.zeros(0), np.zeros((1, 2)), np.zeros(1))
 
+    @pytest.mark.parametrize("n_labels", [0, 1, 3, 6])
+    def test_validation_labels_not_one_per_row(self, n_labels):
+        feats = np.arange(20.0).reshape(10, 2)
+        labels = np.arange(10) % 2
+        with pytest.raises(LengthMismatch):
+            tune_k(feats, labels, feats[:5], np.zeros(n_labels, dtype=int))
+
 
 class TestTies:
     def test_batch_matches_oracle_on_integer_grid(self):

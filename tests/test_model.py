@@ -29,6 +29,7 @@ from mvcnn.model import (
     forward_batch,
     gradient_check,
     load,
+    max_relative_error,
     predict,
     save,
     train,
@@ -264,6 +265,12 @@ class TestTrain:
         with pytest.raises(LabelOutOfRange):
             train(model, np.zeros((4, 32)), np.array([0, 1, 2, 3]))
 
+    @pytest.mark.parametrize("n_labels", [0, 3, 9, 11, 40])
+    def test_labels_not_one_per_row(self, n_labels):
+        model = build(tiny_config())
+        with pytest.raises(LengthMismatch):
+            train(model, np.zeros((10, 32)), np.zeros(n_labels, dtype=int))
+
     @pytest.mark.parametrize("override", [
         dict(batch_size=0), dict(learning_rate=float("nan")),
         dict(learning_rate=float("inf")), dict(learning_rate=0.0),
@@ -482,17 +489,80 @@ class TestFlatParameters:
         _assert_tiles(grads, base)
 
 
+# tiny_config() overrides, feature seed and label of each pinned case: c01's
+# inputs, tiny_config() with three views and with one, and one view of one
+# layer (conv, tanh, pool, dense+softmax, cross-entropy and nothing else).
+GRADCHECK_CASES = {
+    "c01": ({}, 0, 1),
+    "three_views": ({}, 4, 2),
+    "one_view": (dict(view_widths=(10,)), 5, 0),
+    "one_layer": (dict(input_len=18, view_widths=(5,), layer_depths=(2,)), 8, 1),
+}
+ALL = 10**6  # more than any case's model.flat.size: every entry, in any order
+# float.hex of gradient_check(model, features, label, n_samples, seed)
+GRADCHECK_HEX = [
+    ("c01", 0, 1, "0x1.fd04b61390f1bp-32"),
+    ("c01", 0, 25, "0x1.fadeb99197621p-31"),
+    ("c01", 0, ALL, "0x1.ce9a55ca049ddp-22"),
+    ("c01", 1, 1, "0x1.612b52bcc0539p-39"),
+    ("c01", 1, 25, "0x1.1a5a09162fd3cp-28"),
+    ("c01", 2, 1, "0x1.702c44eeda8b3p-34"),
+    ("c01", 2, 25, "0x1.1b4985602e8d9p-26"),
+    ("three_views", 0, 1, "0x1.6cc012d8af609p-37"),
+    ("three_views", 0, 25, "0x1.7e1b7a62706c8p-28"),
+    ("three_views", 0, ALL, "0x1.5b6889a74b6e9p-24"),
+    ("three_views", 1, 1, "0x1.0a75ab74f89b1p-31"),
+    ("three_views", 1, 25, "0x1.3ee8c9572d3e5p-30"),
+    ("three_views", 2, 1, "0x1.4d20e0985aecfp-32"),
+    ("three_views", 2, 25, "0x1.a0026689dcd31p-30"),
+    ("one_view", 0, 1, "0x1.7de232d09fb99p-35"),
+    ("one_view", 0, 25, "0x1.e06e109ce103cp-30"),
+    ("one_view", 0, ALL, "0x1.35534ebf5cfc1p-24"),
+    ("one_view", 1, 1, "0x1.805e63e3ffa11p-34"),
+    ("one_view", 1, 25, "0x1.8daefd019eac8p-30"),
+    ("one_view", 2, 1, "0x1.3a5820a0fa6b7p-35"),
+    ("one_view", 2, 25, "0x1.905991c946d65p-32"),
+    ("one_layer", 0, 1, "0x1.8468e72636026p-36"),
+    ("one_layer", 0, 25, "0x1.41be0815ea74dp-27"),
+    ("one_layer", 0, ALL, "0x1.41be0815ea74dp-27"),
+    ("one_layer", 1, 1, "0x1.a1ce4e9e137a9p-31"),
+    ("one_layer", 1, 25, "0x1.a1ce4e9e137a9p-31"),
+    ("one_layer", 2, 1, "0x1.590fafa7c46ccp-37"),
+    ("one_layer", 2, 25, "0x1.a1ce4e9e137a9p-31"),
+]
+
+
 class TestGradientCheck:
+    @pytest.mark.parametrize("case, seed, n_samples, expected", GRADCHECK_HEX)
+    def test_pinned_bit_for_bit(self, case, seed, n_samples, expected):
+        overrides, feature_seed, label = GRADCHECK_CASES[case]
+        model = build(tiny_config(**overrides))
+        before = model.flat.copy()
+        rng = np.random.Generator(np.random.PCG64(feature_seed))
+        features = rng.normal(size=model.config.input_len)
+        err = gradient_check(model, features, label, n_samples, seed)
+        assert err.hex() == expected
+        np.testing.assert_array_equal(model.flat, before)  # every entry restored
+
+    def test_one_layer_composite_under_1e4(self):
+        model = build(tiny_config(input_len=18, view_widths=(5,), layer_depths=(2,)))
+        rng = np.random.Generator(np.random.PCG64(8))
+        assert gradient_check(model, rng.normal(size=18), 1, n_samples=30, seed=0) < 1e-4
+
+    def test_doubled_gradient_reports_half(self):
+        g = np.array([0.4, -1.2, 3.0])
+        assert max_relative_error(2 * g, g) == pytest.approx(0.5, abs=1e-12)
+
     def test_tiny_multiview_model(self):
         model = build(tiny_config())
         rng = np.random.Generator(np.random.PCG64(4))
-        err = gradient_check(model, rng.normal(size=32), label=1, n_samples=25)
+        err = gradient_check(model, rng.normal(size=32), label=1, n_samples=25, seed=0)
         assert err < 1e-4
 
     def test_single_view_model(self):
         model = build(tiny_config(view_widths=(10,)))
         rng = np.random.Generator(np.random.PCG64(5))
-        err = gradient_check(model, rng.normal(size=32), label=0, n_samples=25)
+        err = gradient_check(model, rng.normal(size=32), label=0, n_samples=25, seed=0)
         assert err < 1e-4
 
 
@@ -566,4 +636,4 @@ class TestNoGraphInference:
         rng = np.random.Generator(np.random.PCG64(4))
         x = rng.normal(size=32)
         predict(model, x[None, :])
-        assert gradient_check(model, x, label=1, n_samples=25) < 1e-4
+        assert gradient_check(model, x, label=1, n_samples=25, seed=0) < 1e-4
