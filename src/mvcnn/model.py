@@ -1,4 +1,5 @@
-"""The three-view convolutional classifier: assembly, training, serialization.
+"""The three-view convolutional classifier: assembly, training, serialization,
+gradient checking.
 
 Architecture: the [1, L, 1] feature vector feeds three parallel stacks
 of width-10/15/20 convolutions (three tanh layers each, channel
