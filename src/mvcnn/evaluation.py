@@ -555,8 +555,8 @@ class CvResult:
     skipped_clips: int = 0  # test clips left unscored: no frames survived
 
 
-def evaluate_split(per_clip, labels, test_idx, fold: FoldData, classifier,
-                   n_classes: int, clip_level: bool = True) -> np.ndarray:
+def evaluate_split(labels, test_idx, fold: FoldData, classifier, n_classes: int,
+                   clip_level: bool = True) -> np.ndarray:
     """Fit a classifier on a fold's training data and score its test clips;
     returns the [H, H] int64 confusion counts, rows true classes."""
     classifier.fit(fold.train_features, fold.train_labels)
@@ -615,9 +615,7 @@ def _run_splits(dataset, method, splits, seed, pipeline, clip_level,
         clf = make_method(
             method, dataset.n_classes, pipe.feature_dim, seed * 101 + f, **method_params
         )
-        fold_cm = evaluate_split(
-            per_clip, labels, test_idx, fold, clf, dataset.n_classes, clip_level
-        )
+        fold_cm = evaluate_split(labels, test_idx, fold, clf, dataset.n_classes, clip_level)
         m = compute_metrics(fold_cm)
         fold_metrics.append(
             (m.accuracy, m.macro_precision, m.macro_recall, m.macro_f1)

@@ -47,7 +47,7 @@ from .errors import (
 from .spectral import NormStats
 
 MODEL_MAGIC = b"MVC1"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 FLOAT_TYPES = {4: np.float32, 8: np.float64}  # keyed by item size, the file's dtype code
 
 
@@ -318,11 +318,12 @@ _HEADER = struct.Struct("<4sHIIIIdBQ")
 
 
 def save(model: MultiViewCnn, path) -> None:
-    """Write the model as a little-endian version-2 MVC1 file.
+    """Write the model as a little-endian version-3 MVC1 file.
 
     The header holds every ModelConfig field, the flat parameter array
-    follows in the model's own dtype, then the NRM1 block, so load()
-    returns an equal config and bit-identical parameters.
+    follows in the model's own dtype, then the input_len f64 means and
+    the input_len f64 stds of the normalisation statistics, so load()
+    returns an equal config, bit-identical parameters and equal stats.
     """
     cfg = model.config
     dtype = np.dtype(cfg.dtype).newbyteorder("<")
@@ -333,24 +334,26 @@ def save(model: MultiViewCnn, path) -> None:
     sizes = (*cfg.view_widths, *cfg.layer_depths)
     out += struct.pack(f"<{len(sizes)}I", *sizes)
     out += model.flat.astype(dtype).tobytes()
-    out += model.norm_stats.to_bytes()
+    out += model.norm_stats.mean.astype("<f8").tobytes()
+    out += model.norm_stats.std.astype("<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(bytes(out))
 
 
 def load(path) -> MultiViewCnn:
-    """Read a model saved by save(): equal config, bit-exact parameters.
+    """Read a model saved by save(): equal config, bit-exact parameters
+    and normalisation statistics.
 
     Every declared size is checked against the file length before any
-    array is allocated. Version-1 files are refused; retrain the model
-    from the flags in its .history.csv header.
+    array is allocated, and the file must end exactly where the header
+    says. Files of other versions are refused; retrain such a model from
+    the flags in its .history.csv header.
 
     Raises:
         BadMagic: wrong magic, no views, unknown dtype code, or truncated.
         VersionMismatch: format version other than MODEL_VERSION.
         InvalidConfig: the header declares a config build() rejects.
-        LengthMismatch: NRM1 block length is not input_len.
-        TrailingBytes: bytes after the NRM1 block.
+        TrailingBytes: bytes after the normalisation statistics.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -366,8 +369,8 @@ def load(path) -> MultiViewCnn:
         raise BadMagic(f"expected {MODEL_MAGIC!r}, got {magic!r}")
     if version != MODEL_VERSION:
         raise VersionMismatch(
-            f"model file version {version} is not {MODEL_VERSION}; retrain a "
-            "version-1 model from the flags in its .history.csv header"
+            f"model file version {version} is not {MODEL_VERSION}; retrain the "
+            "model from the flags in its .history.csv header"
         )
     if n_views == 0:
         raise BadMagic("model file declares no views")
@@ -384,15 +387,15 @@ def load(path) -> MultiViewCnn:
 
     count = sum(math.prod(s) for s in _parameter_shapes(config))
     stats_at = pos + itemsize * count
-    need(stats_at)
-    stats = NormStats.from_bytes(blob[stats_at:])
-    if len(stats.mean) != input_len:
-        raise LengthMismatch(f"NRM1 block holds {len(stats.mean)} values, not {input_len}")
-    if len(blob) > stats_at + 8 + 16 * input_len:
-        raise TrailingBytes("bytes after the NRM1 block")
+    end = stats_at + 16 * input_len
+    need(end)
+    if len(blob) > end:
+        raise TrailingBytes(f"{len(blob) - end} bytes after the normalisation statistics")
 
     flat = np.frombuffer(blob, np.dtype(config.dtype).newbyteorder("<"), count, pos)
-    return MultiViewCnn(config, flat.astype(config.dtype), stats)
+    stats = np.frombuffer(blob, "<f8", 2 * input_len, stats_at).astype(np.float64)
+    mean, std = stats.reshape(2, input_len)
+    return MultiViewCnn(config, flat.astype(config.dtype), NormStats(mean, std))
 
 
 # Central-difference step of gradient_check, in parameter units.

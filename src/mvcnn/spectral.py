@@ -22,7 +22,6 @@ within 1.2e-14 of max|y| even at 1 Hz / 48 kHz.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,7 +29,6 @@ import numpy as np
 
 from .audio import AudioClip
 from .errors import (
-    BadMagic,
     EmptyTrainingSet,
     InvalidCutoff,
     InvalidLength,
@@ -39,7 +37,6 @@ from .errors import (
     ZeroPowerSignal,
 )
 
-NORM_MAGIC = b"NRM1"
 STD_FLOOR = 1e-8
 LOG_FLOOR = 1e-10
 MFCC_FILTERS = 26
@@ -122,28 +119,6 @@ class NormStats:
         object.__setattr__(self, "std", np.asarray(self.std, dtype=np.float64))
         if self.mean.shape != self.std.shape:
             raise LengthMismatch("mean and std must have equal length")
-
-    def to_bytes(self) -> bytes:
-        return (
-            NORM_MAGIC
-            + struct.pack("<I", len(self.mean))
-            + self.mean.astype("<f8").tobytes()
-            + self.std.astype("<f8").tobytes()
-        )
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "NormStats":
-        if blob[:4] != NORM_MAGIC:
-            raise BadMagic("not a NRM1 block")
-        if len(blob) < 8:
-            raise LengthMismatch("NRM1 block shorter than its header")
-        (length,) = struct.unpack_from("<I", blob, 4)
-        need = 8 + 16 * length
-        if len(blob) < need:
-            raise LengthMismatch("NRM1 block shorter than declared")
-        mean = np.frombuffer(blob, dtype="<f8", count=length, offset=8)
-        std = np.frombuffer(blob, dtype="<f8", count=length, offset=8 + 8 * length)
-        return cls(mean.copy(), std.copy())
 
     @classmethod
     def identity(cls, length: int) -> "NormStats":

@@ -472,13 +472,19 @@ def simulate(
 
     Raises:
         InvalidScenario: missing/ill-fitted fallback model for a node that
-        needs one, or feature length mismatch with the server model.
+        needs one, or a feature length or class count that differs from
+        the server model's.
     """
     fallback_models = fallback_models or {}
     if scenario.feature_len != server_model.config.input_len:
         raise InvalidScenario(
             f"scenario feature_len {scenario.feature_len} != server model "
             f"input {server_model.config.input_len}"
+        )
+    if scenario.n_classes != server_model.config.n_classes:
+        raise InvalidScenario(
+            f"scenario n_classes {scenario.n_classes} != server model "
+            f"classes {server_model.config.n_classes}"
         )
     for num, fb in fallback_models.items():
         if not 1 <= num <= scenario.n_nodes:
@@ -488,11 +494,6 @@ def simulate(
         subset = scenario.nodes[num - 1].fallback_classes
         if not subset:
             raise InvalidScenario(f"node {num} has a fallback model but no classes")
-        if any(c >= server_model.config.n_classes for c in subset):
-            raise InvalidScenario(
-                f"node {num} fallback classes {subset} exceed the server's "
-                f"{server_model.config.n_classes}"
-            )
         if fb.config.n_classes != len(subset):
             raise InvalidScenario(
                 f"node {num} fallback model covers {fb.config.n_classes} classes, "

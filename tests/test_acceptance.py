@@ -221,8 +221,7 @@ def test_c06_multiview_advantage(default_dataset):
             for m in methods:
                 clf = make_method(m, ds.n_classes, 512, seed=seed)
                 cm = evaluate_split(
-                    per_clip, ds.labels, test_idx, fold, clf, ds.n_classes,
-                    clip_level=False,
+                    ds.labels, test_idx, fold, clf, ds.n_classes, clip_level=False,
                 )
                 accs[m].append(compute_metrics(cm).accuracy)
         for m in methods:

@@ -358,6 +358,25 @@ def test_model_without_views_is_one_error_line(tmp_path):
     assert len(lines) == 1 and lines[0] == "error: model file declares no views"
 
 
+def test_model_with_other_class_count_is_one_error_line(tmp_path):
+    # a 3-class model on a scenario of the default 4 classes
+    path = tmp_path / "three.mvc"
+    save(build(ModelConfig(input_len=NodeConfig.feature_len, n_classes=3)), path)
+    (tmp_path / "s.scn").write_text("nodes = 2\nclips_per_node = 1\n")
+    out = tmp_path / "records.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvcnn", "simulate", "--scenario",
+         str(tmp_path / "s.scn"), "--model", str(path), "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: scenario n_classes 4 != server model classes 3"
+    ]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, scenario",
     [

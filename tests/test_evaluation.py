@@ -634,8 +634,7 @@ class TestSweep:
                             **params,
                         )
                         m = compute_metrics(evaluate_split(
-                            per_clip, ds.labels, test_idx, fold, clf, ds.n_classes,
-                            clip_level,
+                            ds.labels, test_idx, fold, clf, ds.n_classes, clip_level,
                         ))
                         expected.append({
                             "axis": "train_fraction", "value": value, "method": method,

@@ -16,6 +16,7 @@ from mvcnn.errors import (
     InvalidSetting,
     LabelOutOfRange,
     LengthMismatch,
+    MvcnnError,
     TrailingBytes,
     VersionMismatch,
 )
@@ -308,6 +309,9 @@ class TestSerialization:
         assert back.config.view_widths == (10, 15, 20)
         assert back.config.layer_depths == (2, 4, 8)
         np.testing.assert_array_equal(back.norm_stats.mean, model.norm_stats.mean)
+        np.testing.assert_array_equal(back.norm_stats.std, model.norm_stats.std)
+        # copies, not read-only views of the file's bytes
+        assert back.norm_stats.mean.flags.writeable and back.norm_stats.std.flags.writeable
         for pa, pb in zip(model.parameters(), back.parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
         rng = np.random.Generator(np.random.PCG64(8))
@@ -326,7 +330,7 @@ class TestSerialization:
         with pytest.raises(BadMagic):
             load(path)
 
-    @pytest.mark.parametrize("version", [1, 99])
+    @pytest.mark.parametrize("version", [1, 2, 99])
     def test_version_mismatch(self, tmp_path, version):
         model = build(tiny_config())
         path = tmp_path / f"v{version}.mvc"
@@ -363,7 +367,7 @@ class TestSerialization:
         blob = path.read_bytes()
         # magic, version, input_len, n_classes, n_views, n_layers, keep_prob,
         # dtype code, seed; then the view widths and layer depths
-        head = struct.pack("<4sHIIIIdBQ", b"MVC1", 2, 32, 3, 3, 3, 0.5, code, 9)
+        head = struct.pack("<4sHIIIIdBQ", b"MVC1", 3, 32, 3, 3, 3, 0.5, code, 9)
         head += struct.pack("<6I", 10, 15, 20, 2, 4, 8)
         assert blob[: len(head)] == head
         # per view and layer: [out, in, w] filters then [out] biases
@@ -372,14 +376,16 @@ class TestSerialization:
         )
         flat = (32 // 3) * 8 * 3
         fc_values = flat * 3 + 3
-        stats_bytes = 8 + 16 * 32
+        stats_bytes = 16 * 32  # f64 means then f64 stds, no magic, no length
         assert len(blob) == len(head) + code * (conv_values + fc_values) + stats_bytes
         first = np.frombuffer(blob, f"<f{code}", 2 * 1 * 10, len(head))
         np.testing.assert_array_equal(first.reshape(2, 1, 10), model.views[0][0].weights.data)
         fc_at = len(blob) - stats_bytes - code * fc_values
         fc = np.frombuffer(blob, f"<f{code}", flat * 3, fc_at)
         np.testing.assert_array_equal(fc.reshape(flat, 3), model.fc_weights.data)
-        assert blob[-stats_bytes:] == model.norm_stats.to_bytes()
+        stats = np.frombuffer(blob, "<f8", 2 * 32, len(blob) - stats_bytes)
+        np.testing.assert_array_equal(stats[:32], model.norm_stats.mean)
+        np.testing.assert_array_equal(stats[32:], model.norm_stats.std)
 
     @pytest.mark.parametrize("offset", [6, 10, 14, 18], ids=[
         "input_len", "n_classes", "n_views", "n_layers"])
@@ -399,14 +405,28 @@ class TestSerialization:
         with pytest.raises(TrailingBytes):
             load(path)
 
-    def test_norm_block_length_must_be_input_len(self, tmp_path):
-        path = tmp_path / "nrm.mvc"
+    @pytest.mark.parametrize("edit, error, match", [
+        (lambda blob: blob[:-8], BadMagic, "truncated"),
+        (lambda blob: blob + struct.pack("<d", 1.0), TrailingBytes, "8 bytes after"),
+    ], ids=["stats-cut", "stats-extended"])
+    def test_stats_section_must_be_input_len_values(self, tmp_path, edit, error, match):
+        # one f64 more or less in the stats section: the file does not end
+        # where its header says
+        path = tmp_path / "stats.mvc"
         save(build(tiny_config()), path)
-        blob = path.read_bytes()[: -(8 + 16 * 32)]
-        for length in (31, 33):
-            path.write_bytes(blob + NormStats.identity(length).to_bytes())
-            with pytest.raises(LengthMismatch, match="NRM1"):
-                load(path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(error, match=match):
+            load(path)
+
+    def test_every_proper_prefix_is_refused(self, tmp_path):
+        path = tmp_path / "m.mvc"
+        save(build(tiny_config(view_widths=(10,), dtype=np.float32)), path)
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.mvc"
+        for end in range(len(blob)):
+            cut.write_bytes(blob[:end])
+            with pytest.raises(MvcnnError):
+                load(cut)
 
     def test_round_trip_property(self, tmp_path):
         # load(save(m)) == m over seeded configs: depths, widths, lengths
@@ -473,7 +493,7 @@ class TestFlatParameters:
         path = tmp_path / "m.mvc"
         save(model, path)
         blob = path.read_bytes()
-        stats_bytes = 8 + 16 * cfg.input_len
+        stats_bytes = 16 * cfg.input_len
         section = blob[len(blob) - stats_bytes - model.flat.nbytes : -stats_bytes]
         assert section == model.flat.astype(model.flat.dtype.newbyteorder("<")).tobytes()
 

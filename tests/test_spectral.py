@@ -13,7 +13,6 @@ from mvcnn.errors import (
 from mvcnn.spectral import (
     HIGHPASS_BLOCK,
     HIGHPASS_ORDER,
-    NormStats,
     add_noise_snr,
     dct_matrix,
     design_highpass,
@@ -164,25 +163,6 @@ class TestNormalizer:
         np.testing.assert_allclose(z.mean(axis=0), np.zeros(16), atol=1e-9)
         np.testing.assert_allclose(z.std(axis=0), np.ones(16), atol=1e-6)
 
-    def test_save_load_bit_identical(self):
-        rng = np.random.Generator(np.random.PCG64(5))
-        stats = fit_normalizer(rng.uniform(0, 3, size=(50, 32)))
-        back = NormStats.from_bytes(stats.to_bytes())
-        np.testing.assert_array_equal(stats.mean, back.mean)
-        np.testing.assert_array_equal(stats.std, back.std)
-        x = rng.uniform(0, 3, 32)
-        np.testing.assert_array_equal(normalize(x, stats), normalize(x, back))
-
-    def test_byte_layout_pinned(self):
-        import struct
-
-        stats = NormStats(np.array([1.5]), np.array([2.0]))
-        expected = (
-            b"NRM1" + struct.pack("<I", 1)
-            + struct.pack("<d", 1.5) + struct.pack("<d", 2.0)
-        )
-        assert stats.to_bytes() == expected
-
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
             fit_normalizer(np.empty((0, 4)))
@@ -191,11 +171,6 @@ class TestNormalizer:
         stats = fit_normalizer(np.ones((3, 4)))
         with pytest.raises(LengthMismatch):
             normalize(np.ones(5), stats)
-
-    def test_block_cut_inside_header(self):
-        for cut in range(4, 8):
-            with pytest.raises(LengthMismatch):
-                NormStats.from_bytes(NormStats.identity(2).to_bytes()[:cut])
 
 
 def steady_gain(freq_hz, sr, cutoff_hz=200.0):

@@ -476,6 +476,16 @@ class TestSimulate:
         with pytest.raises(InvalidScenario):
             simulate(scenario, server)
 
+    @pytest.mark.parametrize("n_classes", [2, 4])
+    def test_class_count_mismatch_rejected(self, n_classes):
+        # a server model that cannot predict (or predicts beyond) the
+        # scenario's classes is refused before any clip is replayed
+        scenario = small_scenario()
+        server = build(ModelConfig(input_len=64, n_classes=n_classes, seed=0))
+        message = rf"^scenario n_classes 3 != server model classes {n_classes}$"
+        with pytest.raises(InvalidScenario, match=message):
+            simulate(scenario, server)
+
 
 SCENARIO_TEXT = """
 # three-node test scenario
