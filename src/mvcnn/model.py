@@ -324,8 +324,16 @@ def save(model: MultiViewCnn, path) -> None:
     follows in the model's own dtype, then the input_len f64 means and
     the input_len f64 stds of the normalisation statistics, so load()
     returns an equal config, bit-identical parameters and equal stats.
+
+    Raises:
+        LengthMismatch: the stats do not hold input_len values, so load()
+        could not find where the file ends; nothing is written.
     """
     cfg = model.config
+    if len(model.norm_stats.mean) != cfg.input_len:
+        raise LengthMismatch(
+            f"norm stats hold {len(model.norm_stats.mean)} values, not {cfg.input_len}"
+        )
     dtype = np.dtype(cfg.dtype).newbyteorder("<")
     out = bytearray(_HEADER.pack(
         MODEL_MAGIC, MODEL_VERSION, cfg.input_len, cfg.n_classes, len(cfg.view_widths),

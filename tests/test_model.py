@@ -418,6 +418,16 @@ class TestSerialization:
         with pytest.raises(error, match=match):
             load(path)
 
+    @pytest.mark.parametrize("length", [31, 33])
+    def test_save_refuses_stats_of_other_length(self, tmp_path, length):
+        # the file carries no stats length, so such a file could not be read
+        model = build(tiny_config())
+        model.norm_stats = NormStats.identity(length)
+        path = tmp_path / "m.mvc"
+        with pytest.raises(LengthMismatch, match=f"norm stats hold {length} values, not 32"):
+            save(model, path)
+        assert not path.exists()
+
     def test_every_proper_prefix_is_refused(self, tmp_path):
         path = tmp_path / "m.mvc"
         save(build(tiny_config(view_widths=(10,), dtype=np.float32)), path)
