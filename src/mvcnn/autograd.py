@@ -23,6 +23,9 @@ with no parents and no closure, so nothing an op computes for its
 backward pass (the lowered conv rows, a pooling mask) outlives the op.
 conv1d_same skips the input-gradient product for an input whose
 requires_grad is False, such as the features forward_batch builds.
+
+The ops do not validate their arguments: model.py, their one caller,
+checks its inputs where they enter, and every shape it passes follows.
 """
 
 from __future__ import annotations
@@ -32,14 +35,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import (
-    ChannelMismatch,
-    InputTooShort,
-    InvalidProbability,
-    NotOneHot,
-    ShapeMismatch,
-)
 
 
 class Tensor:
@@ -68,8 +63,6 @@ class Tensor:
 
     def backward(self):
         """Reverse-mode sweep from a scalar; accumulates into .grad fields."""
-        if self.data.size != 1:
-            raise ShapeMismatch("backward() requires a scalar loss")
         topo = []
         _post_order(self, set(), topo)
         self.grad = np.ones_like(self.data)
@@ -139,27 +132,14 @@ def _accumulate(tensor: Tensor, grad: np.ndarray):
 
 @dataclass
 class ConvFilterBank:
-    """Learnable 1D filters: weights [out_channels, in_channels, width]."""
+    """Learnable 1D filters: weights [out, in, width], biases [out] of one dtype."""
 
     weights: Tensor
     biases: Tensor
 
-    def __post_init__(self):
-        if self.weights.data.ndim != 3:
-            raise ShapeMismatch("conv weights must be [out, in, width]")
-        if self.biases.data.shape != (self.weights.data.shape[0],):
-            raise ShapeMismatch("conv biases must be [out_channels]")
-        if self.biases.data.dtype != self.weights.data.dtype:
-            # conv1d_same tiles the biases into the filter matrix's allocation
-            raise ShapeMismatch("conv biases must have the weights' dtype")
-
     @property
     def out_channels(self):
         return self.weights.data.shape[0]
-
-    @property
-    def in_channels(self):
-        return self.weights.data.shape[1]
 
     @property
     def width(self):
@@ -266,12 +246,6 @@ def conv1d_same(x: Tensor, bank: ConvFilterBank) -> Tensor:
     lowering on the gradient for the input gradient, which it skips when
     x.requires_grad is False.
     """
-    if x.data.ndim != 3:
-        raise ShapeMismatch(f"conv input must be [B, L, C], got {x.shape}")
-    if x.data.shape[2] != bank.in_channels:
-        raise ChannelMismatch(
-            f"input has {x.data.shape[2]} channels, bank expects {bank.in_channels}"
-        )
     batch, length, c_in = x.data.shape
     c_out = bank.out_channels
     w = bank.width
@@ -327,11 +301,7 @@ def maxpool1d(x: Tensor) -> Tensor:
     Trailing positions that do not fill a window are dropped. The
     gradient routes to the first maximal position of each window.
     """
-    if x.data.ndim != 3:
-        raise ShapeMismatch(f"pool input must be [B, L, C], got {x.shape}")
     batch, length, channels = x.data.shape
-    if length < POOL_WINDOW:
-        raise InputTooShort(f"length {length} < pooling window {POOL_WINDOW}")
     pooled_len = length // POOL_WINDOW
     kept = pooled_len * POOL_WINDOW
     trimmed = x.data[:, :kept].reshape(batch, pooled_len, POOL_WINDOW, channels)
@@ -362,10 +332,6 @@ def maxpool1d(x: Tensor) -> Tensor:
 
 def concat_channels(tensors: list[Tensor]) -> Tensor:
     """Concatenate [B, L, C_i] tensors along the channel axis."""
-    first = tensors[0].data.shape
-    for t in tensors[1:]:
-        if t.data.shape[:2] != first[:2]:
-            raise ShapeMismatch("channel concat requires matching [B, L]")
     out_data = np.concatenate([t.data for t in tensors], axis=2)
     splits = np.cumsum([t.data.shape[2] for t in tensors])[:-1]
 
@@ -393,14 +359,6 @@ def dense_softmax(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     Logits are shifted by their row max before exponentiation, so the
     output is shift-invariant and never overflows.
     """
-    if x.data.ndim != 2:
-        raise ShapeMismatch(f"dense input must be [B, F], got {x.shape}")
-    if weights.data.ndim != 2 or x.data.shape[1] != weights.data.shape[0]:
-        raise ShapeMismatch(
-            f"dense weights {weights.data.shape} incompatible with input {x.shape}"
-        )
-    if bias.data.shape != (weights.data.shape[1],):
-        raise ShapeMismatch("dense bias must be [H]")
     logits = x.data @ weights.data + bias.data
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
@@ -420,12 +378,7 @@ def dropout(x: Tensor, keep_prob: float, train: bool, seed: int = 0) -> Tensor:
     """Inverted dropout: keep with probability keep_prob, scale by its inverse.
 
     Eval mode is the identity. Deterministic per seed.
-
-    Raises:
-        InvalidProbability: keep_prob outside (0, 1].
     """
-    if not 0.0 < keep_prob <= 1.0:
-        raise InvalidProbability(f"keep_prob must be in (0, 1], got {keep_prob}")
     if not train or keep_prob == 1.0:
         return x
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -452,20 +405,8 @@ def cross_entropy(probs: Tensor, one_hot) -> Tensor:
     probs is [B, H] (rows summing to 1); one_hot is a matching 0/1
     array with exactly one 1 per row. Probabilities are clipped to
     [1e-12, 1] before the log, so the loss is always finite.
-
-    Raises:
-        NotOneHot: label rows are not valid one-hot vectors.
     """
     labels = np.asarray(one_hot)
-    if labels.shape != probs.data.shape:
-        raise ShapeMismatch(
-            f"labels {labels.shape} do not match probabilities {probs.data.shape}"
-        )
-    if not (
-        np.all((labels == 0) | (labels == 1))
-        and np.all(labels.sum(axis=1) == 1)
-    ):
-        raise NotOneHot("labels must contain exactly one 1 per row")
     batch = probs.data.shape[0]
     clipped = np.clip(probs.data, PROB_FLOOR, 1.0)
     loss = -(labels * np.log(clipped)).sum() / batch
@@ -505,10 +446,6 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
     Adam is elementwise, so one update over a model's flat parameter array
     equals the update of each parameter tensor on its own.
     """
-    if not params.shape == grads.shape == state.m.shape:
-        raise ShapeMismatch(
-            f"params {params.shape}, grads {grads.shape} and state {state.m.shape} differ"
-        )
     state.step_count += 1
     t = state.step_count
     state.m = _BETA1 * state.m + (1.0 - _BETA1) * grads

@@ -46,6 +46,7 @@ from .evaluation import (
 )
 from .model import ModelConfig, TrainConfig, build, gradient_check, load, save, train
 from .wasn import (
+    check_server_model,
     load_scenario,
     simulate,
     train_fallback_models,
@@ -309,6 +310,7 @@ def cmd_simulate(args):
     scenario = load_scenario(args.scenario)
     if args.model:
         server = load(args.model)
+        check_server_model(scenario, server)  # before any fallback model trains
     else:
         print("no --model given; training a server model on synthetic data")
         server = train_server_model(scenario, iterations=args.iters, seed=args.seed)

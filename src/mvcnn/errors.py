@@ -59,26 +59,6 @@ class ZeroPowerSignal(MvcnnError):
 
 # --- tensor / network ---
 
-class ShapeMismatch(MvcnnError):
-    """Tensor shapes incompatible for the requested operation."""
-
-
-class ChannelMismatch(MvcnnError):
-    """Convolution input channels do not match the filter bank."""
-
-
-class InputTooShort(MvcnnError):
-    """Pooling input shorter than the pooling window."""
-
-
-class InvalidProbability(MvcnnError):
-    """Dropout keep probability outside (0, 1]."""
-
-
-class NotOneHot(MvcnnError):
-    """Label tensor is not a valid one-hot encoding."""
-
-
 class InvalidConfig(MvcnnError):
     """Model configuration cannot produce a valid architecture."""
 

@@ -206,7 +206,6 @@ def forward_batch(
         h = x
         for bank in banks:
             h = tanh_act(conv1d_same(h, bank))
-        assert h.shape[1] == model.config.input_len  # same padding holds per layer
         view_outs.append(h)
     flat = flatten(maxpool1d(concat_channels(view_outs)))
     dropped = dropout(flat, model.config.keep_prob, train, dropout_seed)
@@ -432,9 +431,13 @@ def gradient_check(
 
     Raises:
         InvalidSetting: n_samples below 1, which would check nothing.
+        LabelOutOfRange: label outside 0..n_classes-1 (a non-integer raises TypeError).
     """
     if n_samples < 1:
         raise InvalidSetting(f"n_samples must be >= 1, got {n_samples}")
+    label = operator.index(label)  # as TrainConfig takes its counts
+    if not 0 <= label < model.config.n_classes:
+        raise LabelOutOfRange(f"label must be in [0, {model.config.n_classes}), got {label}")
     rows = np.asarray(features)[None, :]
     one_hot = np.eye(model.config.n_classes, dtype=model.config.dtype)[[label]]
 

@@ -452,6 +452,20 @@ def _node_config(scenario: Scenario, node_id: int) -> NodeConfig:
     )
 
 
+def check_server_model(scenario: Scenario, server_model: MultiViewCnn) -> None:
+    """Raises InvalidScenario unless server_model fits the scenario's input and classes."""
+    if scenario.feature_len != server_model.config.input_len:
+        raise InvalidScenario(
+            f"scenario feature_len {scenario.feature_len} != server model "
+            f"input {server_model.config.input_len}"
+        )
+    if scenario.n_classes != server_model.config.n_classes:
+        raise InvalidScenario(
+            f"scenario n_classes {scenario.n_classes} != server model "
+            f"classes {server_model.config.n_classes}"
+        )
+
+
 def simulate(
     scenario: Scenario,
     server_model: MultiViewCnn,
@@ -476,16 +490,7 @@ def simulate(
         the server model's.
     """
     fallback_models = fallback_models or {}
-    if scenario.feature_len != server_model.config.input_len:
-        raise InvalidScenario(
-            f"scenario feature_len {scenario.feature_len} != server model "
-            f"input {server_model.config.input_len}"
-        )
-    if scenario.n_classes != server_model.config.n_classes:
-        raise InvalidScenario(
-            f"scenario n_classes {scenario.n_classes} != server model "
-            f"classes {server_model.config.n_classes}"
-        )
+    check_server_model(scenario, server_model)
     for num, fb in fallback_models.items():
         if not 1 <= num <= scenario.n_nodes:
             raise InvalidScenario(

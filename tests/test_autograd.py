@@ -26,13 +26,6 @@ from mvcnn.autograd import (
     no_grad,
     tanh_act,
 )
-from mvcnn.errors import (
-    ChannelMismatch,
-    InputTooShort,
-    InvalidProbability,
-    NotOneHot,
-    ShapeMismatch,
-)
 
 
 def bank(weights, biases=None):
@@ -72,11 +65,6 @@ class TestConv1dSame:
         out = conv1d_same(x, bank(np.zeros((2, 1, 3)), [1.5, -2.0]))
         np.testing.assert_allclose(out.data[0, :, 0], 1.5)
         np.testing.assert_allclose(out.data[0, :, 1], -2.0)
-
-    def test_channel_mismatch(self):
-        x = Tensor(np.zeros((1, 4, 2)))
-        with pytest.raises(ChannelMismatch):
-            conv1d_same(x, bank(np.zeros((2, 1, 3))))
 
     def test_matches_direct_correlation_oracle(self):
         rng = np.random.Generator(np.random.PCG64(1))
@@ -149,10 +137,6 @@ class TestMaxpool:
         sums = x.grad.reshape(4, 3).sum(axis=1)
         np.testing.assert_array_equal(sums, np.ones(4))
 
-    def test_too_short(self):
-        with pytest.raises(InputTooShort):
-            maxpool1d(Tensor(np.zeros((1, 2, 1))))
-
 
 class TestDenseSoftmax:
     def test_uniform_for_zero_parameters(self):
@@ -176,12 +160,6 @@ class TestDenseSoftmax:
             p = dense_softmax(x, w, Tensor(rng.normal(size=5)))
             assert np.all(p.data > 0)
             np.testing.assert_allclose(p.data.sum(axis=1), np.ones(3), atol=1e-9)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            dense_softmax(
-                Tensor(np.zeros((1, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2))
-            )
 
 
 class TestDropout:
@@ -220,11 +198,6 @@ class TestDropout:
         mean = total / n_seeds
         np.testing.assert_allclose(mean, x, rtol=0.01)
 
-    def test_invalid_probability(self):
-        for bad in (0.0, -0.5, 1.2):
-            with pytest.raises(InvalidProbability):
-                dropout(Tensor(np.ones(4)), bad, train=True, seed=0)
-
 
 class TestCrossEntropy:
     def test_perfect_prediction(self):
@@ -241,12 +214,6 @@ class TestCrossEntropy:
         p = Tensor(np.array([[1.0, 0.0]]))
         loss = cross_entropy(p, np.array([[0, 1]]))
         assert float(loss.data) == pytest.approx(-np.log(1e-12), rel=1e-9)
-
-    def test_not_one_hot(self):
-        p = Tensor(np.full((1, 3), 1 / 3))
-        for bad in ([[1, 1, 0]], [[0, 0, 0]], [[0.5, 0.5, 0]]):
-            with pytest.raises(NotOneHot):
-                cross_entropy(p, np.array(bad))
 
     def test_batch_mean(self):
         p = Tensor(np.array([[1.0, 0.0], [0.5, 0.5]]))
@@ -346,12 +313,6 @@ class TestAdam:
             return p
 
         np.testing.assert_array_equal(run(), run())
-
-    def test_shape_mismatch(self):
-        p = np.zeros(3)
-        state = AdamState.for_params(p, learning_rate=0.001)
-        with pytest.raises(ShapeMismatch):
-            adam_step(p, np.zeros(4), state)
 
 
 def _conv_reference(x, w, b, grad):
@@ -543,9 +504,9 @@ class TestNoGrad:
 
     def test_restored_after_exception(self):
         op = _op_cases()["tanh_act"]
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(RuntimeError, match="inside"):
             with no_grad():
-                conv1d_same(Tensor(np.ones((2, 3))), bank(np.ones((1, 1, 2))))
+                raise RuntimeError("inside no_grad")
         assert op()._backward is not None
 
 
@@ -737,11 +698,6 @@ class TestWideRowKernelsMatchReferences:
                 )
                 _assert_same_bits(got[0], expect[0])
                 _assert_same_bits(got[1], expect[1])
-
-    def test_bias_of_another_dtype_is_refused(self):
-        # the tiled bias row lives in the filter matrix's allocation
-        with pytest.raises(ShapeMismatch, match="dtype"):
-            ConvFilterBank(Tensor(np.ones((2, 1, 3), np.float32)), Tensor(np.zeros(2)))
 
     def test_paper_model_training_matches_reference_kernels(self, monkeypatch):
         rng = np.random.Generator(np.random.PCG64(18))

@@ -377,6 +377,28 @@ def test_model_with_other_class_count_is_one_error_line(tmp_path):
     assert not out.exists()
 
 
+def test_mismatched_model_is_refused_before_fallback_training(tmp_path):
+    # the same 3-class model on a 4-class scenario whose node 2 needs a
+    # fallback model: the refusal comes before any model is trained
+    path = tmp_path / "three.mvc"
+    save(build(ModelConfig(input_len=NodeConfig.feature_len, n_classes=3)), path)
+    (tmp_path / "s.scn").write_text(
+        "nodes = 2\nclips_per_node = 1\n[node 2]\nfallback_classes = 0, 1\n"
+    )
+    out = tmp_path / "records.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvcnn", "simulate", "--scenario",
+         str(tmp_path / "s.scn"), "--model", str(path), "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "training fallback models" not in proc.stdout
+    assert proc.stderr.splitlines() == [
+        "error: scenario n_classes 4 != server model classes 3"
+    ]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, scenario",
     [

@@ -52,7 +52,7 @@ class TestBuild:
     def test_channel_progression(self):
         model = build(tiny_config())
         for banks in model.views:
-            assert [b.in_channels for b in banks] == [1, 2, 4]
+            assert [b.weights.shape[1] for b in banks] == [1, 2, 4]
             assert [b.out_channels for b in banks] == [2, 4, 8]
 
     def test_view_widths_constant_within_view(self):
@@ -594,6 +594,24 @@ class TestGradientCheck:
         rng = np.random.Generator(np.random.PCG64(5))
         err = gradient_check(model, rng.normal(size=32), label=0, n_samples=25, seed=0)
         assert err < 1e-4
+
+    @pytest.mark.parametrize("label, error", [
+        # -1 would check class n-1; 3 is past tiny_config's three classes
+        (-1, LabelOutOfRange), (3, LabelOutOfRange), (np.int64(3), LabelOutOfRange),
+        (2**70, LabelOutOfRange),
+        (1.0, TypeError), ("1", TypeError), (None, TypeError), (np.array([1]), TypeError),
+    ])
+    def test_bad_label_is_refused(self, label, error):
+        with pytest.raises(error):
+            gradient_check(build(tiny_config()), np.zeros(32), label, n_samples=1, seed=0)
+
+    @pytest.mark.parametrize("label, same_as", [(True, 1), (False, 0), (np.int64(2), 2)])
+    def test_integer_like_label_checks_that_class(self, label, same_as):
+        rng = np.random.Generator(np.random.PCG64(4))
+        x = rng.normal(size=32)
+        got = gradient_check(build(tiny_config()), x, label, n_samples=25, seed=0)
+        expect = gradient_check(build(tiny_config()), x, same_as, n_samples=25, seed=0)
+        assert got.hex() == expect.hex()
 
 
 def test_predict_batches_match_single(tmp_path):

@@ -18,9 +18,13 @@ def unread_parameters(source: str) -> list[tuple[int, str, str]]:
         args = node.args
         params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
         body = node.body if isinstance(node.body, list) else [node.body]
+        nodes = [n for stmt in body for n in ast.walk(stmt)]
+        # x -= y reads x, though its target's context is Store
         read = {
-            n.id for stmt in body for n in ast.walk(stmt)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        } | {
+            n.target.id for n in nodes
+            if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)
         }
         name = getattr(node, "name", "<lambda>")
         found += [
@@ -49,7 +53,30 @@ def test_unread_parameter_is_found():
         "            return x\n"
         "        return inner\n"
         "g = lambda y, z: y\n"
+        "def h(total, step, fresh):\n"
+        "    total -= step\n"
+        "    fresh = 1\n"
     )
     assert unread_parameters(source) == [
-        (1, "f", "b"), (1, "f", "rest"), (1, "f", "key"), (8, "<lambda>", "z"),
+        (1, "f", "b"), (1, "f", "rest"), (1, "f", "key"), (9, "h", "fresh"),
+        (8, "<lambda>", "z"),
     ]
+
+
+def unraised_error_classes(package: Path) -> list[str]:
+    """Classes defined in package/errors.py that no raise under package names."""
+    defined = [
+        n.name for n in ast.parse((package / "errors.py").read_text()).body
+        if isinstance(n, ast.ClassDef)
+    ]
+    raised = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised |= {n.id for n in ast.walk(exc) if isinstance(n, ast.Name)}
+    return [name for name in defined if name not in raised]
+
+
+def test_every_error_class_is_raised():
+    assert unraised_error_classes(PACKAGE) == []
