@@ -78,8 +78,10 @@ class TestBuild:
                 build(tiny_config(input_len=bad_len))
 
     def test_bad_keep_prob(self):
-        with pytest.raises(InvalidConfig):
-            build(tiny_config(keep_prob=0.0))
+        # the only check on the keep probability dropout receives
+        for bad in (0.0, -0.5, 1.2, float("nan")):
+            with pytest.raises(InvalidConfig):
+                build(tiny_config(keep_prob=bad))
 
     @pytest.mark.parametrize("override", [
         dict(dtype=np.int32), dict(dtype=np.float16), dict(seed=-1),
