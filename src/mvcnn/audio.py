@@ -14,14 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    EmptyInput,
-    InvalidOverlap,
-    InvalidSetting,
-    MalformedWav,
-    NonPowerOfTwo,
-    UnsupportedFormat,
-)
+from .errors import EmptyInput, InvalidSetting, MalformedWav, UnsupportedFormat
 
 DEFAULT_SAMPLE_RATE = 24000
 
@@ -199,14 +192,10 @@ def segment(clip: AudioClip, window_len: int, overlap_fraction: float) -> np.nda
     overlap_fraction). A clip shorter than one window gives a
     [0, window_len] array.
 
-    Raises:
-        InvalidOverlap: overlap_fraction outside [0, 1).
-        NonPowerOfTwo: window_len is not a power of two.
+    The arguments are not checked here: `PipelineConfig`, whose fields
+    its one caller passes, refuses a window_len that is not a power of
+    two and an overlap outside [0, 1) when it is built.
     """
-    if not 0.0 <= overlap_fraction < 1.0:
-        raise InvalidOverlap(f"overlap must be in [0, 1), got {overlap_fraction}")
-    if window_len < 1 or window_len & (window_len - 1):
-        raise NonPowerOfTwo(f"window_len must be a power of two, got {window_len}")
     if len(clip.samples) < window_len:
         return np.empty((0, window_len))
     windows = np.lib.stride_tricks.sliding_window_view(clip.samples, window_len)

@@ -10,6 +10,12 @@ matrix product of a block of queries with the training rows, after both
 are shifted by training row 0. The shift keeps every distance, keeps
 exact ties exact on grid data, and removes the cancellation a common
 offset far from the origin would cause.
+
+These kernels do not check their arguments. Values are checked where
+they enter, in `evaluation.py`: `PipelineConfig` fixes every feature
+width, `prepare_fold` refuses a fold without training frames, and
+`KnnClassifier`, the one caller, passes one fold's rows and labels and
+tunes k only on inner splits of at least 8 rows.
 """
 
 from __future__ import annotations
@@ -18,14 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDataset, InvalidSetting, LengthMismatch
-
 # Query rows are ranked in blocks of at most this many distances, so the
 # [rows, n] distance and sort buffers stay near 32 MB each however many
 # queries arrive; the benchmark's searches each fit in one block.
 _BLOCK_ELEMENTS = 1 << 22
 
-K_CANDIDATES = (1, 3, 5, 7)  # the k values tune_k tries by default
+K_CANDIDATES = (1, 3, 5, 7)  # the k values tune_k tries
 
 
 @dataclass(frozen=True)
@@ -37,12 +41,6 @@ class KnnModel:
     def __post_init__(self):
         feats = np.asarray(self.training_features, dtype=np.float64)
         labels = np.asarray(self.training_labels, dtype=np.int64)
-        if feats.ndim != 2 or len(feats) == 0:
-            raise EmptyDataset("need a nonempty [n, L] training matrix")
-        if len(labels) != len(feats):
-            raise LengthMismatch("one label per training row required")
-        if not 1 <= self.k <= len(feats):
-            raise InvalidSetting(f"k must be in [1, {len(feats)}], got {self.k}")
         object.__setattr__(self, "training_features", feats)
         object.__setattr__(self, "training_labels", labels)
 
@@ -51,8 +49,6 @@ def _nearest_labels(model: KnnModel, queries: np.ndarray, depth: int) -> np.ndar
     """[m, depth] labels of each query's nearest training rows, nearest first."""
     queries = np.asarray(queries, dtype=np.float64)
     train = model.training_features
-    if queries.ndim != 2 or queries.shape[1] != train.shape[1]:
-        raise LengthMismatch(f"query shape {queries.shape} != [m, training width]")
     # a training row, not the training mean: the mean is inexact and would
     # turn exact distance ties into near ties
     origin = train[0]
@@ -78,11 +74,7 @@ def _vote(nearest: np.ndarray, k: int) -> np.ndarray:
 
 
 def knn_classify_batch(model: KnnModel, queries: np.ndarray) -> np.ndarray:
-    """Majority vote over the k nearest training points, per row of [m, L].
-
-    Raises:
-        LengthMismatch: query width differs from training features.
-    """
+    """Majority vote over the k nearest training points, per row of [m, L]."""
     return _vote(_nearest_labels(model, queries, model.k), model.k)
 
 
@@ -91,28 +83,13 @@ def tune_k(
     train_labels: np.ndarray,
     val_features: np.ndarray,
     val_labels: np.ndarray,
-    candidates=K_CANDIDATES,
 ) -> int:
-    """Pick the candidate k with the highest validation accuracy.
+    """Pick the K_CANDIDATES k with the highest validation accuracy.
 
     Candidates larger than the training set are skipped; accuracy ties
     resolve to the smallest k.
-
-    Raises:
-        LengthMismatch: not one label per validation row.
-        EmptyDataset: empty training/validation set or no usable candidate.
     """
-    train_labels = np.asarray(train_labels)
-    val_labels = np.asarray(val_labels)
-    if len(val_labels) != len(val_features):
-        raise LengthMismatch(
-            f"{len(val_labels)} labels for {len(val_features)} validation rows"
-        )
-    if len(train_labels) == 0 or len(val_labels) == 0:
-        raise EmptyDataset("tune_k needs nonempty train and validation sets")
-    usable = sorted(k for k in candidates if 1 <= k <= len(train_labels))
-    if not usable:
-        raise EmptyDataset("no candidate k fits the training set size")
+    usable = [k for k in K_CANDIDATES if k <= len(train_labels)]
     model = KnnModel(train_features, train_labels, usable[-1])
     nearest = _nearest_labels(model, val_features, model.k)  # one ranking for all k
     # max() keeps the first of equal accuracies, i.e. the smallest k

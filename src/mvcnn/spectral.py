@@ -8,6 +8,13 @@ Frames arrive as one Hamming-windowed [n, N] matrix with N a power of
 two. Every transform goes through power_spectra, which runs numpy's real
 FFT over the whole batch.
 
+The frame kernels (power_spectra, the bin averaging, spectrum_features
+and mfcc_features) do not check their arguments. Values are checked
+where they enter: `PipelineConfig` refuses a window length that is not a
+power of two and a feature length outside [1, N/2 + 1] when it is built,
+and `evaluation.py`, the kernels' one caller, hands them only frames of
+that window length.
+
 The high-pass runs each biquad as a two-level block scan of its
 state-space recurrence (Blelloch, "Prefix Sums and Their Applications",
 1990; Martin & Cundy, arXiv:1709.04057). Within a block of
@@ -28,14 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .audio import AudioClip
-from .errors import (
-    EmptyTrainingSet,
-    InvalidCutoff,
-    InvalidLength,
-    LengthMismatch,
-    NonPowerOfTwo,
-    ZeroPowerSignal,
-)
+from .errors import EmptyTrainingSet, InvalidCutoff, LengthMismatch, ZeroPowerSignal
 
 STD_FLOOR = 1e-8
 LOG_FLOOR = 1e-10
@@ -50,18 +50,8 @@ _GROUP_BLOCKS = 32
 
 # --- FFT ---
 
-def _check_power_of_two(n: int):
-    if n < 1 or n & (n - 1):
-        raise NonPowerOfTwo(f"frame length {n} is not a power of two")
-
-
 def power_spectra(frames: np.ndarray) -> np.ndarray:
-    """Half-spectrum |X[k]|^2, bins 0..N/2, of a [..., N] batch of frames.
-
-    Raises:
-        NonPowerOfTwo: frame length N is not a power of two.
-    """
-    _check_power_of_two(frames.shape[-1])
+    """Half-spectrum |X[k]|^2, bins 0..N/2, of a [..., N] batch of frames."""
     half = np.fft.rfft(frames)
     return half.real**2 + half.imag**2
 
@@ -81,14 +71,9 @@ def _average_groups(values: np.ndarray, L: int) -> np.ndarray:
 
     Bins are split into L groups as equal as possible (the first
     count mod L groups get one extra bin); the output is each group's mean.
-
-    Raises:
-        InvalidLength: L outside [1, bin count].
+    L is in [1, bin count].
     """
-    count = values.shape[-1]
-    if not 1 <= L <= count:
-        raise InvalidLength(f"feature length {L} outside [1, {count}] spectrum bins")
-    starts, sizes = _group_starts(count, L)
+    starts, sizes = _group_starts(values.shape[-1], L)
     return np.add.reduceat(values, starts, axis=-1) / sizes
 
 
@@ -97,10 +82,6 @@ def spectrum_features(frames: np.ndarray, feature_len: int) -> np.ndarray:
 
     Returns a [n_frames, feature_len] array of non-negative magnitudes
     (pre-normalization).
-
-    Raises:
-        NonPowerOfTwo: N is not a power of two.
-        InvalidLength: feature_len outside [1, N/2 + 1].
     """
     return _average_groups(np.sqrt(power_spectra(frames)), feature_len)
 
@@ -391,9 +372,6 @@ def mfcc_features(frames: np.ndarray, sample_rate: int) -> np.ndarray:
 
     Power spectrum -> MFCC_FILTERS triangular mel filters -> log (floored
     at 1e-10) -> orthonormal DCT-II, first MFCC_COEFFS coefficients.
-
-    Raises:
-        NonPowerOfTwo: N unsuitable for the FFT.
     """
     frames = np.asarray(frames, dtype=np.float64)
     power = power_spectra(frames)

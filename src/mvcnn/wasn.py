@@ -225,7 +225,8 @@ class Scenario:
 
     def validate(self):
         """Check the scenario's own rules, then build its corpus, node
-        pipeline and high-pass, so their rules apply as well.
+        pipeline and high-pass, so their rules apply as well, and refuse
+        a window longer than the corpus's clips.
 
         Raises:
             InvalidScenario: any rule broken, with the message of the
@@ -265,12 +266,18 @@ class Scenario:
                     f"node {i} needs at least two distinct fallback classes"
                 )
         try:
-            SyntheticClips(_corpus_spec(self, 1, self.seed))  # no rule reads the count
+            corpus = SyntheticClips(_corpus_spec(self, 1, self.seed))  # no rule reads the count
             _node_config(self, 0)
             if self.highpass_hz is not None:
                 design_highpass(self.highpass_hz, self.sample_rate)
         except MvcnnError as exc:
             raise InvalidScenario(str(exc)) from None
+        # a longer window cuts no frame from any clip, so no node would send
+        if self.window_len > corpus.n_samples:
+            raise InvalidScenario(
+                f"window_len {self.window_len} is longer than a clip's "
+                f"{corpus.n_samples} samples"
+            )
         return self
 
 

@@ -16,7 +16,6 @@ from mvcnn.audio import (
 )
 from mvcnn.errors import (
     EmptyInput,
-    InvalidOverlap,
     InvalidSetting,
     MalformedWav,
     UnsupportedFormat,
@@ -275,16 +274,6 @@ class TestSegment:
         assert np.shares_memory(frames, clip.samples)
         with pytest.raises(ValueError, match="read-only"):
             frames[0, 0] = 1.0
-
-    def test_invalid_overlap(self):
-        clip = AudioClip(np.zeros(4096), 24000)
-        for bad in (-0.1, 1.0, 1.5):
-            with pytest.raises(InvalidOverlap):
-                segment(clip, 2048, bad)
-
-    def test_non_power_of_two_window(self):
-        with pytest.raises(ValueError):
-            segment(AudioClip(np.zeros(4096), 24000), 3000, 0.5)
 
 
 class TestHamming:

@@ -399,6 +399,23 @@ def test_mismatched_model_is_refused_before_fallback_training(tmp_path):
     assert not out.exists()
 
 
+def test_window_longer_than_a_clip_is_refused_before_training(tmp_path):
+    # 2 s clips at 24 kHz hold 48000 samples, so no 65536-sample window fits
+    (tmp_path / "s.scn").write_text("nodes = 2\nclips_per_node = 1\nwindow_len = 65536\n")
+    out = tmp_path / "records.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvcnn", "simulate", "--scenario",
+         str(tmp_path / "s.scn"), "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "training" not in proc.stdout
+    assert proc.stderr.splitlines() == [
+        "error: window_len 65536 is longer than a clip's 48000 samples"
+    ]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, scenario",
     [

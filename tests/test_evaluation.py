@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from mvcnn.errors import (
     TooFewSamples,
 )
 from mvcnn.evaluation import (
+    FEATURE_KINDS,
     FREQ_JITTER,
     PERIOD_JITTER,
     ClipDataset,
@@ -222,16 +224,40 @@ class TestSynthetic:
         "change, error",
         [
             (dict(window_len=3000), NonPowerOfTwo),
+            (dict(window_len=100), NonPowerOfTwo),
+            (dict(window_len=300), NonPowerOfTwo),
+            (dict(window_len=300, feature_kind="mfcc"), NonPowerOfTwo),
             (dict(overlap=1.0), InvalidOverlap),
             (dict(overlap=-0.1), InvalidOverlap),
+            (dict(overlap=1.5), InvalidOverlap),
             (dict(feature_len=1026), InvalidLength),
             (dict(feature_len=0), InvalidLength),
+            (dict(feature_len=-1), InvalidLength),
         ],
     )
     def test_config_refuses_what_every_clip_would(self, change, error):
         # 2048-sample windows give 1025 spectrum bins
         with pytest.raises(error):
             replace(SMALL_PIPE, **change)
+
+    def test_every_accepted_config_gives_finite_features(self):
+        # the feature kernels check nothing, so each corner the config
+        # accepts must run clean on a clip that every window fits
+        rng = np.random.Generator(np.random.PCG64(21))
+        clip = AudioClip(0.3 * rng.standard_normal(3072), 16000)
+        for window, overlap, widest, kind, highpass in itertools.product(
+            (1, 2, 2048), (0.0, 0.999), (False, True), FEATURE_KINDS, (None, 200.0)
+        ):
+            pipe = PipelineConfig(
+                window_len=window, overlap=overlap,
+                feature_len=window // 2 + 1 if widest else 1,
+                feature_kind=kind, highpass_hz=highpass,
+            )
+            feats = clip_features(clip, pipe)
+            hop = max(1, int(window * (1.0 - overlap)))
+            assert feats.shape == ((3072 - window) // hop + 1, pipe.feature_dim), pipe
+            assert feats.dtype == np.float64
+            assert np.all(np.isfinite(feats)), pipe
 
     @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, 3083.0, -3200.0, -3070.0,
                                         1000.5, -1000.5,

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from mvcnn.audio import AudioClip, hamming_coefficients
-from mvcnn.errors import (
-    EmptyTrainingSet,
-    InvalidCutoff,
-    InvalidLength,
-    LengthMismatch,
-    NonPowerOfTwo,
-    ZeroPowerSignal,
-)
+from mvcnn.errors import EmptyTrainingSet, InvalidCutoff, LengthMismatch, ZeroPowerSignal
 from mvcnn.spectral import (
     HIGHPASS_BLOCK,
     HIGHPASS_ORDER,
@@ -92,10 +85,6 @@ class TestFftMagnitude:
         for a in (-2.0, 0.5):
             np.testing.assert_allclose(magnitudes(a * x), abs(a) * base, atol=1e-10)
 
-    def test_non_power_of_two(self):
-        with pytest.raises(NonPowerOfTwo):
-            magnitudes(np.zeros(100))
-
     def test_bin_count_invariant(self):
         assert magnitudes(np.zeros((3, 2048))).shape == (3, 1025)
 
@@ -118,11 +107,6 @@ class TestBinAverage:
         bins = np.array([2.0, 4.0, 6.0, 8.0, 10.0])
         # sizes (2, 2, 1)
         np.testing.assert_allclose(_average_groups(bins, 3), [3.0, 7.0, 10.0])
-
-    def test_invalid_lengths(self):
-        for L in (0, 6, -1):
-            with pytest.raises(InvalidLength):
-                _average_groups(np.ones(5), L)
 
 
 def test_bin_average_four_bin_example():
@@ -406,10 +390,6 @@ class TestMfcc:
             got = mfcc_features(x[None], 24000)[0]
             want = oracle_mfcc(x, 24000, 26, 13)
             np.testing.assert_allclose(got, want, atol=1e-9)
-
-    def test_non_power_of_two(self):
-        with pytest.raises(NonPowerOfTwo):
-            mfcc_features(np.zeros((1, 300)), 24000)
 
     def test_filterbank_shape_and_coverage(self):
         fbank = mel_filterbank(26, 2048, 24000)

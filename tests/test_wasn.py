@@ -210,7 +210,7 @@ class TestScenarioClips:
                                                    n_classes, seed):
         scenario = Scenario(n_nodes=n_nodes, clips_per_node=clips_per_node,
                             n_classes=n_classes, clip_seconds=0.2,
-                            sample_rate=16000, seed=seed)
+                            sample_rate=16000, window_len=2048, seed=seed)
         want = whole_dataset_selection(scenario)
         got = scenario_clips(scenario)
         assert len(got) == len(want) == n_nodes
@@ -233,7 +233,7 @@ class TestScenarioClips:
 
         monkeypatch.setattr(wasn.SyntheticClips, "__getitem__", spy)
         by_node = scenario_clips(Scenario(n_nodes=5, clips_per_node=2,
-                                          clip_seconds=0.1, seed=3))
+                                          clip_seconds=0.1, window_len=2048, seed=3))
         assert made == []  # nothing is synthesized up front
         for clips in by_node:
             for _ in clips:
@@ -569,6 +569,20 @@ class TestScenarioParsing:
     def test_value_the_pipeline_or_corpus_refuses(self, line):
         with pytest.raises(InvalidScenario):
             parse_scenario(line + "\n")
+
+    @pytest.mark.parametrize(
+        "text, window, samples",
+        [("window_len = 65536\n", 65536, 48000),
+         ("clip_seconds = 0.5\nsample_rate = 16000\nwindow_len = 8192\n", 8192, 8000)],
+    )
+    def test_window_longer_than_a_clip_is_named(self, text, window, samples):
+        message = rf"^window_len {window} is longer than a clip's {samples} samples$"
+        with pytest.raises(InvalidScenario, match=message):
+            parse_scenario(text)
+
+    def test_window_as_long_as_a_clip_is_kept(self):
+        scenario = parse_scenario("clip_seconds = 0.256\nsample_rate = 16000\nwindow_len = 4096\n")
+        assert scenario.window_len == 4096
 
     @pytest.mark.parametrize("rate", [0, -24000])
     def test_non_positive_sample_rate_is_named(self, rate):
