@@ -531,6 +531,13 @@ class TestRunCv:
         np.testing.assert_array_equal(base.stats.mean, poked.stats.mean)
         np.testing.assert_array_equal(base.stats.std, poked.stats.std)
 
+    def test_fold_without_training_frames_is_refused(self):
+        # the KNN search and tune_k check nothing, so an empty training
+        # set must stop here, before any classifier sees it
+        per_clip = [np.zeros((0, 4)), np.zeros((0, 4)), np.ones((2, 4))]
+        with pytest.raises(EmptyDataset, match="no training frames in fold"):
+            prepare_fold(per_clip, np.array([0, 1, 0]), [0, 1], [2], True)
+
     def test_frame_level_toggle(self):
         ds = small_dataset()
         clip_res = run_cv(ds, "knn_spectrum", k=4, seed=0, pipeline=SMALL_PIPE)
@@ -541,6 +548,42 @@ class TestRunCv:
         assert frame_res.confusion.sum() == sum(
             len(f) for f in clip_frame_features(ds, SMALL_PIPE)
         )
+
+
+class TestKnnClassifier:
+    """tune_k checks nothing, so its one caller hands it only usable splits."""
+
+    @pytest.fixture
+    def tune_calls(self, monkeypatch):
+        calls = []
+        real = evaluation.tune_k
+
+        def spy(train_f, train_y, val_f, val_y):
+            calls.append((len(train_f), len(train_y), len(val_f), len(val_y)))
+            return real(train_f, train_y, val_f, val_y)
+
+        monkeypatch.setattr(evaluation, "tune_k", spy)
+        return calls
+
+    @pytest.mark.parametrize("n_rows, n_classes", [(1, 1), (7, 2), (12, 1)])
+    def test_k_is_one_without_tuning_on_small_or_one_class_sets(
+        self, tune_calls, n_rows, n_classes
+    ):
+        feats = np.arange(2.0 * n_rows).reshape(n_rows, 2)
+        clf = evaluation.KnnClassifier(seed=0).fit(feats, np.arange(n_rows) % n_classes)
+        assert tune_calls == []
+        assert clf.k == 1
+
+    def test_tuning_splits_are_nonempty_with_one_label_per_row(self, tune_calls):
+        rng = np.random.Generator(np.random.PCG64(8))
+        for n_rows in (8, 9, 13, 40):
+            feats = rng.normal(size=(n_rows, 3))
+            labels = np.arange(n_rows) % 2
+            evaluation.KnnClassifier(seed=n_rows).fit(feats, labels)
+            n_fit, fit_labels, n_val, val_labels = tune_calls[-1]
+            assert n_fit == fit_labels >= 1 and n_val == val_labels >= 1
+            assert n_fit + n_val == n_rows
+        assert len(tune_calls) == 4
 
 
 class TestSkippedClips:

@@ -102,6 +102,13 @@ class TestTuneK:
         labels = rng.integers(0, 3, 30)
         assert tune_k(feats, labels, feats, labels) == 1
 
+    def test_candidates_come_from_k_candidates(self, monkeypatch):
+        # the module constant is tune_k's one source of candidates
+        feats = np.arange(20.0).reshape(10, 2)
+        labels = np.arange(10) % 2
+        monkeypatch.setattr(knn, "K_CANDIDATES", (5,))
+        assert tune_k(feats, labels, feats, labels) == 5
+
     def test_tie_prefers_smallest_k(self):
         # validation set where k=3 and k=5 tie above k=1 and k=7:
         # class 0 clusters at 0, class 1 at 1; a noisy class-0 point sits

@@ -80,3 +80,38 @@ def unraised_error_classes(package: Path) -> list[str]:
 
 def test_every_error_class_is_raised():
     assert unraised_error_classes(PACKAGE) == []
+
+
+def raising_functions(source: str) -> set[str]:
+    """Names of the functions in source whose own bodies hold a raise."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(isinstance(n, ast.Raise) for n in ast.walk(node)):
+                found.add(node.name)
+    return found
+
+
+def test_raising_function_is_found():
+    source = (
+        "def checks(x):\n"
+        "    if x:\n"
+        "        raise ValueError(x)\n"
+        "def quiet(x):\n"
+        "    return x\n"
+    )
+    assert raising_functions(source) == {"checks"}
+
+
+def test_unchecked_kernels_raise_nothing():
+    # PipelineConfig and evaluation.py check these kernels' values where
+    # they enter, so the kernels hold no check of their own
+    knn_source = (PACKAGE / "knn.py").read_text()
+    assert raising_functions(knn_source) == set()
+    assert not any(
+        isinstance(n, ast.ImportFrom) and n.module == "errors"
+        for n in ast.walk(ast.parse(knn_source))
+    )
+    assert "segment" not in raising_functions((PACKAGE / "audio.py").read_text())
+    spectral = raising_functions((PACKAGE / "spectral.py").read_text())
+    assert {"power_spectra", "_average_groups"}.isdisjoint(spectral)
