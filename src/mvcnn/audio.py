@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidSetting, MalformedWav, UnsupportedFormat
+from .errors import InvalidSetting, MalformedWav, UnsupportedFormat
 
 DEFAULT_SAMPLE_RATE = 24000
 
@@ -138,10 +138,9 @@ def save_wav(path, clip: AudioClip) -> None:
 
 
 def rms(values) -> float:
-    """Root mean square of a nonempty sequence."""
+    """Root mean square of a nonempty sequence; `window_rms`, the one
+    caller, passes only a clip's nonempty tail."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise EmptyInput("rms of an empty sequence")
     return float(np.sqrt(np.mean(arr * arr)))
 
 

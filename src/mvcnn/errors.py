@@ -23,10 +23,6 @@ class UnsupportedFormat(MvcnnError):
     """WAV file is not 16-bit mono PCM."""
 
 
-class EmptyInput(MvcnnError):
-    """An operation that needs at least one sample got none."""
-
-
 class InvalidOverlap(MvcnnError):
     """Segmentation overlap fraction outside [0, 1)."""
 
@@ -39,10 +35,6 @@ class NonPowerOfTwo(MvcnnError, ValueError):
 
 class InvalidLength(MvcnnError):
     """Requested feature length is not in [1, bin count]."""
-
-
-class EmptyTrainingSet(MvcnnError):
-    """Normalizer fit called with no feature vectors."""
 
 
 class LengthMismatch(MvcnnError):

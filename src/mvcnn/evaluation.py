@@ -42,7 +42,6 @@ from .errors import (
     InvalidOverlap,
     InvalidSetting,
     InvalidSpec,
-    LengthMismatch,
     NonPowerOfTwo,
     TooFewSamples,
 )
@@ -461,9 +460,7 @@ def prepare_fold(per_clip, labels, train_idx, test_idx, normalize_features: bool
     if normalize_features:
         stats = fit_normalizer(train_X)
         train_X = normalize(train_X, stats)
-        test_feats = [
-            normalize(f, stats) if len(f) else f for f in test_feats
-        ]
+        test_feats = [normalize(f, stats) for f in test_feats]
     return FoldData(train_X, train_y.astype(np.int64), test_feats, stats)
 
 
@@ -759,18 +756,15 @@ def tune_silence_threshold(levels, active) -> float:
     """Exhaustive threshold search over {0, 0.01, ..., 0.5}.
 
     levels holds each labeled window's RMS (`audio.window_rms`) and
-    active its label; a window is predicted active when its level is
-    >= the threshold. Returns the threshold with the best window-level
-    accuracy, ties resolving to the smallest value.
+    active its label, one per level; a window is predicted active when
+    its level is >= the threshold. Returns the threshold with the best
+    window-level accuracy, ties resolving to the smallest value.
 
     Raises:
         EmptyDataset: no labeled windows.
-        LengthMismatch: not one label per level.
     """
     levels = np.asarray(levels, dtype=np.float64)
     truth = np.asarray(active, dtype=bool)
-    if levels.shape != truth.shape:
-        raise LengthMismatch(f"{len(truth)} labels for {len(levels)} window levels")
     if not len(levels):
         raise EmptyDataset("no labeled windows to tune on")
     rhos = np.arange(51) / 100.0

@@ -7,6 +7,9 @@ progression 1 -> 2 -> 4 -> 8). The stacks' outputs are concatenated on
 the channel axis, max-pooled 3/3, flattened, passed through dropout and
 a dense+softmax head. A single-view ablation is the same code path with
 one stack.
+
+`forward_batch` checks the feature shape of every pass, so `forward`,
+`predict`, `train` and `gradient_check` need no shape check of their own.
 """
 
 from __future__ import annotations
@@ -216,12 +219,10 @@ def forward(model: MultiViewCnn, features: np.ndarray) -> np.ndarray:
     """Eval-mode probability vector [H] for a single feature vector of length L.
 
     Runs under no_grad(), so no backward graph is built for the row.
+    forward_batch refuses the [1, ...] batch unless features has shape [L].
     """
-    features = np.asarray(features)
-    if features.ndim != 1:
-        raise LengthMismatch(f"expected a flat feature vector, got {features.shape}")
     with no_grad():
-        return forward_batch(model, features[None, :]).data[0]
+        return forward_batch(model, np.asarray(features)[None]).data[0]
 
 
 # Rows per predict() pass, the training batch size: chunks of 8 to 32 rows

@@ -9,11 +9,12 @@ two. Every transform goes through power_spectra, which runs numpy's real
 FFT over the whole batch.
 
 The frame kernels (power_spectra, the bin averaging, spectrum_features
-and mfcc_features) do not check their arguments. Values are checked
-where they enter: `PipelineConfig` refuses a window length that is not a
-power of two and a feature length outside [1, N/2 + 1] when it is built,
-and `evaluation.py`, the kernels' one caller, hands them only frames of
-that window length.
+and mfcc_features), fit_normalizer and normalize do not check their
+arguments. Values are checked where they enter: `PipelineConfig` refuses
+a window length that is not a power of two and a feature length outside
+[1, N/2 + 1], `evaluation.py` hands the kernels only frames of that
+window length, and the statistics' callers fit them on a nonempty set
+and normalise only rows of their length.
 
 The high-pass runs each biquad as a two-level block scan of its
 state-space recurrence (Blelloch, "Prefix Sums and Their Applications",
@@ -35,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .audio import AudioClip
-from .errors import EmptyTrainingSet, InvalidCutoff, LengthMismatch, ZeroPowerSignal
+from .errors import InvalidCutoff, InvalidSetting, LengthMismatch, ZeroPowerSignal
 
 STD_FLOOR = 1e-8
 LOG_FLOOR = 1e-10
@@ -107,16 +108,11 @@ class NormStats:
 
 
 def fit_normalizer(training_features: np.ndarray) -> NormStats:
-    """Fit per-dimension mean/std of log(1+x) over a [n, L] feature matrix.
+    """Fit per-dimension mean/std of log(1+x) over a nonempty [n, L] matrix.
 
     Std is floored at 1e-8 so constant dimensions normalize to zero.
-
-    Raises:
-        EmptyTrainingSet: no rows to fit on.
     """
     feats = np.asarray(training_features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] == 0:
-        raise EmptyTrainingSet("need a nonempty [n, L] feature matrix")
     logged = np.log1p(feats)
     mean = logged.mean(axis=0)
     std = np.maximum(logged.std(axis=0), STD_FLOOR)
@@ -124,12 +120,9 @@ def fit_normalizer(training_features: np.ndarray) -> NormStats:
 
 
 def normalize(features: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Apply (log(1+x) - mean) / std per dimension. Accepts [L] or [n, L]."""
+    """Apply (log(1+x) - mean) / std per dimension to [L] or [n, L] rows of
+    the statistics' length."""
     feats = np.asarray(features, dtype=np.float64)
-    if feats.shape[-1] != len(stats.mean):
-        raise LengthMismatch(
-            f"feature length {feats.shape[-1]} != stats length {len(stats.mean)}"
-        )
     return (np.log1p(feats) - stats.mean) / stats.std
 
 
@@ -345,6 +338,10 @@ def mel_filterbank(n_filters: int, n_fft: int, sample_rate: int) -> np.ndarray:
     per argument triple because mfcc_features asks for it for every clip.
     Filter i rises from mel point i to i+1 and falls to i+2, evaluated at
     exact bin frequencies (no integer-bin snapping).
+
+    Raises:
+        InvalidSetting: a filter covers no bin, so n_fft is too short for
+        the sample rate and the filter's MFCC input would be a constant.
     """
     edges_hz = inverse_mel(np.linspace(0.0, mel_scale(sample_rate / 2), n_filters + 2))
     bin_freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
@@ -354,6 +351,10 @@ def mel_filterbank(n_filters: int, n_fft: int, sample_rate: int) -> np.ndarray:
     rising = (bin_freqs - lower) / (center - lower)
     falling = (upper - bin_freqs) / (upper - center)
     fbank = np.clip(np.minimum(rising, falling), 0.0, None)
+    empty = int(np.sum(~fbank.any(axis=1)))
+    if empty:
+        raise InvalidSetting(f"window {n_fft} at {sample_rate} Hz leaves {empty} mel "
+                             f"filters of {n_filters} on no FFT bin")
     fbank.flags.writeable = False
     return fbank
 

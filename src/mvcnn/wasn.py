@@ -506,10 +506,11 @@ def simulate(
         subset = scenario.nodes[num - 1].fallback_classes
         if not subset:
             raise InvalidScenario(f"node {num} has a fallback model but no classes")
-        if fb.config.n_classes != len(subset):
+        if (fb.config.n_classes, fb.config.input_len) != (len(subset), scenario.feature_len):
             raise InvalidScenario(
-                f"node {num} fallback model covers {fb.config.n_classes} classes, "
-                f"scenario lists {len(subset)}"
+                f"node {num} fallback model maps {fb.config.input_len} features to "
+                f"{fb.config.n_classes} classes, scenario has {scenario.feature_len} "
+                f"features and lists {len(subset)} classes"
             )
 
     clip_ms = int(round(scenario.clip_seconds * 1000))
@@ -569,11 +570,17 @@ def simulate(
 
 def _scenario_training_frames(scenario: Scenario, clips_per_class: int, seed: int):
     """Training frames drawn through the node pipeline, disjoint from the
-    clips the simulation itself replays (different seed namespace)."""
+    clips the simulation itself replays (different seed namespace).
+    Raises InvalidScenario when the silence threshold leaves a class no frame."""
     dataset = generate_synthetic(_corpus_spec(scenario, clips_per_class, seed + 7919))
     per_clip = clip_frame_features(dataset, _node_config(scenario, node_id=0))
     frames = np.vstack(per_clip).astype(np.float32).astype(np.float64)  # as sent
-    return frames, np.repeat(dataset.labels, [len(f) for f in per_clip])
+    labels = np.repeat(dataset.labels, [len(f) for f in per_clip])
+    counts = np.bincount(labels, minlength=scenario.n_classes)
+    if not counts.all():  # each fallback model trains on a class subset
+        raise InvalidScenario(f"silence_threshold {scenario.silence_threshold} leaves "
+                              f"class {np.argmin(counts)} no training frame")
+    return frames, labels
 
 
 def _fit(frames, labels, n_classes: int, iterations: int, seed: int) -> MultiViewCnn:

@@ -15,7 +15,6 @@ from mvcnn.audio import (
     window_rms,
 )
 from mvcnn.errors import (
-    EmptyInput,
     InvalidSetting,
     MalformedWav,
     UnsupportedFormat,
@@ -98,10 +97,6 @@ class TestRms:
     def test_hand_computed(self):
         # sqrt((0.36 + 0.64) / 2)
         assert rms([0.6, -0.8]) == pytest.approx(np.sqrt(0.5), abs=1e-12)
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyInput):
-            rms([])
 
     def test_scale_equivariance(self):
         rng = np.random.Generator(np.random.PCG64(0))

@@ -416,6 +416,27 @@ def test_window_longer_than_a_clip_is_refused_before_training(tmp_path):
     assert not out.exists()
 
 
+def test_silence_threshold_that_leaves_a_class_no_frame_is_one_error_line(tmp_path):
+    # the synthetic clips' loudest windows read an RMS near 0.154, so a
+    # threshold of 0.5 (in SilenceConfig's range) silences every frame
+    (tmp_path / "s.scn").write_text(
+        "nodes = 1\nclips_per_node = 1\nclip_seconds = 1.0\nwindow_len = 2048\n"
+        "silence_threshold = 0.5\n"
+    )
+    out = tmp_path / "records.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvcnn", "simulate", "--scenario",
+         str(tmp_path / "s.scn"), "--iters", "1", "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: silence_threshold 0.5 leaves class 0 no training frame"
+    ]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, scenario",
     [

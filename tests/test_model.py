@@ -123,6 +123,13 @@ class TestForward:
         with pytest.raises(LengthMismatch):
             forward(model, np.zeros(33))
 
+    @pytest.mark.parametrize("features", [np.zeros((1, 32)), 0.5], ids=["row", "scalar"])
+    def test_only_a_flat_vector_is_accepted(self, features):
+        # forward's one-row batch leaves the shape check to forward_batch
+        model = build(tiny_config())
+        with pytest.raises(LengthMismatch):
+            forward(model, features)
+
     def test_train_flag_controls_dropout_only(self):
         model = build(tiny_config(keep_prob=0.5))
         x = np.linspace(-1, 1, 32)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mvcnn.audio import AudioClip, hamming_coefficients
-from mvcnn.errors import EmptyTrainingSet, InvalidCutoff, LengthMismatch, ZeroPowerSignal
+from mvcnn.errors import InvalidCutoff, InvalidSetting, LengthMismatch, ZeroPowerSignal
+from mvcnn.evaluation import DEFAULT_GRIDS
 from mvcnn.spectral import (
     HIGHPASS_BLOCK,
     HIGHPASS_ORDER,
@@ -146,15 +147,6 @@ class TestNormalizer:
         z = normalize(feats, stats)
         np.testing.assert_allclose(z.mean(axis=0), np.zeros(16), atol=1e-9)
         np.testing.assert_allclose(z.std(axis=0), np.ones(16), atol=1e-6)
-
-    def test_empty_training_set(self):
-        with pytest.raises(EmptyTrainingSet):
-            fit_normalizer(np.empty((0, 4)))
-
-    def test_length_mismatch(self):
-        stats = fit_normalizer(np.ones((3, 4)))
-        with pytest.raises(LengthMismatch):
-            normalize(np.ones(5), stats)
 
 
 def steady_gain(freq_hz, sr, cutoff_hz=200.0):
@@ -397,6 +389,25 @@ class TestMfcc:
         assert np.all(fbank >= 0)
         # every filter has some mass
         assert np.all(fbank.sum(axis=1) > 0)
+
+    @pytest.mark.parametrize(
+        "n_fft, sample_rate, empty", [(128, 24000, 1), (1, 16000, 26), (256, 96000, 1)]
+    )
+    def test_filterbank_refuses_a_window_too_short_for_the_rate(
+        self, n_fft, sample_rate, empty
+    ):
+        # an empty filter floors its energy, so its MFCC input is a constant
+        message = (
+            rf"^window {n_fft} at {sample_rate} Hz leaves {empty} mel filters of 26 "
+            r"on no FFT bin$"
+        )
+        with pytest.raises(InvalidSetting, match=message):
+            mel_filterbank(26, n_fft, sample_rate)
+
+    @pytest.mark.parametrize("sample_rate", [8000, 16000, 24000, 48000, 96000, 192000])
+    def test_filterbank_covers_every_window_choice(self, sample_rate):
+        for n_fft in DEFAULT_GRIDS["window_size"]:
+            assert mel_filterbank(26, n_fft, sample_rate).any(axis=1).all()
 
     def test_filterbank_is_shared_and_read_only(self):
         # one matrix per argument triple serves every clip, so no caller may edit it

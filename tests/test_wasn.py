@@ -440,6 +440,24 @@ class TestSimulate:
         with pytest.raises(InvalidScenario, match=message):
             simulate(scenario, server, {num: fallbacks[1]})
 
+    @pytest.mark.parametrize(
+        "n_classes, input_len", [(3, 64), (2, 32)], ids=["classes", "input-len"]
+    )
+    def test_ill_fitted_fallback_model_rejected(self, monkeypatch, n_classes, input_len):
+        # node 1 never falls back, yet its model is refused before any clip
+        # is replayed
+        nodes = (NodeSpec(fallback_classes=(0, 1)), NodeSpec(), NodeSpec())
+        scenario = small_scenario(nodes=nodes)
+        server, _ = small_models(scenario)
+        fallback = build(ModelConfig(input_len=input_len, n_classes=n_classes, seed=11))
+        monkeypatch.setattr(wasn, "node_process", lambda *a, **k: pytest.fail("replayed"))
+        message = (
+            rf"^node 1 fallback model maps {input_len} features to {n_classes} classes, "
+            r"scenario has 64 features and lists 2 classes$"
+        )
+        with pytest.raises(InvalidScenario, match=message):
+            simulate(scenario, server, {1: fallback})
+
     def test_buffer_policy_forwards_after_outage(self):
         nodes = (NodeSpec(link_outages=((300, 1500),)), NodeSpec(), NodeSpec())
         scenario = small_scenario(nodes=nodes, fallback_policy="buffer")
