@@ -169,11 +169,14 @@ def window_rms(clip: AudioClip, cfg: SilenceConfig):
 def remove_silence(clip: AudioClip, cfg: SilenceConfig) -> AudioClip:
     """Drop the `window_rms` windows whose RMS is below cfg.threshold.
 
-    Surviving windows are concatenated in order. May return an empty
-    clip.
+    Surviving windows are concatenated in order. Returns the clip itself
+    when every window survives, and may return an empty clip.
     """
     levels, win = window_rms(clip, cfg)
-    keep = np.repeat(levels >= cfg.threshold, win)[: len(clip.samples)]
+    passed = levels >= cfg.threshold
+    if passed.all():
+        return clip
+    keep = np.repeat(passed, win)[: len(clip.samples)]
     return AudioClip(clip.samples[keep], clip.sample_rate)
 
 
@@ -195,10 +198,15 @@ def segment(clip: AudioClip, window_len: int, overlap_fraction: float) -> np.nda
     its one caller passes, refuses a window_len that is not a power of
     two and an overlap outside [0, 1) when it is built.
     """
-    if len(clip.samples) < window_len:
+    samples = clip.samples
+    if len(samples) < window_len:
         return np.empty((0, window_len))
-    windows = np.lib.stride_tricks.sliding_window_view(clip.samples, window_len)
-    return windows[:: hop_length(window_len, overlap_fraction)]
+    hop = hop_length(window_len, overlap_fraction)
+    (step,) = samples.strides
+    return np.lib.stride_tricks.as_strided(
+        samples, ((len(samples) - window_len) // hop + 1, window_len), (hop * step, step),
+        writeable=False,
+    )
 
 
 @lru_cache(maxsize=8)

@@ -14,13 +14,13 @@ output's P*C_out-wide rows, and max pooling takes one np.maximum per tap
 view instead of a reduce over the window axis. Each keeps the IEEE
 operations, and their order, of the plain broadcast or reduce.
 
-Graphs are built define-by-run, and only while gradients are enabled
-(the default): every op then returns a new Tensor holding a closure that
-routes its output gradient to its parents. Calling ``backward()`` on a
-scalar loss fills ``.grad`` on every tensor that participated in
-producing it. Inside ``with no_grad():`` every op returns a bare Tensor
-with no parents and no closure, so nothing an op computes for its
-backward pass (the lowered conv rows, a pooling mask) outlives the op.
+Graphs are built define-by-run: every op returns a new Tensor holding a
+closure that routes its output gradient to its parents, and calling
+``backward()`` on a scalar loss fills ``.grad`` on every tensor that
+participated in producing it. In the package only ``model.train`` and
+``model.gradient_check`` run the ops, through ``forward_batch``;
+inference runs a ``model.serving_plan``, which repeats their forward
+arithmetic on buffers of its own and builds no graph.
 conv1d_same skips the input-gradient product for an input whose
 requires_grad is False, such as the features forward_batch builds.
 
@@ -30,8 +30,6 @@ checks its inputs where they enter, and every shape it passes follows.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,37 +82,6 @@ def _post_order(node: Tensor, seen: set, topo: list):
     for parent in node._parents:
         _post_order(parent, seen, topo)
     topo.append(node)
-
-
-class _GradMode(threading.local):
-    """Per-thread, so inference on one thread leaves training on another intact."""
-
-    enabled = True
-
-
-_grad_mode = _GradMode()
-
-
-@contextmanager
-def no_grad():
-    """Build no graph inside the block; the previous state returns on exit.
-
-    Separate from the ops' ``train`` flags: dropout's mode says what the
-    forward pass computes, this switch only whether it can be differentiated.
-    """
-    previous = _grad_mode.enabled
-    _grad_mode.enabled = False
-    try:
-        yield
-    finally:
-        _grad_mode.enabled = previous
-
-
-def _node(data, parents: tuple, backward) -> Tensor:
-    """An op's output: a graph node, or a bare Tensor under no_grad()."""
-    if _grad_mode.enabled:
-        return Tensor(data, parents=parents, backward=backward)
-    return Tensor(data)
 
 
 def _accumulate(tensor: Tensor, grad: np.ndarray):
@@ -182,29 +149,36 @@ def _toeplitz(weights: np.ndarray, bias: np.ndarray | None = None):
     return block[:rows], block[rows]
 
 
+def _toeplitz_windows(padded: np.ndarray, w: int) -> np.ndarray:
+    """[B, blocks, (P+w-1)*C] read-only view of a C-contiguous zero-padded
+    [B, blocks*P + w-1, C] buffer: row (b, k) is the contiguous run of
+    positions k*P .. k*P+P+w-2, and consecutive rows overlap."""
+    batch, total, channels = padded.shape
+    windows = np.ndarray(
+        (batch, (total - w + 1) // TOEPLITZ_BLOCK, (TOEPLITZ_BLOCK + w - 1) * channels),
+        padded.dtype,
+        padded,
+        strides=(padded.strides[0], padded.strides[1] * TOEPLITZ_BLOCK, padded.strides[2]),
+    )
+    windows.flags.writeable = False
+    return windows
+
+
 def _toeplitz_rows(data: np.ndarray, w: int, pad_left: int) -> np.ndarray:
     """[B, L, C] -> [B*ceil(L/P), (P+w-1)*C]: row (b, k) holds the zero-padded
     positions k*P .. k*P+P+w-2, the inputs of output positions k*P .. k*P+P-1.
 
     The input is copied once into a zeroed [B, ceil(L/P)*P + w-1, C] buffer
     with pad_left leading rows; each output row is then one contiguous run
-    of that buffer, read through a read-only strided view whose rows
-    overlap. The final reshape is free at B=1 and otherwise copies
-    (P+w-1)/P values per input value, not w as a one-position-per-row
-    lowering (im2col) would.
+    of that buffer (`_toeplitz_windows`). The final reshape is free at B=1
+    and otherwise copies (P+w-1)/P values per input value, not w as a
+    one-position-per-row lowering (im2col) would.
     """
     batch, length, channels = data.shape
     blocks = -(-length // TOEPLITZ_BLOCK)
     padded = np.zeros((batch, blocks * TOEPLITZ_BLOCK + w - 1, channels), dtype=data.dtype)
     padded[:, pad_left : pad_left + length] = data
-    windows = np.ndarray(
-        (batch, blocks, (TOEPLITZ_BLOCK + w - 1) * channels),
-        data.dtype,
-        padded,
-        strides=(padded.strides[0], padded.strides[1] * TOEPLITZ_BLOCK, padded.strides[2]),
-    )
-    windows.flags.writeable = False
-    return windows.reshape(batch * blocks, -1)
+    return _toeplitz_windows(padded, w).reshape(batch * blocks, -1)
 
 
 def _toeplitz_product(rows: np.ndarray, matrix: np.ndarray, batch: int, length: int,
@@ -272,7 +246,7 @@ def conv1d_same(x: Tensor, bank: ConvFilterBank) -> Tensor:
             grad_rows = _toeplitz_rows(grad, w, right)
             _accumulate(x, _toeplitz_product(grad_rows, flipped, batch, length))
 
-    return _node(out_data, (x,), backward)
+    return Tensor(out_data, (x,), backward)
 
 
 def tanh_act(x: Tensor) -> Tensor:
@@ -287,7 +261,7 @@ def tanh_act(x: Tensor) -> Tensor:
         np.multiply(dx, grad, out=dx)
         _accumulate(x, dx)
 
-    return _node(out_data, (x,), backward)
+    return Tensor(out_data, (x,), backward)
 
 
 # Pooling window (and stride) of the network's one max-pool layer.
@@ -327,7 +301,7 @@ def maxpool1d(x: Tensor) -> Tensor:
             routed |= hit
         _accumulate(x, dx)
 
-    return _node(out_data, (x,), backward)
+    return Tensor(out_data, (x,), backward)
 
 
 def concat_channels(tensors: list[Tensor]) -> Tensor:
@@ -339,7 +313,7 @@ def concat_channels(tensors: list[Tensor]) -> Tensor:
         for t, piece in zip(tensors, np.split(grad, splits, axis=2)):
             _accumulate(t, piece)
 
-    return _node(out_data, tuple(tensors), backward)
+    return Tensor(out_data, tuple(tensors), backward)
 
 
 def flatten(x: Tensor) -> Tensor:
@@ -350,7 +324,7 @@ def flatten(x: Tensor) -> Tensor:
     def backward(grad):
         _accumulate(x, grad.reshape(x.data.shape))
 
-    return _node(out_data, (x,), backward)
+    return Tensor(out_data, (x,), backward)
 
 
 def dense_softmax(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
@@ -371,7 +345,7 @@ def dense_softmax(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
         _accumulate(bias, dlogits.sum(axis=0))
         _accumulate(x, dlogits @ weights.data.T)
 
-    return _node(probs, (x, weights, bias), backward)
+    return Tensor(probs, (x, weights, bias), backward)
 
 
 def dropout(x: Tensor, keep_prob: float, train: bool, seed: int = 0) -> Tensor:
@@ -393,7 +367,7 @@ def dropout(x: Tensor, keep_prob: float, train: bool, seed: int = 0) -> Tensor:
         dx *= scale
         _accumulate(x, dx)
 
-    return _node(out_data, (x,), backward)
+    return Tensor(out_data, (x,), backward)
 
 
 PROB_FLOOR = 1e-12
@@ -417,7 +391,7 @@ def cross_entropy(probs: Tensor, one_hot) -> Tensor:
         dp = -(labels * inside) / clipped / batch
         _accumulate(probs, dp * grad)
 
-    return _node(np.asarray(loss, dtype=probs.data.dtype), (probs,), backward)
+    return Tensor(np.asarray(loss, dtype=probs.data.dtype), (probs,), backward)
 
 
 # --- optimizer ---

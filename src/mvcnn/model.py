@@ -8,8 +8,13 @@ the channel axis, max-pooled 3/3, flattened, passed through dropout and
 a dense+softmax head. A single-view ablation is the same code path with
 one stack.
 
-`forward_batch` checks the feature shape of every pass, so `forward`,
-`predict`, `train` and `gradient_check` need no shape check of their own.
+Training and the gradient check run the network on the autograd tape
+(`forward_batch`); inference runs it through a `serving_plan`, which
+repeats the tape's forward arithmetic, bit for bit, on read-only copies
+of the weights and buffers of its own. `forward_batch` checks the feature
+shape of every tape pass, so `train` and `gradient_check` need no shape
+check of their own; `predict` checks its matrix once per call, and
+`wasn.server_classify` each payload.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 
 from .autograd import (
     POOL_WINDOW,
+    TOEPLITZ_BLOCK,
     AdamState,
     ConvFilterBank,
     Tensor,
@@ -34,8 +40,9 @@ from .autograd import (
     dropout,
     flatten,
     maxpool1d,
-    no_grad,
     tanh_act,
+    _toeplitz,
+    _toeplitz_windows,
 )
 from .errors import (
     BadMagic,
@@ -215,14 +222,139 @@ def forward_batch(
     return dense_softmax(dropped, model.fc_weights, model.fc_bias)
 
 
-def forward(model: MultiViewCnn, features: np.ndarray) -> np.ndarray:
-    """Eval-mode probability vector [H] for a single feature vector of length L.
+class ServingPlan:
+    """Eval-mode inference of one model on buffers of its own; built by
+    `serving_plan`.
 
-    Runs under no_grad(), so no backward graph is built for the row.
-    forward_batch refuses the [1, ...] batch unless features has shape [L].
+    `probabilities` runs forward_batch(..., train=False)'s operations in
+    the tape's order on read-only copies of the model's parameters, with
+    every intermediate written into the plan's buffers, so a call builds
+    no graph and allocates almost nothing.
     """
-    with no_grad():
-        return forward_batch(model, np.asarray(features)[None]).data[0]
+
+    def __init__(self, config: ModelConfig, norm_stats: NormStats, blocks: int, views,
+                 taps, pooled, weights, bias, logits, peaks):
+        self.config = config
+        self.norm_stats = norm_stats
+        self._blocks = blocks
+        self._views = views
+        self._taps = taps
+        self._pooled = pooled
+        self._weights = weights
+        self._bias = bias
+        self._logits = logits
+        self._peaks = peaks
+        self._cuts = {}
+
+    def _cut(self, b: int):
+        """The buffers' first b rows, cut once per b: predict's last chunk
+        may be shorter than the rest."""
+        cut = self._cuts.get(b)
+        if cut is None:
+            n = b * self._blocks
+            views = [
+                (inputs[:b], [
+                    (windows[:b], lowered[:b], rows2d[:n], matrix, product[:n], bias_row,
+                     trimmed[:b], outputs[:b])
+                    for windows, lowered, rows2d, matrix, product, bias_row, trimmed, outputs
+                    in layers
+                ])
+                for inputs, layers in self._views
+            ]
+            pooled = self._pooled[:b]
+            cut = self._cuts[b] = (
+                views, [tap[:b] for tap in self._taps], pooled, pooled.reshape(b, -1),
+                self._logits[:b], self._peaks[:b],
+            )
+        return cut
+
+    def probabilities(self, features: np.ndarray) -> np.ndarray:
+        """[b, H] probabilities of [b, L] features, b no more than the rows
+        the plan was built for: bit for bit those of forward_batch(model,
+        features).
+
+        The result is a view of the plan's output buffer, which the next
+        call overwrites. Nothing is checked here: predict and
+        server_classify check the features where they enter.
+        """
+        views, taps, pooled, flat, logits, peaks = self._cut(len(features))
+        for inputs, layers in views:
+            np.copyto(inputs, features[:, :, None])
+            for windows, lowered, rows2d, matrix, product, bias_row, trimmed, outputs in layers:
+                np.copyto(lowered, windows)
+                np.matmul(rows2d, matrix, out=product)
+                product += bias_row
+                np.tanh(trimmed, out=outputs)
+        np.maximum(taps[0], taps[1], out=pooled)
+        for tap in taps[2:]:
+            np.maximum(pooled, tap, out=pooled)
+        np.matmul(flat, self._weights, out=logits)
+        logits += self._bias
+        # the reductions of dense_softmax's .max and .sum, without their wrappers
+        np.maximum.reduce(logits, axis=1, keepdims=True, out=peaks)
+        np.subtract(logits, peaks, out=logits)
+        np.exp(logits, out=logits)
+        np.add.reduce(logits, axis=1, keepdims=True, out=peaks)
+        np.divide(logits, peaks, out=logits)
+        return logits
+
+
+def serving_plan(model: MultiViewCnn, rows: int) -> ServingPlan:
+    """A ServingPlan of the model as it is now, for up to `rows` rows per call.
+
+    The plan copies what it reads: each bank's `_toeplitz` matrix and bias
+    row, the dense weights and bias, and the normalisation statistics, all
+    read-only. It owns each layer's zero-padded input, whose pads stay
+    zero because each tanh writes only the next layer's length-L slice
+    (the last layer of a view writes its channels of the concat buffer);
+    one lowered-row and one product buffer that every layer reuses; and
+    the concat, pool and output buffers. Nothing is cached on the model,
+    so a plan keeps the weights it was built with, and serving a later
+    `train`'s weights takes a new plan.
+    """
+    cfg = model.config
+    length, dtype = cfg.input_len, cfg.dtype
+    blocks = -(-length // TOEPLITZ_BLOCK)
+    banks = [bank for view in model.views for bank in view]
+    span = max((TOEPLITZ_BLOCK + b.width - 1) * b.weights.data.shape[1] for b in banks)
+    lowered = np.empty(rows * blocks * span, dtype=dtype)
+    product = np.empty(rows * blocks * TOEPLITZ_BLOCK * max(b.out_channels for b in banks),
+                       dtype=dtype)
+    channels = [view[-1].out_channels for view in model.views]
+    concat = np.empty((rows, length, sum(channels)), dtype=dtype)
+    views, start = [], 0
+    for banks, c_last in zip(model.views, channels):
+        inputs, layers = [], []
+        for bank in banks:
+            c_out, c_in, width = bank.weights.data.shape
+            padded = np.zeros((rows, blocks * TOEPLITZ_BLOCK + width - 1, c_in), dtype=dtype)
+            left = (width - 1) // 2
+            inputs.append(padded[:, left : left + length])
+            windows = _toeplitz_windows(padded, width)
+            matrix, bias_row = _toeplitz(bank.weights.data, bank.biases.data)
+            matrix.flags.writeable = bias_row.flags.writeable = False
+            size = windows[0].size
+            out = product[: rows * blocks * TOEPLITZ_BLOCK * c_out]
+            layers.append([
+                windows, lowered[: rows * size].reshape(windows.shape),
+                lowered[: rows * size].reshape(rows * blocks, -1), matrix,
+                out.reshape(rows * blocks, -1), bias_row,
+                out.reshape(rows, -1, c_out)[:, :length],
+            ])
+        outputs = inputs[1:] + [concat[:, :, start : start + c_last]]
+        views.append((inputs[0], [(*layer, o) for layer, o in zip(layers, outputs)]))
+        start += c_last
+    pooled_len = length // POOL_WINDOW
+    windows = concat[:, : pooled_len * POOL_WINDOW].reshape(rows, pooled_len, POOL_WINDOW, -1)
+    weights, bias = (np.array(p.data) for p in (model.fc_weights, model.fc_bias))
+    stats = NormStats(np.array(model.norm_stats.mean), np.array(model.norm_stats.std))
+    for array in (weights, bias, stats.mean, stats.std):
+        array.flags.writeable = False
+    return ServingPlan(
+        cfg, stats, blocks, views, [windows[:, :, k] for k in range(POOL_WINDOW)],
+        np.empty((rows, pooled_len, start), dtype=dtype), weights, bias,
+        np.empty((rows, cfg.n_classes), dtype=dtype), np.empty((rows, 1), dtype=dtype),
+    )
 
 
 # Rows per predict() pass, the training batch size: chunks of 8 to 32 rows
@@ -233,17 +365,24 @@ PREDICT_CHUNK = 16
 
 def predict(model: MultiViewCnn, features: np.ndarray) -> np.ndarray:
     """Eval-mode argmax labels for a [n, L] feature matrix, PREDICT_CHUNK
-    rows per pass.
+    rows per pass through one `serving_plan` built for the call.
 
-    Builds no autograd graph, so each conv's lowered input rows are freed as
-    soon as its product is taken.
+    Builds no autograd graph, and the chunks share the plan's buffers.
+
+    Raises:
+        LengthMismatch: features is not an [n, L] matrix.
     """
     features = np.asarray(features)
+    if features.ndim != 2 or features.shape[1] != model.config.input_len:
+        raise LengthMismatch(
+            f"expected [n, {model.config.input_len}] features, got {features.shape}"
+        )
     out = np.empty(len(features), dtype=np.int64)
-    with no_grad():
+    if len(features):
+        plan = serving_plan(model, min(len(features), PREDICT_CHUNK))
         for start in range(0, len(features), PREDICT_CHUNK):
-            probs = forward_batch(model, features[start : start + PREDICT_CHUNK])
-            out[start : start + PREDICT_CHUNK] = np.argmax(probs.data, axis=1)
+            probs = plan.probabilities(features[start : start + PREDICT_CHUNK])
+            out[start : start + PREDICT_CHUNK] = np.argmax(probs, axis=1)
     return out
 
 

@@ -52,18 +52,28 @@ _GROUP_BLOCKS = 32
 # --- FFT ---
 
 def power_spectra(frames: np.ndarray) -> np.ndarray:
-    """Half-spectrum |X[k]|^2, bins 0..N/2, of a [..., N] batch of frames."""
+    """Half-spectrum |X[k]|^2, bins 0..N/2, of a [..., N] batch of frames.
+
+    The real and imaginary parts are squared in place in the FFT's own
+    output, then summed into the one array returned.
+    """
     half = np.fft.rfft(frames)
-    return half.real**2 + half.imag**2
+    parts = half.view(half.real.dtype)
+    np.square(parts, out=parts)
+    return np.add(parts[..., 0::2], parts[..., 1::2])
 
 
 # --- feature vectors ---
 
+@lru_cache(maxsize=8)
 def _group_starts(count: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (starts, sizes) of the L bin groups, built once per
+    (count, L) because every clip's frames are averaged with them."""
     base, rem = divmod(count, L)
     sizes = np.full(L, base, dtype=np.intp)
     sizes[:rem] += 1
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    starts.flags.writeable = sizes.flags.writeable = False
     return starts, sizes
 
 
@@ -75,16 +85,20 @@ def _average_groups(values: np.ndarray, L: int) -> np.ndarray:
     L is in [1, bin count].
     """
     starts, sizes = _group_starts(values.shape[-1], L)
-    return np.add.reduceat(values, starts, axis=-1) / sizes
+    sums = np.add.reduceat(values, starts, axis=-1)
+    sums /= sizes
+    return sums
 
 
 def spectrum_features(frames: np.ndarray, feature_len: int) -> np.ndarray:
     """FFT magnitudes of a [n_frames, N] matrix of windowed frames, bin-averaged.
 
     Returns a [n_frames, feature_len] array of non-negative magnitudes
-    (pre-normalization).
+    (pre-normalization). The root is taken in place in the power spectra.
     """
-    return _average_groups(np.sqrt(power_spectra(frames)), feature_len)
+    magnitudes = power_spectra(frames)
+    np.sqrt(magnitudes, out=magnitudes)
+    return _average_groups(magnitudes, feature_len)
 
 
 # --- normalization ---
@@ -122,8 +136,10 @@ def fit_normalizer(training_features: np.ndarray) -> NormStats:
 def normalize(features: np.ndarray, stats: NormStats) -> np.ndarray:
     """Apply (log(1+x) - mean) / std per dimension to [L] or [n, L] rows of
     the statistics' length."""
-    feats = np.asarray(features, dtype=np.float64)
-    return (np.log1p(feats) - stats.mean) / stats.std
+    out = np.log1p(np.asarray(features, dtype=np.float64))
+    out -= stats.mean
+    out /= stats.std
+    return out
 
 
 # --- Butterworth high-pass ---

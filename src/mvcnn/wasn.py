@@ -6,14 +6,18 @@ per window. SPM1 is the format a node uploads a message in: `encode` and
 `decode` implement it, and acceptance criterion 9 round-trips it.
 `simulate` skips serialization and hands each message to
 `server_classify` in memory; its float32 payload holds the values a
-frame would carry. A star topology relays non-hub traffic through node
-1. During a node's link outage, or a server outage, messages are
-classified on the node by a reduced-class fallback model; otherwise the
-server model classifies them. Everything is a pure function of (scenario, models):
-no wall clock, no global state. The simulator streams its audio: each
-node clip is synthesized when the node replays it and freed once its
-messages are out, so memory holds one clip at a time, however many
-nodes and clips the scenario has; only the records grow with it.
+frame would carry. `simulate` builds one 1-row `model.serving_plan` per
+server and fallback model when it starts, and classifies every message
+through one of them, one message at a time. A star topology relays
+non-hub traffic through node 1. During a node's link outage, or a server
+outage, messages are classified on the node by a reduced-class fallback
+model; otherwise the server model classifies them. Everything is a pure
+function of (scenario, models): no wall clock, no global state. The
+simulator streams its audio: each node clip is synthesized when the node
+replays it and freed once its messages are out, so memory holds one clip
+at a time, however many nodes and clips the scenario has; only the
+records grow with it. A scenario that leaves every node without a window
+to send is refused once the nodes have run.
 
 Message frame: magic "SPM1", u16 node id, u32 sequence, u64 timestamp
 (ms, node clock), u32 feature count, f32 payload, u32 CRC32 over all
@@ -30,7 +34,7 @@ from __future__ import annotations
 import struct
 import zlib
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from math import ceil
 
 import numpy as np
@@ -54,7 +58,15 @@ from .evaluation import (
     clip_frame_features,
     generate_synthetic,
 )
-from .model import ModelConfig, MultiViewCnn, TrainConfig, build, forward, train
+from .model import (
+    ModelConfig,
+    MultiViewCnn,
+    ServingPlan,
+    TrainConfig,
+    build,
+    serving_plan,
+    train,
+)
 from .spectral import design_highpass, fit_normalizer, normalize
 
 SPM_MAGIC = b"SPM1"
@@ -144,7 +156,8 @@ def node_process(
     """
     hop = hop_length(cfg.window_len, cfg.overlap)
     messages = []
-    for i, row in enumerate(clip_features(clip, cfg)):
+    # one f32 cast per clip; each message's payload is a row of it
+    for i, row in enumerate(clip_features(clip, cfg).astype(np.float32)):
         end_sample = i * hop + cfg.window_len
         ts = start_ms + int(round(1000.0 * end_sample / clip.sample_rate))
         messages.append(SpectrumMessage(cfg.node_id, seq_start + i, ts, row))
@@ -165,21 +178,25 @@ class ClassificationRecord:
 
 
 def server_classify(
-    msg: SpectrumMessage, model: MultiViewCnn, latency_ms: int = 0
+    msg: SpectrumMessage, plan: ServingPlan, latency_ms: int = 0
 ) -> ClassificationRecord:
-    """Normalize a message payload with the model's statistics and classify.
+    """Normalize a message payload with the plan's statistics and classify
+    it through the plan (`model.serving_plan`, built once per model).
 
     The server model and the nodes' fallback models both classify here.
+    The record's probabilities are a copy, so the plan's buffers can take
+    the next message.
 
     Raises:
         LengthMismatch: payload length differs from the model input.
     """
-    if msg.feature_len != model.config.input_len:
+    if msg.feature_len != plan.config.input_len:
         raise LengthMismatch(
             f"payload has {msg.feature_len} features, model wants "
-            f"{model.config.input_len}"
+            f"{plan.config.input_len}"
         )
-    probs = forward(model, normalize(msg.payload.astype(np.float64), model.norm_stats))
+    features = normalize(msg.payload.astype(np.float64), plan.norm_stats)
+    probs = plan.probabilities(features[None])[0].copy()
     return ClassificationRecord(
         msg.node_id, msg.sequence_no, msg.timestamp_ms, ORIGIN_SERVER,
         int(np.argmax(probs)), probs, latency_ms,
@@ -489,12 +506,14 @@ def simulate(
     timestamps carry the node clock skew, but routing uses true
     simulated time. Records come back sorted by (node, sequence):
     in-order reliable delivery. Memory holds one clip and its messages
-    at a time (see `scenario_clips`), plus the records.
+    at a time (see `scenario_clips`), plus the records. Each model
+    classifies through one 1-row `serving_plan`, built here.
 
     Raises:
         InvalidScenario: missing/ill-fitted fallback model for a node that
-        needs one, or a feature length or class count that differs from
-        the server model's.
+        needs one, a feature length or class count that differs from the
+        server model's, or a silence threshold that left no node a window
+        to send, so there is no record.
     """
     fallback_models = fallback_models or {}
     check_server_model(scenario, server_model)
@@ -513,6 +532,8 @@ def simulate(
                 f"features and lists {len(subset)} classes"
             )
 
+    server = serving_plan(server_model, 1)
+    fallbacks = {num: serving_plan(fb, 1) for num, fb in fallback_models.items()}
     clip_ms = int(round(scenario.clip_seconds * 1000))
     records = []
     events = []
@@ -532,7 +553,7 @@ def simulate(
             scenario.node_proc_ms + hops * scenario.link_latency_ms
             + scenario.server_proc_ms
         )
-        fb = fallback_models.get(num)
+        fb = fallbacks.get(num)
         t_clip = 0
         seq = 0
         for j in range(len(clips)):
@@ -542,11 +563,13 @@ def simulate(
             t_clip += clip_ms + scenario.inter_clip_gap_ms
             for msg in messages:
                 t_true = msg.timestamp_ms
-                wire = replace(msg, timestamp_ms=t_true + spec.clock_skew_ms)
+                wire = SpectrumMessage(
+                    msg.node_id, msg.sequence_no, t_true + spec.clock_skew_ms, msg.payload
+                )
                 held = _release_time(t_true, outages)
                 if held == t_true or scenario.fallback_policy == "buffer":
                     records.append(
-                        server_classify(wire, server_model, (held - t_true) + transit)
+                        server_classify(wire, server, (held - t_true) + transit)
                     )
                     continue
                 if fb is None:
@@ -561,6 +584,11 @@ def simulate(
                 rec.predicted = spec.fallback_classes[rec.predicted]
                 records.append(rec)
 
+    if not records:
+        raise InvalidScenario(
+            f"silence_threshold {scenario.silence_threshold} leaves no node a "
+            "window to send"
+        )
     records.sort(key=lambda r: (r.node_id, r.sequence_no))
     events.sort(key=lambda e: (e[0], e[1]))
     return SimulationResult(records, events)

@@ -1,6 +1,5 @@
 import collections
 import gc
-import threading
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from mvcnn.autograd import (
     ConvFilterBank,
     Tensor,
     _accumulate,
-    _node,
     _toeplitz,
     _toeplitz_product,
     _toeplitz_rows,
@@ -23,7 +21,6 @@ from mvcnn.autograd import (
     dropout,
     flatten,
     maxpool1d,
-    no_grad,
     tanh_act,
 )
 
@@ -473,41 +470,12 @@ def _op_cases():
     }
 
 
-class TestNoGrad:
+class TestGraphNodes:
     @pytest.mark.parametrize("name", sorted(_op_cases()))
-    def test_op_builds_no_node_and_same_data(self, name):
-        op = _op_cases()[name]
-        graph = op()
-        assert graph._parents and graph._backward is not None
-        with no_grad():
-            bare = op()
-        assert bare._parents == () and bare._backward is None
-        np.testing.assert_array_equal(bare.data, graph.data)
-
-    def test_nested_blocks_restore_outer_state(self):
-        op = _op_cases()["tanh_act"]
-        with no_grad():
-            with no_grad():
-                pass
-            assert op()._backward is None
-        assert op()._backward is not None
-
-    def test_switch_is_per_thread(self):
-        op = _op_cases()["tanh_act"]
-        built = []
-        with no_grad():
-            worker = threading.Thread(target=lambda: built.append(op()._backward))
-            worker.start()
-            worker.join(timeout=10)
-        assert not worker.is_alive()
-        assert built[0] is not None
-
-    def test_restored_after_exception(self):
-        op = _op_cases()["tanh_act"]
-        with pytest.raises(RuntimeError, match="inside"):
-            with no_grad():
-                raise RuntimeError("inside no_grad")
-        assert op()._backward is not None
+    def test_op_records_parents_and_backward(self, name):
+        # every op builds its graph node; inference runs model.serving_plan
+        out = _op_cases()[name]()
+        assert out._parents and out._backward is not None
 
 
 class TestAccumulate:
@@ -577,7 +545,7 @@ def _maxpool_reference(x, window=3):
             unrouted &= ~hit
         _accumulate(x, dx)
 
-    return _node(out_data, (x,), backward)
+    return Tensor(out_data, (x,), backward)
 
 
 def _tanh_reference(x):
@@ -586,7 +554,7 @@ def _tanh_reference(x):
     def backward(grad):
         _accumulate(x, grad * (1.0 - out_data * out_data))
 
-    return _node(out_data, (x,), backward)
+    return Tensor(out_data, (x,), backward)
 
 
 def _dropout_reference(x, keep_prob, train, seed=0):
@@ -600,7 +568,7 @@ def _dropout_reference(x, keep_prob, train, seed=0):
     def backward(grad):
         _accumulate(x, grad * mask * scale)
 
-    return _node(x.data * mask * scale, (x,), backward)
+    return Tensor(x.data * mask * scale, (x,), backward)
 
 
 def _assert_same_bits(got, expect):

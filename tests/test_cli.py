@@ -437,6 +437,29 @@ def test_silence_threshold_that_leaves_a_class_no_frame_is_one_error_line(tmp_pa
     assert not out.exists()
 
 
+def test_saved_model_on_a_scenario_that_sends_nothing_is_one_error_line(tmp_path):
+    # the scenario above with a saved model: no model trains, so it is the
+    # simulator that finds no node sent a window, before any CSV is written
+    path = tmp_path / "server.mvc"
+    save(build(ModelConfig(input_len=NodeConfig.feature_len, n_classes=4)), path)
+    (tmp_path / "s.scn").write_text(
+        "nodes = 1\nclips_per_node = 1\nclip_seconds = 1.0\nwindow_len = 2048\n"
+        "silence_threshold = 0.5\n"
+    )
+    out = tmp_path / "records.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvcnn", "simulate", "--scenario",
+         str(tmp_path / "s.scn"), "--model", str(path), "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: silence_threshold 0.5 leaves no node a window to send"
+    ]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, scenario",
     [

@@ -26,16 +26,21 @@ from mvcnn.model import (
     TrainConfig,
     accuracy,
     build,
-    forward,
     forward_batch,
     gradient_check,
     load,
     max_relative_error,
     predict,
     save,
+    serving_plan,
     train,
 )
 from mvcnn.spectral import NormStats
+
+
+def serve_one(model, x):
+    """Eval-mode probabilities [H] of one feature vector, through a 1-row plan."""
+    return serving_plan(model, 1).probabilities(np.asarray(x)[None])[0].copy()
 
 
 def tiny_config(**overrides):
@@ -95,7 +100,7 @@ class TestBuild:
         model = build(tiny_config(view_widths=(10,)))
         assert len(model.views) == 1
         assert model.fc_weights.shape[0] == (32 // 3) * 8
-        probs = forward(model, np.zeros(32))
+        probs = serve_one(model, np.zeros(32))
         assert probs.shape == (3,)
 
 
@@ -103,40 +108,40 @@ class TestForward:
     def test_probabilities_sum_to_one(self):
         model = build(tiny_config())
         rng = np.random.Generator(np.random.PCG64(1))
-        probs = forward(model, rng.normal(size=32))
+        probs = serve_one(model, rng.normal(size=32))
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(probs > 0)
 
     def test_eval_forward_deterministic(self):
         model = build(tiny_config())
         x = np.linspace(-1, 1, 32)
-        np.testing.assert_array_equal(forward(model, x), forward(model, x))
+        np.testing.assert_array_equal(serve_one(model, x), serve_one(model, x))
 
     def test_input_scale_changes_output(self):
         model = build(tiny_config())
         rng = np.random.Generator(np.random.PCG64(2))
         x = rng.normal(size=32)
-        assert not np.allclose(forward(model, x), forward(model, 2 * x))
+        assert not np.allclose(serve_one(model, x), serve_one(model, 2 * x))
 
     def test_length_mismatch(self):
         model = build(tiny_config())
         with pytest.raises(LengthMismatch):
-            forward(model, np.zeros(33))
+            predict(model, np.zeros((1, 33)))
 
-    @pytest.mark.parametrize("features", [np.zeros((1, 32)), 0.5], ids=["row", "scalar"])
-    def test_only_a_flat_vector_is_accepted(self, features):
-        # forward's one-row batch leaves the shape check to forward_batch
+    @pytest.mark.parametrize("features", [np.zeros(32), 0.5], ids=["vector", "scalar"])
+    def test_only_a_matrix_is_accepted(self, features):
+        # predict checks the shape once; its plan checks nothing
         model = build(tiny_config())
         with pytest.raises(LengthMismatch):
-            forward(model, features)
+            predict(model, features)
 
     def test_train_flag_controls_dropout_only(self):
         model = build(tiny_config(keep_prob=0.5))
         x = np.linspace(-1, 1, 32)
-        eval_probs = forward(model, x)
+        eval_probs = serve_one(model, x)
         train_probs = forward_batch(model, x[None, :], train=True, dropout_seed=3).data[0]
         assert not np.allclose(eval_probs, train_probs)
-        np.testing.assert_array_equal(eval_probs, forward(model, x))
+        np.testing.assert_array_equal(eval_probs, serve_one(model, x))
 
 
 def separable_dataset(n_per_class=40, length=32, seed=0):
@@ -325,7 +330,7 @@ class TestSerialization:
             np.testing.assert_array_equal(pa.data, pb.data)
         rng = np.random.Generator(np.random.PCG64(8))
         x = rng.normal(size=48)
-        np.testing.assert_array_equal(forward(model, x), forward(back, x))
+        np.testing.assert_array_equal(serve_one(model, x), serve_one(back, x))
 
     def test_save_is_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.mvc", tmp_path / "b.mvc"
@@ -366,7 +371,7 @@ class TestSerialization:
         back = load(path)
         assert back.config.view_widths == (10,)
         x = np.linspace(-1, 1, 32)
-        np.testing.assert_array_equal(forward(model, x), forward(back, x))
+        np.testing.assert_array_equal(serve_one(model, x), serve_one(back, x))
 
     @pytest.mark.parametrize("dtype, code", [(np.float32, 4), (np.float64, 8)])
     def test_byte_layout_pinned(self, tmp_path, dtype, code):
@@ -476,7 +481,7 @@ class TestSerialization:
             np.testing.assert_array_equal(back.norm_stats.mean, model.norm_stats.mean)
             np.testing.assert_array_equal(back.norm_stats.std, model.norm_stats.std)
             x = rng.normal(size=cfg.input_len)
-            np.testing.assert_array_equal(forward(model, x), forward(back, x))
+            np.testing.assert_array_equal(serve_one(model, x), serve_one(back, x))
 
 
 def _assert_tiles(arrays, base):
@@ -628,23 +633,65 @@ def test_predict_batches_match_single(tmp_path):
     rng = np.random.Generator(np.random.PCG64(6))
     X = rng.normal(size=(PREDICT_CHUNK + 1, 32))  # one full chunk, one short
     batched = predict(model, X)
-    single = np.array([int(np.argmax(forward(model, x))) for x in X])
+    single = np.array([int(np.argmax(serve_one(model, x))) for x in X])
     np.testing.assert_array_equal(batched, single)
 
 
-class TestNoGraphInference:
-    """forward and predict run under no_grad(): same numbers, no graph."""
+def _perturbed(config, seed):
+    """A built model whose every parameter, biases included, is random, so
+    the plan's bias adds are tested on values other than zero."""
+    model = build(config)
+    rng = np.random.Generator(np.random.PCG64(seed + 1000))
+    model.flat[...] = rng.normal(scale=0.5, size=model.flat.size)
+    return model
+
+
+class TestServingPlan:
+    """serving_plan runs forward_batch(..., train=False)'s operations on
+    buffers of its own: same bits, no graph."""
 
     def _model_and_rows(self, n):
         model = build(tiny_config(dtype=np.float32))
         rng = np.random.Generator(np.random.PCG64(11))
         return model, rng.normal(size=(n, 32))
 
-    def test_forward_equals_graph_path(self):
-        model, X = self._model_and_rows(5)
-        for x in X:
-            graph = forward_batch(model, x[None, :]).data[0]
-            np.testing.assert_array_equal(forward(model, x), graph)
+    @pytest.mark.parametrize("seed", [0, 2])
+    @pytest.mark.parametrize("views", [(10,), (10, 15), (10, 15, 20)],
+                             ids=["1view", "2views", "3views"])
+    @pytest.mark.parametrize("input_len", [512, 517, 50, 100])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_probabilities_equal_forward_batch_bit_for_bit(self, dtype, input_len, views,
+                                                           seed):
+        # 517 and 50 are divided by neither TOEPLITZ_BLOCK = 8 nor the pool
+        # window 3; 37 rows leave a 5-row tail chunk in the 16-row plan
+        model = _perturbed(ModelConfig(input_len=input_len, view_widths=views,
+                                       seed=seed, dtype=dtype), seed)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        X = rng.normal(size=(37, input_len))
+        for rows, n in ((1, 5), (PREDICT_CHUNK, len(X))):
+            plan = serving_plan(model, rows)
+            for start in range(0, n, rows):
+                chunk = X[start : start + rows]
+                got = plan.probabilities(chunk)
+                want = forward_batch(model, chunk, train=False).data
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (rows, start)
+
+    def test_predict_builds_one_plan_and_no_graph(self, monkeypatch):
+        model, X = self._model_and_rows(PREDICT_CHUNK + 1)  # two chunks
+        plans, graphs = [], []
+
+        def planning(*args, **kwargs):
+            plans.append(args[1])
+            return serving_plan(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "serving_plan", planning)
+        monkeypatch.setattr(model_module, "forward_batch",
+                            lambda *a, **k: graphs.append(a))
+        predict(model, X)
+        predict(model, X[:5])
+        assert plans == [PREDICT_CHUNK, 5]
+        assert graphs == []
 
     @pytest.mark.parametrize("rows", [1, 15, 16, 17, 263])
     def test_predict_equals_graph_path(self, rows):
@@ -657,24 +704,33 @@ class TestNoGraphInference:
         ])
         np.testing.assert_array_equal(predict(model, X), graph)
 
-    def test_forward_and_predict_build_no_graph(self, monkeypatch):
-        model, X = self._model_and_rows(PREDICT_CHUNK + 1)  # two chunks
-        outputs = []
+    def test_plan_keeps_the_weights_it_was_built_with(self):
+        X, y = separable_dataset()
+        model = build(tiny_config(n_classes=2, dtype=np.float32))
+        plan = serving_plan(model, 4)
+        before = plan.probabilities(X[:4]).copy()
+        train(model, X, y, TrainConfig(iterations=5, seed=0))
+        np.testing.assert_array_equal(plan.probabilities(X[:4]), before)
+        fresh = serving_plan(model, 4).probabilities(X[:4])
+        assert fresh.tobytes() == forward_batch(model, X[:4]).data.tobytes()
+        assert fresh.tobytes() != before.tobytes()
 
-        def recording(*args, **kwargs):
-            outputs.append(forward_batch(*args, **kwargs))
-            return outputs[-1]
-
-        monkeypatch.setattr(model_module, "forward_batch", recording)
-        predict(model, X)
-        forward(model, X[0])
-        assert len(outputs) == 3
-        assert all(t._parents == () and t._backward is None for t in outputs)
-        assert forward_batch(model, X)._backward is not None
+    def test_plan_parameters_and_stats_are_read_only_copies(self):
+        model = build(tiny_config())
+        model.norm_stats = NormStats(np.full(32, 0.5), np.full(32, 2.0))
+        plan = serving_plan(model, 1)
+        convs = [layer for _, layers in plan._views for layer in layers]
+        assert len(convs) == 9
+        for array in (plan.norm_stats.mean, plan.norm_stats.std, plan._weights, plan._bias,
+                      *(layer[i] for layer in convs for i in (3, 5))):  # matrix, bias row
+            assert not array.flags.writeable
+            assert not np.shares_memory(array, model.flat)
+        np.testing.assert_array_equal(plan.norm_stats.mean, model.norm_stats.mean)
+        assert not np.shares_memory(plan.norm_stats.mean, model.norm_stats.mean)
 
     def test_validation_leaves_training_unchanged(self):
-        # accuracy() runs mid-training under no_grad(); were the switch left
-        # off, later steps would get no gradients and the runs would diverge
+        # accuracy() runs mid-training through a plan of its own; were it to
+        # share state with the training graph, the runs would diverge
         X, y = separable_dataset()
 
         def run(validation):

@@ -134,7 +134,7 @@ ENTRY_POINTS = {
     "evaluation.stratified_fraction_split", "evaluation.tune_silence_threshold",
     "model.ModelConfig.__post_init__", "model.TrainConfig.__post_init__",
     "model.build", "model.forward_batch", "model.gradient_check", "model.load",
-    "model.load.need", "model.save", "model.train",
+    "model.load.need", "model.predict", "model.save", "model.train",
     "spectral.NormStats.__post_init__", "spectral.add_noise_snr",
     "spectral.design_highpass", "spectral.measure_snr", "spectral.mel_filterbank",
     "wasn.NodeConfig.__post_init__", "wasn.Scenario.validate", "wasn._parse_range",

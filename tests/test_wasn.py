@@ -17,7 +17,8 @@ from mvcnn.errors import (
 )
 from mvcnn import wasn
 from mvcnn.evaluation import SyntheticSpec, generate_synthetic
-from mvcnn.model import ModelConfig, build, forward_batch
+from mvcnn.model import ModelConfig, build, forward_batch, serving_plan
+from mvcnn.spectral import fit_normalizer, normalize
 from mvcnn.wasn import (
     ORIGIN_FALLBACK,
     ORIGIN_SERVER,
@@ -243,7 +244,7 @@ class TestScenarioClips:
 
 class TestServerClassify:
     def _model(self):
-        return build(ModelConfig(input_len=64, n_classes=4, seed=0))
+        return serving_plan(build(ModelConfig(input_len=64, n_classes=4, seed=0)), 1)
 
     def test_deterministic_records(self):
         model = self._model()
@@ -254,6 +255,15 @@ class TestServerClassify:
         assert a.predicted == b.predicted
         np.testing.assert_array_equal(a.probabilities, b.probabilities)
         assert a.origin == ORIGIN_SERVER
+
+    def test_record_keeps_its_probabilities_after_the_next_message(self):
+        # the plan reuses its output buffer; each record holds a copy
+        plan = self._model()
+        rng = np.random.Generator(np.random.PCG64(8))
+        first = server_classify(SpectrumMessage(1, 0, 0, np.abs(rng.normal(size=64))), plan)
+        kept = first.probabilities.copy()
+        server_classify(SpectrumMessage(1, 1, 0, 10 * np.abs(rng.normal(size=64))), plan)
+        np.testing.assert_array_equal(first.probabilities, kept)
 
     def test_probabilities_sum_to_one(self):
         model = self._model()
@@ -644,11 +654,6 @@ class TestScenarioIsAlwaysValid:
         )
 
 
-def _graph_forward(model, features):
-    """forward() without no_grad(): the graph-building reference path."""
-    return forward_batch(model, np.asarray(features)[None, :]).data[0]
-
-
 def _record_fields(records):
     return [
         (r.node_id, r.sequence_no, r.timestamp_ms, r.origin, r.predicted,
@@ -657,28 +662,78 @@ def _record_fields(records):
     ]
 
 
-class TestNoGraphServing:
-    def test_server_classify_matches_graph_path(self, monkeypatch):
-        model = build(ModelConfig(input_len=64, n_classes=4, seed=0))
-        rng = np.random.Generator(np.random.PCG64(7))
-        msgs = [SpectrumMessage(1, i, 10 * i, np.abs(rng.normal(size=64)))
-                for i in range(4)]
-        served = [server_classify(m, model) for m in msgs]
-        monkeypatch.setattr(wasn, "forward", _graph_forward)
-        assert _record_fields(served) == _record_fields(
-            [server_classify(m, model) for m in msgs]
-        )
+def _graph_probabilities(model, payload):
+    """One message classified on the autograd tape, the reference path."""
+    features = normalize(np.asarray(payload).astype(np.float64), model.norm_stats)
+    return forward_batch(model, features[None], train=False).data[0]
 
-    def test_fallback_records_match_graph_path(self, monkeypatch):
+
+class TestPlanServing:
+    def test_server_classify_matches_graph_path(self):
+        model = build(ModelConfig(input_len=64, n_classes=4, seed=0))
+        model.norm_stats = fit_normalizer(np.abs(np.random.Generator(
+            np.random.PCG64(6)).normal(size=(20, 64))))
+        plan = serving_plan(model, 1)
+        rng = np.random.Generator(np.random.PCG64(7))
+        for i in range(4):
+            msg = SpectrumMessage(1, i, 10 * i, np.abs(rng.normal(size=64)))
+            rec = server_classify(msg, plan)
+            want = _graph_probabilities(model, msg.payload)
+            assert rec.probabilities.tobytes() == want.tobytes()
+            assert rec.predicted == int(np.argmax(want))
+
+    def test_simulate_records_equal_a_per_message_replay(self):
+        # node 1 loses its link mid-run and node 3 for the whole run, so both
+        # fallback models and the server model classify
         nodes = (
-            NodeSpec(fallback_classes=(0, 2), link_outages=((300, 800),)),
+            NodeSpec(fallback_classes=(0, 2), link_outages=((300, 800),), clock_skew_ms=4),
             NodeSpec(),
             NodeSpec(fallback_classes=(1, 2), link_outages=((0, 10**9),)),
         )
         scenario = small_scenario(nodes=nodes)
         server, fallbacks = small_models(scenario, fallback_nodes=(1, 3))
-        result = simulate(scenario, server, fallbacks)
-        assert {r.origin for r in result.records} == {ORIGIN_SERVER, ORIGIN_FALLBACK}
-        monkeypatch.setattr(wasn, "forward", _graph_forward)
-        graph = simulate(scenario, server, fallbacks)
-        assert _record_fields(result.records) == _record_fields(graph.records)
+        records = simulate(scenario, server, fallbacks).records
+        assert {r.origin for r in records} == {ORIGIN_SERVER, ORIGIN_FALLBACK}
+        replay = []
+        for num, clips in enumerate(scenario_clips(scenario), start=1):
+            cfg = wasn._node_config(scenario, num)
+            spec = scenario.nodes[num - 1]
+            t_clip = seq = 0
+            for clip in clips:
+                for msg in node_process(clip, cfg, start_ms=t_clip, seq_start=seq):
+                    rec = records[len(replay)]
+                    model = server if rec.origin == ORIGIN_SERVER else fallbacks[num]
+                    probs = _graph_probabilities(model, msg.payload)
+                    label = int(np.argmax(probs))
+                    if rec.origin == ORIGIN_FALLBACK:
+                        label = spec.fallback_classes[label]
+                    replay.append((num, msg.sequence_no, msg.timestamp_ms + spec.clock_skew_ms,
+                                   rec.origin, label, probs.tobytes(), rec.latency_ms))
+                    seq += 1
+                t_clip += int(round(scenario.clip_seconds * 1000)) + scenario.inter_clip_gap_ms
+        assert _record_fields(records) == replay
+
+    def test_models_are_planned_once_per_run(self, monkeypatch):
+        nodes = (NodeSpec(fallback_classes=(0, 2), link_outages=((300, 800),)),)
+        scenario = small_scenario(nodes=nodes)
+        server, fallbacks = small_models(scenario, fallback_nodes=(1,))
+        built = []
+
+        def planning(model, rows):
+            built.append((model, rows))
+            return serving_plan(model, rows)
+
+        monkeypatch.setattr(wasn, "serving_plan", planning)
+        records = simulate(scenario, server, fallbacks).records
+        assert len(records) > 2
+        assert built == [(server, 1), (fallbacks[1], 1)]
+
+
+class TestNothingToSend:
+    def test_scenario_that_sends_no_window_is_refused(self):
+        # every window of the synthetic clips reads an RMS below 0.5
+        scenario = Scenario(n_nodes=1, clips_per_node=1, clip_seconds=1.0,
+                            window_len=2048, silence_threshold=0.5)
+        server = build(ModelConfig(input_len=scenario.feature_len, n_classes=4))
+        with pytest.raises(InvalidScenario, match=r"^silence_threshold 0\.5 leaves no node"):
+            simulate(scenario, server)
