@@ -243,22 +243,22 @@ class TestScenarioClips:
 
 
 class TestServerClassify:
-    def _model(self):
+    def _plan(self):
         return serving_plan(build(ModelConfig(input_len=64, n_classes=4, seed=0)), 1)
 
     def test_deterministic_records(self):
-        model = self._model()
+        plan = self._plan()
         rng = np.random.Generator(np.random.PCG64(5))
         msg = SpectrumMessage(1, 0, 100, np.abs(rng.normal(size=64)))
-        a = server_classify(msg, model)
-        b = server_classify(msg, model)
+        a = server_classify(msg, plan)
+        b = server_classify(msg, plan)
         assert a.predicted == b.predicted
         np.testing.assert_array_equal(a.probabilities, b.probabilities)
         assert a.origin == ORIGIN_SERVER
 
     def test_record_keeps_its_probabilities_after_the_next_message(self):
         # the plan reuses its output buffer; each record holds a copy
-        plan = self._model()
+        plan = self._plan()
         rng = np.random.Generator(np.random.PCG64(8))
         first = server_classify(SpectrumMessage(1, 0, 0, np.abs(rng.normal(size=64))), plan)
         kept = first.probabilities.copy()
@@ -266,17 +266,17 @@ class TestServerClassify:
         np.testing.assert_array_equal(first.probabilities, kept)
 
     def test_probabilities_sum_to_one(self):
-        model = self._model()
+        plan = self._plan()
         rng = np.random.Generator(np.random.PCG64(6))
         msg = SpectrumMessage(1, 0, 0, np.abs(rng.normal(size=64)))
-        rec = server_classify(msg, model)
+        rec = server_classify(msg, plan)
         assert abs(rec.probabilities.sum() - 1.0) < 1e-6
 
     def test_length_mismatch(self):
-        model = self._model()
+        plan = self._plan()
         msg = SpectrumMessage(1, 0, 0, np.zeros(256, dtype=np.float32))
         with pytest.raises(LengthMismatch):
-            server_classify(msg, model)
+            server_classify(msg, plan)
 
 
 def small_scenario(**overrides):
