@@ -18,6 +18,10 @@ from .errors import InvalidSetting, MalformedWav, UnsupportedFormat
 
 DEFAULT_SAMPLE_RATE = 24000
 
+# The most samples one 16-bit mono WAV holds: save_wav's u32 RIFF size
+# field counts 36 header bytes and two bytes per sample.
+WAV_MAX_SAMPLES = (2**32 - 1 - 36) // 2
+
 
 @dataclass(frozen=True)
 class AudioClip:

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import (
+    WAV_MAX_SAMPLES,
     AudioClip,
     SilenceConfig,
     hamming_coefficients,
@@ -176,8 +177,9 @@ class SyntheticClips(Sequence):
     Raises (on construction; reading a clip does not re-check the spec):
         InvalidSpec: more classes than the default signatures fit below
         Nyquist with their tones jittered by FREQ_JITTER, a non-positive
-        or non-finite clip length, a non-positive sample rate, an
-        amplitude outside (0, 1], degenerate sizes, or a negative seed.
+        or non-finite clip length, a clip longer than one WAV file holds
+        (WAV_MAX_SAMPLES), a non-positive sample rate, an amplitude
+        outside (0, 1], degenerate sizes, or a negative seed.
     """
 
     def __init__(self, spec: SyntheticSpec):
@@ -192,6 +194,11 @@ class SyntheticClips(Sequence):
         n_samples = int(round(spec.clip_seconds * spec.sample_rate))
         if n_samples < 1:
             raise InvalidSpec("clip_seconds too short for the sample rate")
+        if n_samples > WAV_MAX_SAMPLES:
+            raise InvalidSpec(
+                f"clip_seconds {spec.clip_seconds} at {spec.sample_rate} Hz is longer "
+                f"than the {WAV_MAX_SAMPLES} samples one 16-bit mono WAV holds"
+            )
         if not 0.0 < spec.amplitude <= 1.0:
             raise InvalidSpec("amplitude must be in (0, 1]")
         nyquist = spec.sample_rate / 2

@@ -11,7 +11,9 @@ one stack.
 Training and the gradient check run the network on the autograd tape
 (`forward_batch`); inference runs it through a `serving_plan`, which
 repeats the tape's forward arithmetic, bit for bit, on read-only copies
-of the weights and buffers of its own. `forward_batch` checks the feature
+of the weights and buffers of its own, sized for the one row count it
+serves (`predict` builds a second plan for a shorter last chunk, so each
+chunk runs the GEMMs of its own rows). `forward_batch` checks the feature
 shape of every tape pass, so `train` and `gradient_check` need no shape
 check of their own; `predict` checks its matrix once per call, and
 `wasn.server_classify` each payload.
@@ -223,84 +225,13 @@ def forward_batch(
 
 
 class ServingPlan:
-    """Eval-mode inference of one model on buffers of its own; built by
-    `serving_plan`.
+    """Eval-mode inference of one model, `rows` rows per call, on buffers
+    of its own; `serving_plan` is the name callers build it by.
 
     `probabilities` runs forward_batch(..., train=False)'s operations in
     the tape's order on read-only copies of the model's parameters, with
     every intermediate written into the plan's buffers, so a call builds
     no graph and allocates almost nothing.
-    """
-
-    def __init__(self, config: ModelConfig, norm_stats: NormStats, blocks: int, views,
-                 taps, pooled, weights, bias, logits, peaks):
-        self.config = config
-        self.norm_stats = norm_stats
-        self._blocks = blocks
-        self._views = views
-        self._taps = taps
-        self._pooled = pooled
-        self._weights = weights
-        self._bias = bias
-        self._logits = logits
-        self._peaks = peaks
-        self._cuts = {}
-
-    def _cut(self, b: int):
-        """The buffers' first b rows, cut once per b: predict's last chunk
-        may be shorter than the rest."""
-        cut = self._cuts.get(b)
-        if cut is None:
-            n = b * self._blocks
-            views = [
-                (inputs[:b], [
-                    (windows[:b], lowered[:b], rows2d[:n], matrix, product[:n], bias_row,
-                     trimmed[:b], outputs[:b])
-                    for windows, lowered, rows2d, matrix, product, bias_row, trimmed, outputs
-                    in layers
-                ])
-                for inputs, layers in self._views
-            ]
-            pooled = self._pooled[:b]
-            cut = self._cuts[b] = (
-                views, [tap[:b] for tap in self._taps], pooled, pooled.reshape(b, -1),
-                self._logits[:b], self._peaks[:b],
-            )
-        return cut
-
-    def probabilities(self, features: np.ndarray) -> np.ndarray:
-        """[b, H] probabilities of [b, L] features, b no more than the rows
-        the plan was built for: bit for bit those of forward_batch(model,
-        features).
-
-        The result is a view of the plan's output buffer, which the next
-        call overwrites. Nothing is checked here: predict and
-        server_classify check the features where they enter.
-        """
-        views, taps, pooled, flat, logits, peaks = self._cut(len(features))
-        for inputs, layers in views:
-            np.copyto(inputs, features[:, :, None])
-            for windows, lowered, rows2d, matrix, product, bias_row, trimmed, outputs in layers:
-                np.copyto(lowered, windows)
-                np.matmul(rows2d, matrix, out=product)
-                product += bias_row
-                np.tanh(trimmed, out=outputs)
-        np.maximum(taps[0], taps[1], out=pooled)
-        for tap in taps[2:]:
-            np.maximum(pooled, tap, out=pooled)
-        np.matmul(flat, self._weights, out=logits)
-        logits += self._bias
-        # the reductions of dense_softmax's .max and .sum, without their wrappers
-        np.maximum.reduce(logits, axis=1, keepdims=True, out=peaks)
-        np.subtract(logits, peaks, out=logits)
-        np.exp(logits, out=logits)
-        np.add.reduce(logits, axis=1, keepdims=True, out=peaks)
-        np.divide(logits, peaks, out=logits)
-        return logits
-
-
-def serving_plan(model: MultiViewCnn, rows: int) -> ServingPlan:
-    """A ServingPlan of the model as it is now, for up to `rows` rows per call.
 
     The plan copies what it reads: each bank's `_toeplitz` matrix and bias
     row, the dense weights and bias, and the normalisation statistics, all
@@ -312,49 +243,85 @@ def serving_plan(model: MultiViewCnn, rows: int) -> ServingPlan:
     so a plan keeps the weights it was built with, and serving a later
     `train`'s weights takes a new plan.
     """
-    cfg = model.config
-    length, dtype = cfg.input_len, cfg.dtype
-    blocks = -(-length // TOEPLITZ_BLOCK)
-    banks = [bank for view in model.views for bank in view]
-    span = max((TOEPLITZ_BLOCK + b.width - 1) * b.weights.data.shape[1] for b in banks)
-    lowered = np.empty(rows * blocks * span, dtype=dtype)
-    product = np.empty(rows * blocks * TOEPLITZ_BLOCK * max(b.out_channels for b in banks),
-                       dtype=dtype)
-    channels = [view[-1].out_channels for view in model.views]
-    concat = np.empty((rows, length, sum(channels)), dtype=dtype)
-    views, start = [], 0
-    for banks, c_last in zip(model.views, channels):
-        inputs, layers = [], []
-        for bank in banks:
-            c_out, c_in, width = bank.weights.data.shape
-            padded = np.zeros((rows, blocks * TOEPLITZ_BLOCK + width - 1, c_in), dtype=dtype)
-            left = (width - 1) // 2
-            inputs.append(padded[:, left : left + length])
-            windows = _toeplitz_windows(padded, width)
-            matrix, bias_row = _toeplitz(bank.weights.data, bank.biases.data)
-            matrix.flags.writeable = bias_row.flags.writeable = False
-            size = windows[0].size
-            out = product[: rows * blocks * TOEPLITZ_BLOCK * c_out]
-            layers.append([
-                windows, lowered[: rows * size].reshape(windows.shape),
-                lowered[: rows * size].reshape(rows * blocks, -1), matrix,
-                out.reshape(rows * blocks, -1), bias_row,
-                out.reshape(rows, -1, c_out)[:, :length],
-            ])
-        outputs = inputs[1:] + [concat[:, :, start : start + c_last]]
-        views.append((inputs[0], [(*layer, o) for layer, o in zip(layers, outputs)]))
-        start += c_last
-    pooled_len = length // POOL_WINDOW
-    windows = concat[:, : pooled_len * POOL_WINDOW].reshape(rows, pooled_len, POOL_WINDOW, -1)
-    weights, bias = (np.array(p.data) for p in (model.fc_weights, model.fc_bias))
-    stats = NormStats(np.array(model.norm_stats.mean), np.array(model.norm_stats.std))
-    for array in (weights, bias, stats.mean, stats.std):
-        array.flags.writeable = False
-    return ServingPlan(
-        cfg, stats, blocks, views, [windows[:, :, k] for k in range(POOL_WINDOW)],
-        np.empty((rows, pooled_len, start), dtype=dtype), weights, bias,
-        np.empty((rows, cfg.n_classes), dtype=dtype), np.empty((rows, 1), dtype=dtype),
-    )
+
+    def __init__(self, model: MultiViewCnn, rows: int):
+        cfg = self.config = model.config
+        self.rows = rows
+        length, dtype = cfg.input_len, cfg.dtype
+        blocks = -(-length // TOEPLITZ_BLOCK)
+        banks = [bank for view in model.views for bank in view]
+        span = max((TOEPLITZ_BLOCK + b.width - 1) * b.weights.data.shape[1] for b in banks)
+        lowered = np.empty(rows * blocks * span, dtype=dtype)
+        product = np.empty(rows * blocks * TOEPLITZ_BLOCK * max(b.out_channels for b in banks),
+                           dtype=dtype)
+        channels = [view[-1].out_channels for view in model.views]
+        concat = np.empty((rows, length, sum(channels)), dtype=dtype)
+        self._views, start = [], 0
+        for banks, c_last in zip(model.views, channels):
+            inputs, layers = [], []
+            for bank in banks:
+                c_out, c_in, width = bank.weights.data.shape
+                padded = np.zeros((rows, blocks * TOEPLITZ_BLOCK + width - 1, c_in), dtype=dtype)
+                left = (width - 1) // 2
+                inputs.append(padded[:, left : left + length])
+                windows = _toeplitz_windows(padded, width)
+                matrix, bias_row = _toeplitz(bank.weights.data, bank.biases.data)
+                matrix.flags.writeable = bias_row.flags.writeable = False
+                size = windows[0].size
+                out = product[: rows * blocks * TOEPLITZ_BLOCK * c_out]
+                layers.append([
+                    windows, lowered[: rows * size].reshape(windows.shape),
+                    lowered[: rows * size].reshape(rows * blocks, -1), matrix,
+                    out.reshape(rows * blocks, -1), bias_row,
+                    out.reshape(rows, -1, c_out)[:, :length],
+                ])
+            outputs = inputs[1:] + [concat[:, :, start : start + c_last]]
+            self._views.append((inputs[0], [(*layer, o) for layer, o in zip(layers, outputs)]))
+            start += c_last
+        pooled_len = length // POOL_WINDOW
+        windows = concat[:, : pooled_len * POOL_WINDOW].reshape(rows, pooled_len, POOL_WINDOW, -1)
+        self._taps = [windows[:, :, k] for k in range(POOL_WINDOW)]
+        self._pooled = np.empty((rows, pooled_len, start), dtype=dtype)
+        self._flat = self._pooled.reshape(rows, -1)
+        self._weights, self._bias = (np.array(p.data) for p in (model.fc_weights, model.fc_bias))
+        self.norm_stats = NormStats(np.array(model.norm_stats.mean),
+                                    np.array(model.norm_stats.std))
+        for array in (self._weights, self._bias, self.norm_stats.mean, self.norm_stats.std):
+            array.flags.writeable = False
+        self._logits = np.empty((rows, cfg.n_classes), dtype=dtype)
+        self._peaks = np.empty((rows, 1), dtype=dtype)
+
+    def probabilities(self, features: np.ndarray) -> np.ndarray:
+        """[rows, H] probabilities of [rows, L] features: bit for bit those
+        of forward_batch(model, features).
+
+        The result is the plan's output buffer, which the next call
+        overwrites. Nothing is checked here: predict and server_classify
+        check the features where they enter.
+        """
+        for inputs, layers in self._views:
+            np.copyto(inputs, features[:, :, None])
+            for windows, lowered, rows2d, matrix, product, bias_row, trimmed, outputs in layers:
+                np.copyto(lowered, windows)
+                np.matmul(rows2d, matrix, out=product)
+                product += bias_row
+                np.tanh(trimmed, out=outputs)
+        taps, pooled, logits, peaks = self._taps, self._pooled, self._logits, self._peaks
+        np.maximum(taps[0], taps[1], out=pooled)
+        for tap in taps[2:]:
+            np.maximum(pooled, tap, out=pooled)
+        np.matmul(self._flat, self._weights, out=logits)
+        logits += self._bias
+        # the reductions of dense_softmax's .max and .sum, without their wrappers
+        np.maximum.reduce(logits, axis=1, keepdims=True, out=peaks)
+        np.subtract(logits, peaks, out=logits)
+        np.exp(logits, out=logits)
+        np.add.reduce(logits, axis=1, keepdims=True, out=peaks)
+        np.divide(logits, peaks, out=logits)
+        return logits
+
+
+serving_plan = ServingPlan
 
 
 # Rows per predict() pass, the training batch size: chunks of 8 to 32 rows
@@ -365,9 +332,10 @@ PREDICT_CHUNK = 16
 
 def predict(model: MultiViewCnn, features: np.ndarray) -> np.ndarray:
     """Eval-mode argmax labels for a [n, L] feature matrix, PREDICT_CHUNK
-    rows per pass through one `serving_plan` built for the call.
+    rows per pass: the full chunks share one PREDICT_CHUNK-row
+    `serving_plan`, and a shorter last chunk takes a plan of its size.
 
-    Builds no autograd graph, and the chunks share the plan's buffers.
+    Builds no autograd graph.
 
     Raises:
         LengthMismatch: features is not an [n, L] matrix.
@@ -378,11 +346,12 @@ def predict(model: MultiViewCnn, features: np.ndarray) -> np.ndarray:
             f"expected [n, {model.config.input_len}] features, got {features.shape}"
         )
     out = np.empty(len(features), dtype=np.int64)
-    if len(features):
-        plan = serving_plan(model, min(len(features), PREDICT_CHUNK))
-        for start in range(0, len(features), PREDICT_CHUNK):
-            probs = plan.probabilities(features[start : start + PREDICT_CHUNK])
-            out[start : start + PREDICT_CHUNK] = np.argmax(probs, axis=1)
+    plan = None
+    for start in range(0, len(features), PREDICT_CHUNK):
+        chunk = features[start : start + PREDICT_CHUNK]
+        if plan is None or plan.rows != len(chunk):
+            plan = serving_plan(model, len(chunk))
+        out[start : start + len(chunk)] = np.argmax(plan.probabilities(chunk), axis=1)
     return out
 
 

@@ -2,8 +2,9 @@
 
 Nodes run training's feature chain (`evaluation.clip_features`) with a
 `NodeConfig`, high-pass on at 200 Hz, and produce one `SpectrumMessage`
-per window. SPM1 is the format a node uploads a message in: `encode` and
-`decode` implement it, and acceptance criterion 9 round-trips it.
+per window, stamped on the node's own clock. SPM1 is the format a node
+uploads a message in: `encode` and `decode` implement it, and acceptance
+criterion 9 round-trips it.
 `simulate` skips serialization and hands each message to
 `server_classify` in memory; its float32 payload holds the values a
 frame would carry. `simulate` builds one 1-row `model.serving_plan` per
@@ -151,8 +152,9 @@ def node_process(
 ) -> list[SpectrumMessage]:
     """clip_features framed as one message per surviving window.
 
-    Message timestamps mark when each window is fully captured, relative
-    to start_ms.
+    Message timestamps are on the node's clock: they mark when each
+    window is fully captured, relative to start_ms, the clip's start as
+    that clock reads it.
     """
     hop = hop_length(cfg.window_len, cfg.overlap)
     messages = []
@@ -195,7 +197,7 @@ def server_classify(
             f"payload has {msg.feature_len} features, model wants "
             f"{plan.config.input_len}"
         )
-    features = normalize(msg.payload.astype(np.float64), plan.norm_stats)
+    features = normalize(msg.payload, plan.norm_stats)
     probs = plan.probabilities(features[None])[0].copy()
     return ClassificationRecord(
         msg.node_id, msg.sequence_no, msg.timestamp_ms, ORIGIN_SERVER,
@@ -236,14 +238,16 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        self.validate()  # first, so a refused n_nodes sizes no padding
         padding = (NodeSpec(),) * (self.n_nodes - len(self.nodes))
         object.__setattr__(self, "nodes", tuple(self.nodes) + padding)
-        self.validate()
 
     def validate(self):
         """Check the scenario's own rules, then build its corpus, node
         pipeline and high-pass, so their rules apply as well, and refuse
-        a window longer than the corpus's clips.
+        a window longer than the corpus's clips. Every node id and
+        sequence number must fit its SPM1 field: at most 65535 nodes, and
+        at most 2**32 windows per node.
 
         Raises:
             InvalidScenario: any rule broken, with the message of the
@@ -251,6 +255,8 @@ class Scenario:
         """
         if self.n_nodes < 1 or self.clips_per_node < 1:
             raise InvalidScenario("need at least one node and one clip per node")
+        if self.n_nodes > 0xFFFF:
+            raise InvalidScenario(f"{self.n_nodes} nodes, but an SPM1 node id is a u16")
         if len(self.nodes) > self.n_nodes:
             raise InvalidScenario(f"{len(self.nodes)} node specs for {self.n_nodes} nodes")
         for name in (f.name for f in fields(self) if f.name.endswith("_ms")):
@@ -294,6 +300,14 @@ class Scenario:
             raise InvalidScenario(
                 f"window_len {self.window_len} is longer than a clip's "
                 f"{corpus.n_samples} samples"
+            )
+        # windows per clip before silence removal, which only drops some
+        hop = hop_length(self.window_len, self.overlap)
+        frames = (corpus.n_samples - self.window_len) // hop + 1
+        if self.clips_per_node * frames > 2**32:
+            raise InvalidScenario(
+                f"{self.clips_per_node} clips of up to {frames} windows per node, but "
+                "an SPM1 sequence number is a u32"
             )
         return self
 
@@ -374,8 +388,8 @@ def parse_scenario(text: str) -> Scenario:
     for num in node_sections:
         if not 1 <= num <= n_nodes:
             raise InvalidScenario(f"section [node {num}] outside 1..{n_nodes}")
-    nodes = []
-    for num in range(1, n_nodes + 1):
+    nodes = []  # up to the last section; Scenario pads the rest
+    for num in range(1, max(node_sections, default=0) + 1):
         section = node_sections.get(num, {"outages": [], "fields": {}})
         nodes.append(
             NodeSpec(link_outages=tuple(section["outages"]), **section["fields"])
@@ -502,9 +516,10 @@ def simulate(
     node's fallback model (predictions mapped back to global class
     ids); all others go to the server. Under fallback_policy="buffer"
     the node instead holds such messages and forwards them to the
-    server when the outage clears, paying the wait as latency. Recorded
-    timestamps carry the node clock skew, but routing uses true
-    simulated time. Records come back sorted by (node, sequence):
+    server when the outage clears, paying the wait as latency. Each node
+    stamps its messages on its own clock, clock_skew_ms off true time,
+    and the records keep those stamps; routing uses true simulated
+    time. Records come back sorted by (node, sequence):
     in-order reliable delivery. Memory holds one clip and its messages
     at a time (see `scenario_clips`), plus the records. Each model
     classifies through one 1-row `serving_plan`, built here.
@@ -557,19 +572,17 @@ def simulate(
         t_clip = 0
         seq = 0
         for j in range(len(clips)):
-            # the clip is synthesized here and freed once node_process returns
-            messages = node_process(clips[j], cfg, start_ms=t_clip, seq_start=seq)
+            # the clip is synthesized here and freed once node_process returns,
+            # and the node stamps its messages on its own clock
+            messages = node_process(clips[j], cfg, t_clip + spec.clock_skew_ms, seq)
             seq += len(messages)
             t_clip += clip_ms + scenario.inter_clip_gap_ms
             for msg in messages:
-                t_true = msg.timestamp_ms
-                wire = SpectrumMessage(
-                    msg.node_id, msg.sequence_no, t_true + spec.clock_skew_ms, msg.payload
-                )
+                t_true = msg.timestamp_ms - spec.clock_skew_ms
                 held = _release_time(t_true, outages)
                 if held == t_true or scenario.fallback_policy == "buffer":
                     records.append(
-                        server_classify(wire, server, (held - t_true) + transit)
+                        server_classify(msg, server, (held - t_true) + transit)
                     )
                     continue
                 if fb is None:
@@ -578,7 +591,7 @@ def simulate(
                         "no fallback model"
                     )
                 rec = server_classify(
-                    wire, fb, scenario.node_proc_ms + scenario.fallback_proc_ms
+                    msg, fb, scenario.node_proc_ms + scenario.fallback_proc_ms
                 )
                 rec.origin = ORIGIN_FALLBACK
                 rec.predicted = spec.fallback_classes[rec.predicted]
@@ -645,9 +658,10 @@ def train_fallback_models(
         if not subset:
             continue
         mask = np.isin(labels, subset)
-        remap = {cls: i for i, cls in enumerate(subset)}
-        sub_labels = np.array([remap[int(l)] for l in labels[mask]], dtype=np.int64)
-        models[num] = _fit(frames[mask], sub_labels, len(subset), iterations, seed + num)
+        lookup = np.zeros(scenario.n_classes, dtype=np.int64)
+        lookup[list(subset)] = np.arange(len(subset))
+        models[num] = _fit(frames[mask], lookup[labels[mask]], len(subset), iterations,
+                           seed + num)
     return models
 
 

@@ -542,6 +542,45 @@ def test_bad_setting_is_one_error_line(tmp_path, argv, scenario):
         assert "window_seconds" in lines[0]
 
 
+# the CLI under a 2 GiB address-space limit, so an unchecked size fails fast
+# with MemoryError instead of taking the machine's memory
+LIMITED_CLI = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+               "from mvcnn.cli import main; sys.exit(main())")
+
+
+@pytest.mark.parametrize(
+    "argv, scenario, message",
+    [
+        (["simulate"], "nodes = 9223372036854775808\n",
+         "9223372036854775808 nodes, but an SPM1 node id is a u16"),
+        (["simulate", "--model"], "clips_per_node = 9223372036854775807\n",
+         "9223372036854775807 clips of up to 4 windows per node, but an SPM1 "
+         "sequence number is a u32"),
+        (["synth", "--clip-seconds", "1e300"], None,
+         "clip_seconds 1e+300 at 24000 Hz is longer than the 2147483629 samples one "
+         "16-bit mono WAV holds"),
+    ],
+    ids=["scenario-nodes-past-u16", "scenario-sequence-past-u32", "synth-clip-past-wav"],
+)
+def test_input_past_a_file_format_field_is_one_error_line(tmp_path, argv, scenario,
+                                                          message):
+    if "--model" in argv:
+        save(build(ModelConfig(input_len=NodeConfig.feature_len, n_classes=4)),
+             tmp_path / "server.mvc")
+        argv = [*argv, str(tmp_path / "server.mvc")]
+    argv = [*argv, "--out", str(tmp_path / "out")]
+    if scenario is not None:
+        (tmp_path / "big.scn").write_text(scenario)
+        argv += ["--scenario", str(tmp_path / "big.scn")]
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED_CLI, *argv], capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_gradcheck_negative_seed_is_one_error_line():
     proc = subprocess.run(
         [sys.executable, "-m", "mvcnn", "gradcheck", "--seed", "-1"],

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mvcnn.audio import AudioClip, rms
+from mvcnn.audio import WAV_MAX_SAMPLES, AudioClip, rms
 from mvcnn import evaluation
 from mvcnn.errors import (
     EmptyDataset,
@@ -308,6 +308,10 @@ class TestSynthetic:
             (dict(clip_seconds=float("inf")), "clip_seconds"),
             # finite alone, but its sample count is not
             (dict(clip_seconds=1e305), "clip_seconds must be finite"),
+            # finite, but past what save_wav's u32 RIFF size can describe
+            (dict(clip_seconds=1e300), "clip_seconds 1e\\+300 at 24000 Hz is longer than "
+             "the 2147483629 samples one 16-bit mono WAV holds"),
+            (dict(clip_seconds=(WAV_MAX_SAMPLES + 1) / 24000), "longer than the 2147483629"),
             (dict(clip_seconds=0.0), "too short"),
             (dict(clip_seconds=-1.0), "too short"),
             # 1e-5 s is a quarter of a sample at 24 kHz
@@ -331,7 +335,8 @@ class TestSynthetic:
             (dict(n_classes=1200, sample_rate=4_000_000),
              "n_classes=1200, but only 1109 default classes .* finite envelope period"),
         ],
-        ids=["seconds-nan", "seconds-inf", "seconds-overflow", "seconds-zero",
+        ids=["seconds-nan", "seconds-inf", "seconds-overflow", "seconds-past-wav",
+             "seconds-one-sample-past-wav", "seconds-zero",
              "seconds-negative", "seconds-under-one-sample", "rate-zero",
              "rate-negative", "amplitude-zero", "amplitude-negative",
              "amplitude-above-one", "amplitude-nan", "one-class", "no-clips",
@@ -348,6 +353,13 @@ class TestSynthetic:
         with pytest.raises(InvalidSpec) as lazy:
             SyntheticClips(spec)
         assert str(lazy.value) == str(eager.value)
+
+    def test_clip_as_long_as_one_wav_holds_is_kept(self):
+        # construction synthesizes nothing, so this allocates no 2**31 samples
+        spec = SyntheticSpec(n_classes=2, clips_per_class=1,
+                             clip_seconds=WAV_MAX_SAMPLES / 24000)
+        assert SyntheticClips(spec).n_samples == WAV_MAX_SAMPLES
+        assert 36 + 2 * WAV_MAX_SAMPLES <= 2**32 - 1 < 36 + 2 * (WAV_MAX_SAMPLES + 1)
 
     def test_huge_class_count_is_refused_in_small_memory(self):
         tracemalloc.start()

@@ -663,14 +663,15 @@ class TestServingPlan:
     def test_probabilities_equal_forward_batch_bit_for_bit(self, dtype, input_len, views,
                                                            seed):
         # 517 and 50 are divided by neither TOEPLITZ_BLOCK = 8 nor the pool
-        # window 3; 37 rows leave a 5-row tail chunk in the 16-row plan
+        # window 3; 37 rows are two 16-row chunks and a 5-row tail, which
+        # runs through a 5-row plan, as in predict
         model = _perturbed(ModelConfig(input_len=input_len, view_widths=views,
                                        seed=seed, dtype=dtype), seed)
         rng = np.random.Generator(np.random.PCG64(seed))
         X = rng.normal(size=(37, input_len))
-        for rows, n in ((1, 5), (PREDICT_CHUNK, len(X))):
+        for rows, starts in ((1, range(5)), (PREDICT_CHUNK, (0, 16)), (5, (32,))):
             plan = serving_plan(model, rows)
-            for start in range(0, n, rows):
+            for start in starts:
                 chunk = X[start : start + rows]
                 got = plan.probabilities(chunk)
                 want = forward_batch(model, chunk, train=False).data
@@ -689,8 +690,13 @@ class TestServingPlan:
         monkeypatch.setattr(model_module, "forward_batch",
                             lambda *a, **k: graphs.append(a))
         predict(model, X)
+        assert plans == [PREDICT_CHUNK, 1]  # the tail row takes a 1-row plan
+        plans.clear()
         predict(model, X[:5])
-        assert plans == [PREDICT_CHUNK, 5]
+        assert plans == [5]
+        plans.clear()
+        predict(model, np.vstack([X, X])[:2 * PREDICT_CHUNK])
+        assert plans == [PREDICT_CHUNK]  # full chunks share one plan
         assert graphs == []
 
     @pytest.mark.parametrize("rows", [1, 15, 16, 17, 263])

@@ -648,6 +648,24 @@ class TestScenarioIsAlwaysValid:
         with pytest.raises(InvalidScenario, match="4 node specs for 3 nodes"):
             small_scenario(nodes=(NodeSpec(),) * 4)
 
+    def test_more_nodes_than_a_u16_node_id_numbers_are_refused(self):
+        assert len(small_scenario(n_nodes=0xFFFF).nodes) == 0xFFFF
+        with pytest.raises(InvalidScenario,
+                           match=r"^65536 nodes, but an SPM1 node id is a u16$"):
+            parse_scenario("nodes = 65536\n")
+        with pytest.raises(InvalidScenario, match="u16"):
+            Scenario(n_nodes=2**63)  # refused before it sizes the padding
+
+    def test_more_windows_per_node_than_a_u32_sequence_numbers_are_refused(self):
+        # a default scenario's 48000-sample clips hold 4 windows of 16384
+        # samples at half overlap, so 2**30 clips number 2**32 windows
+        assert Scenario(n_nodes=1, clips_per_node=2**30).clips_per_node == 2**30
+        with pytest.raises(InvalidScenario, match=r"^1073741825 clips of up to 4 windows "
+                           r"per node, but an SPM1 sequence number is a u32$"):
+            Scenario(n_nodes=1, clips_per_node=2**30 + 1)
+        with pytest.raises(InvalidScenario, match="u32"):
+            Scenario(clips_per_node=2**63 - 1)
+
     def test_nodes_padded_to_n_nodes(self):
         assert small_scenario(nodes=(NodeSpec(clock_skew_ms=3),)).nodes == (
             NodeSpec(clock_skew_ms=3), NodeSpec(), NodeSpec(),
@@ -712,6 +730,26 @@ class TestPlanServing:
                     seq += 1
                 t_clip += int(round(scenario.clip_seconds * 1000)) + scenario.inter_clip_gap_ms
         assert _record_fields(records) == replay
+
+    def test_each_window_is_one_message(self, monkeypatch):
+        # the nodes' clocks run 7 ms ahead and 5 ms behind: a node stamps a
+        # message once, on its own clock, and its record keeps the stamp
+        scenario = small_scenario(nodes=(NodeSpec(clock_skew_ms=7),
+                                         NodeSpec(clock_skew_ms=-5)))
+        server, _ = small_models(scenario)
+        built = []
+        check = SpectrumMessage.__post_init__
+
+        def counting(msg):
+            built.append(msg)
+            check(msg)
+
+        monkeypatch.setattr(SpectrumMessage, "__post_init__", counting)
+        records = simulate(scenario, server).records
+        assert len(built) == len(records) > 0
+        assert [(m.node_id, m.sequence_no, m.timestamp_ms) for m in built] == [
+            (r.node_id, r.sequence_no, r.timestamp_ms) for r in records
+        ]
 
     def test_models_are_planned_once_per_run(self, monkeypatch):
         nodes = (NodeSpec(fallback_classes=(0, 2), link_outages=((300, 800),)),)
