@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidSetting, MalformedWav, UnsupportedFormat
+from .errors import InvalidSetting, MalformedWav
 
 DEFAULT_SAMPLE_RATE = 24000
 
@@ -73,8 +73,8 @@ def load_wav(path) -> AudioClip:
     by 1/32768 into [-1, 1).
 
     Raises:
-        MalformedWav: broken RIFF structure or truncated chunks.
-        UnsupportedFormat: non-PCM, non-16-bit, or multi-channel audio.
+        MalformedWav: broken RIFF structure, truncated chunks, or
+        non-PCM, non-16-bit or multi-channel audio.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -106,11 +106,11 @@ def load_wav(path) -> AudioClip:
 
     audio_format, n_channels, sample_rate, _, _, bits = fmt
     if audio_format != 1:
-        raise UnsupportedFormat(f"{path}: not PCM (format tag {audio_format})")
+        raise MalformedWav(f"{path}: not PCM (format tag {audio_format})")
     if n_channels != 1:
-        raise UnsupportedFormat(f"{path}: expected mono, got {n_channels} channels")
+        raise MalformedWav(f"{path}: expected mono, got {n_channels} channels")
     if bits != 16:
-        raise UnsupportedFormat(f"{path}: expected 16-bit samples, got {bits}")
+        raise MalformedWav(f"{path}: expected 16-bit samples, got {bits}")
 
     raw = np.frombuffer(pcm[: len(pcm) - len(pcm) % 2], dtype="<i2")
     return AudioClip(raw.astype(np.float64) / 32768.0, sample_rate)

@@ -1,7 +1,10 @@
 """Exception types raised across the package.
 
 Everything derives from MvcnnError so callers can catch the whole family;
-the CLI maps MvcnnError to exit code 1.
+the CLI maps MvcnnError to exit code 1. Each input boundary raises one
+class per kind of fault, and its message says which check failed: a
+setting out of range is InvalidSetting, a bad WAV file MalformedWav, a
+bad model file or frame header BadMagic, whatever the field.
 """
 
 
@@ -13,36 +16,16 @@ class InvalidSetting(MvcnnError, ValueError):
     """A setting is out of range or not one of the known choices."""
 
 
-# --- audio ingestion / framing ---
+# --- audio ingestion ---
 
 class MalformedWav(MvcnnError):
-    """WAV file has a broken or truncated RIFF structure."""
-
-
-class UnsupportedFormat(MvcnnError):
-    """WAV file is not 16-bit mono PCM."""
-
-
-class InvalidOverlap(MvcnnError):
-    """Segmentation overlap fraction outside [0, 1)."""
+    """WAV file is truncated, broken, or not 16-bit mono PCM."""
 
 
 # --- spectral features ---
 
-class NonPowerOfTwo(MvcnnError, ValueError):
-    """Frame or window length must be a power of two."""
-
-
-class InvalidLength(MvcnnError):
-    """Requested feature length is not in [1, bin count]."""
-
-
 class LengthMismatch(MvcnnError):
     """Two sequences that must agree in length do not."""
-
-
-class InvalidCutoff(MvcnnError):
-    """Filter cutoff outside (0, Nyquist)."""
 
 
 class ZeroPowerSignal(MvcnnError):
@@ -51,12 +34,8 @@ class ZeroPowerSignal(MvcnnError):
 
 # --- tensor / network ---
 
-class InvalidConfig(MvcnnError):
-    """Model configuration cannot produce a valid architecture."""
-
-
 class EmptyDataset(MvcnnError):
-    """Training or evaluation dataset is empty."""
+    """Training or evaluation data, or a confusion matrix, holds nothing."""
 
 
 class LabelOutOfRange(MvcnnError):
@@ -64,22 +43,10 @@ class LabelOutOfRange(MvcnnError):
 
 
 class BadMagic(MvcnnError):
-    """Serialized blob does not start with the expected magic bytes."""
-
-
-class VersionMismatch(MvcnnError):
-    """Serialized blob carries an unsupported format version."""
+    """Serialized blob has a wrong magic, version or header field."""
 
 
 # --- evaluation harness ---
-
-class TooFewSamples(MvcnnError):
-    """Dataset smaller than the number of cross-validation folds."""
-
-
-class EmptyMatrix(MvcnnError):
-    """Confusion matrix has no counts."""
-
 
 class InvalidSpec(MvcnnError):
     """Synthetic dataset specification is inconsistent."""

@@ -36,16 +36,7 @@ from .audio import (
     save_wav,
     segment,
 )
-from .errors import (
-    EmptyDataset,
-    EmptyMatrix,
-    InvalidLength,
-    InvalidOverlap,
-    InvalidSetting,
-    InvalidSpec,
-    NonPowerOfTwo,
-    TooFewSamples,
-)
+from .errors import EmptyDataset, InvalidSetting, InvalidSpec
 from .knn import KnnModel, knn_classify_batch, tune_k
 from .model import ModelConfig, TrainConfig, build, predict, train
 from .spectral import (
@@ -226,8 +217,12 @@ class SyntheticClips(Sequence):
     def __getitem__(self, index: int) -> AudioClip:
         if not -len(self) <= index < len(self):
             raise IndexError(f"clip {index} of {len(self)}")
+        return self.clip(*divmod(index % len(self), self.spec.clips_per_class))
+
+    def clip(self, cls: int, j: int) -> AudioClip:
+        """Clip j of class cls. It checks nothing, so j may pass
+        clips_per_class, which changes no clip."""
         spec = self.spec
-        cls, j = divmod(index % len(self), spec.clips_per_class)
         sig = self.signatures[cls]
         rad_per_sample = 2 * np.pi / spec.sample_rate
         rng = np.random.Generator(np.random.PCG64([spec.seed, cls, j]))
@@ -277,14 +272,14 @@ def kfold_split(labels, k: int = 10, seed: int = 0) -> list:
     per seed.
 
     Raises:
-        InvalidSetting: fewer than two folds, or a negative seed.
-        TooFewSamples: fewer samples than folds.
+        InvalidSetting: fewer than two folds, a negative seed, or fewer
+        samples than folds.
     """
     labels = np.asarray(labels)
     if k < 2 or seed < 0:
         raise InvalidSetting(f"need k >= 2 folds and seed >= 0, got k={k}, seed={seed}")
     if len(labels) < k:
-        raise TooFewSamples(f"{len(labels)} samples cannot fill {k} folds")
+        raise InvalidSetting(f"{len(labels)} samples cannot fill {k} folds")
     rng = np.random.Generator(np.random.PCG64(seed))
     fold_of = np.empty(len(labels), dtype=np.int64)
     offset = 0
@@ -347,11 +342,11 @@ def compute_metrics(counts: np.ndarray) -> MetricsReport:
     to the macro average and are listed in flagged_classes.
 
     Raises:
-        EmptyMatrix: no counts at all.
+        EmptyDataset: no counts at all.
     """
     total = counts.sum()
     if total == 0:
-        raise EmptyMatrix("confusion matrix has no observations")
+        raise EmptyDataset("confusion matrix has no observations")
     diag = np.diag(counts).astype(np.float64)
     col_sums = counts.sum(axis=0).astype(np.float64)
     row_sums = counts.sum(axis=1).astype(np.float64)
@@ -397,12 +392,12 @@ class PipelineConfig:
                 f"feature_kind must be one of {FEATURE_KINDS}, got {self.feature_kind!r}"
             )
         if self.window_len < 1 or self.window_len & (self.window_len - 1):
-            raise NonPowerOfTwo(f"window_len must be a power of two, got {self.window_len}")
+            raise InvalidSetting(f"window_len must be a power of two, got {self.window_len}")
         if not 0.0 <= self.overlap < 1.0:
-            raise InvalidOverlap(f"overlap must be in [0, 1), got {self.overlap}")
+            raise InvalidSetting(f"overlap must be in [0, 1), got {self.overlap}")
         bins = self.window_len // 2 + 1
         if self.feature_kind == "spectrum" and not 1 <= self.feature_len <= bins:
-            raise InvalidLength(
+            raise InvalidSetting(
                 f"feature length {self.feature_len} outside [1, {bins}] spectrum bins"
             )
         # a power ratio within 1e+-100: for samples in [-1, 1], no square,

@@ -49,12 +49,10 @@ from .autograd import (
 from .errors import (
     BadMagic,
     EmptyDataset,
-    InvalidConfig,
     InvalidSetting,
     LabelOutOfRange,
     LengthMismatch,
     TrailingBytes,
-    VersionMismatch,
 )
 from .spectral import NormStats
 
@@ -74,20 +72,20 @@ class ModelConfig:
     dtype: type = np.float32
 
     def __post_init__(self):
-        """Raises InvalidConfig for a config no architecture realizes."""
+        """Raises InvalidSetting for a config no architecture realizes."""
         if self.input_len < POOL_WINDOW:
-            raise InvalidConfig(f"input_len {self.input_len} < pool window {POOL_WINDOW}")
+            raise InvalidSetting(f"input_len {self.input_len} < pool window {POOL_WINDOW}")
         if self.n_classes < 2:
-            raise InvalidConfig("need at least two classes")
+            raise InvalidSetting("need at least two classes")
         sizes = (*self.view_widths, *self.layer_depths)
         if not self.view_widths or not self.layer_depths or min(sizes) < 1:
-            raise InvalidConfig("view_widths and layer_depths must be nonempty, positive")
+            raise InvalidSetting("view_widths and layer_depths must be nonempty, positive")
         if not 0.0 < self.keep_prob <= 1.0:
-            raise InvalidConfig(f"keep_prob must be in (0, 1], got {self.keep_prob}")
+            raise InvalidSetting(f"keep_prob must be in (0, 1], got {self.keep_prob}")
         if self.dtype not in FLOAT_TYPES.values():
-            raise InvalidConfig(f"dtype must be float32 or float64, got {self.dtype!r}")
+            raise InvalidSetting(f"dtype must be float32 or float64, got {self.dtype!r}")
         if not 0 <= self.seed < 2**64:
-            raise InvalidConfig(f"seed must be in [0, 2**64), got {self.seed}")
+            raise InvalidSetting(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -181,14 +179,14 @@ def build(config: ModelConfig) -> MultiViewCnn:
     drawn in parameters() order.
 
     Raises:
-        InvalidConfig: the parameter array cannot be allocated.
+        InvalidSetting: the parameter array cannot be allocated.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     count = sum(math.prod(s) for s in _parameter_shapes(config))
     try:
         flat = np.zeros(count, dtype=config.dtype)
     except MemoryError:
-        raise InvalidConfig(f"cannot allocate a model of {count} parameters") from None
+        raise InvalidSetting(f"cannot allocate a model of {count} parameters") from None
     for view in _views(flat, config):
         shape = view.shape
         if len(shape) > 1:  # fans in*w, out*w of an [out, in, w] filter; F, H of [F, H]
@@ -466,9 +464,9 @@ def load(path) -> MultiViewCnn:
     the flags in its .history.csv header.
 
     Raises:
-        BadMagic: wrong magic, no views, unknown dtype code, or truncated.
-        VersionMismatch: format version other than MODEL_VERSION.
-        InvalidConfig: the header declares a config build() rejects.
+        BadMagic: wrong magic, a format version other than MODEL_VERSION,
+        no views, unknown dtype code, or truncated.
+        InvalidSetting: the header declares a config build() rejects.
         TrailingBytes: bytes after the normalisation statistics.
     """
     with open(path, "rb") as fh:
@@ -484,7 +482,7 @@ def load(path) -> MultiViewCnn:
     if magic != MODEL_MAGIC:
         raise BadMagic(f"expected {MODEL_MAGIC!r}, got {magic!r}")
     if version != MODEL_VERSION:
-        raise VersionMismatch(
+        raise BadMagic(
             f"model file version {version} is not {MODEL_VERSION}; retrain the "
             "model from the flags in its .history.csv header"
         )

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .audio import AudioClip
-from .errors import InvalidCutoff, InvalidSetting, LengthMismatch, ZeroPowerSignal
+from .errors import InvalidSetting, LengthMismatch, ZeroPowerSignal
 
 STD_FLOOR = 1e-8
 LOG_FLOOR = 1e-10
@@ -152,10 +152,10 @@ def design_highpass(cutoff_hz: float, sample_rate: int) -> np.ndarray:
     [HIGHPASS_ORDER/2, 6] array of (b0, b1, b2, a0, a1, a2) rows with a0 = 1.
 
     Raises:
-        InvalidCutoff: cutoff outside (0, Nyquist).
+        InvalidSetting: cutoff outside (0, Nyquist).
     """
     if not 0 < cutoff_hz < sample_rate / 2:
-        raise InvalidCutoff(
+        raise InvalidSetting(
             f"cutoff {cutoff_hz} Hz outside (0, {sample_rate / 2}) at fs={sample_rate}"
         )
 

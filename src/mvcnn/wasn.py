@@ -36,7 +36,6 @@ import struct
 import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from math import ceil
 
 import numpy as np
 
@@ -245,7 +244,8 @@ class Scenario:
     def validate(self):
         """Check the scenario's own rules, then build its corpus, node
         pipeline and high-pass, so their rules apply as well, and refuse
-        a window longer than the corpus's clips. Every node id and
+        a clock skew that stamps a node's first window before 0 ms and a
+        window longer than the corpus's clips. Every node id and
         sequence number must fit its SPM1 field: at most 65535 nodes, and
         at most 2**32 windows per node.
 
@@ -295,6 +295,14 @@ class Scenario:
                 design_highpass(self.highpass_hz, self.sample_rate)
         except MvcnnError as exc:
             raise InvalidScenario(str(exc)) from None
+        # node_process's stamp for a node's first window, which SPM1 holds in a u64
+        first_ms = int(round(1000.0 * self.window_len / self.sample_rate))
+        for i, node in enumerate(self.nodes, start=1):
+            if node.clock_skew_ms + first_ms < 0:
+                raise InvalidScenario(
+                    f"node {i} skew {node.clock_skew_ms} ms stamps its first window "
+                    f"at {node.clock_skew_ms + first_ms} ms, before 0"
+                )
         # a longer window cuts no frame from any clip, so no node would send
         if self.window_len > corpus.n_samples:
             raise InvalidScenario(
@@ -430,41 +438,32 @@ def _release_time(t: int, windows) -> int:
 
 
 class _NodeClips(Sequence):
-    """The corpus clips one node replays, each synthesized when it is read."""
+    """The scenario clips one node replays, each synthesized when it is read."""
 
-    def __init__(self, corpus: SyntheticClips, indices: tuple):
+    def __init__(self, corpus: SyntheticClips, numbers: range):
         self._corpus = corpus
-        self._indices = indices
+        self._numbers = numbers
 
     def __len__(self):
-        return len(self._indices)
+        return len(self._numbers)
 
     def __getitem__(self, index: int) -> AudioClip:
-        return self._corpus[self._indices[index]]
-
-    def __iter__(self):
-        return map(self._corpus.__getitem__, self._indices)
+        j, cls = divmod(self._numbers[index], self._corpus.spec.n_classes)
+        return self._corpus.clip(cls, j)
 
 
 def scenario_clips(scenario: Scenario) -> list:
     """Per-node clip sequences (round-robin classes), deterministic per seed.
 
     Clip j of node n (from 0) is scenario clip g = n * clips_per_node + j,
-    of class g % n_classes. Each node's sequence is lazy: a clip is
-    synthesized when it is read and not kept, so replaying a node holds
-    one clip in memory however long the scenario is, and a clip no node
-    replays is never made.
+    clip g // n_classes of class g % n_classes. Each node's sequence is
+    lazy: a clip is synthesized when it is read and not kept, so replaying
+    a node holds one clip in memory however long the scenario is, and a
+    clip no node replays is never made.
     """
-    per_class = ceil(scenario.n_nodes * scenario.clips_per_node / scenario.n_classes)
-    corpus = SyntheticClips(_corpus_spec(scenario, per_class, scenario.seed))
-    by_node = []
-    for node_index in range(scenario.n_nodes):
-        picks = []
-        for j in range(scenario.clips_per_node):
-            g = node_index * scenario.clips_per_node + j
-            picks.append(g % scenario.n_classes * per_class + g // scenario.n_classes)
-        by_node.append(_NodeClips(corpus, tuple(picks)))
-    return by_node
+    corpus = SyntheticClips(_corpus_spec(scenario, 1, scenario.seed))
+    n = scenario.clips_per_node
+    return [_NodeClips(corpus, range(i * n, (i + 1) * n)) for i in range(scenario.n_nodes)]
 
 
 def _corpus_spec(scenario: Scenario, clips_per_class: int, seed: int) -> SyntheticSpec:

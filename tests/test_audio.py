@@ -14,11 +14,7 @@ from mvcnn.audio import (
     segment,
     window_rms,
 )
-from mvcnn.errors import (
-    InvalidSetting,
-    MalformedWav,
-    UnsupportedFormat,
-)
+from mvcnn.errors import InvalidSetting, MalformedWav
 
 
 def make_wav_bytes(samples_i16, sample_rate=24000, n_channels=1, bits=16, fmt_tag=1):
@@ -55,13 +51,13 @@ class TestLoadWav:
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "st.wav"
         path.write_bytes(make_wav_bytes([0, 0], n_channels=2))
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(MalformedWav, match="expected mono, got 2 channels"):
             load_wav(path)
 
     def test_non_pcm_rejected(self, tmp_path):
         path = tmp_path / "f.wav"
         path.write_bytes(make_wav_bytes([0, 0], fmt_tag=3))
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(MalformedWav, match=r"not PCM \(format tag 3\)"):
             load_wav(path)
 
     def test_truncated_header(self, tmp_path):

@@ -460,6 +460,30 @@ def test_saved_model_on_a_scenario_that_sends_nothing_is_one_error_line(tmp_path
     assert not out.exists()
 
 
+def write_stereo_manifest(tmp_path):
+    """A manifest of one WAV that save_wav wrote, its header then set to 2 channels."""
+    save_wav(tmp_path / "a.wav", AudioClip(np.zeros(100), 24000))
+    blob = bytearray((tmp_path / "a.wav").read_bytes())
+    blob[22:24] = (2).to_bytes(2, "little")
+    (tmp_path / "a.wav").write_bytes(bytes(blob))
+    (tmp_path / "stereo.csv").write_text("path,label\na.wav,x\n")
+    return tmp_path / "stereo.csv"
+
+
+def write_version_2_model(tmp_path):
+    """A saved server model whose header declares format version 2."""
+    path = tmp_path / "v2.mvc"
+    save(build(ModelConfig(input_len=NodeConfig.feature_len, n_classes=4)), path)
+    blob = bytearray(path.read_bytes())
+    blob[4:6] = (2).to_bytes(2, "little")
+    path.write_bytes(bytes(blob))
+    return path
+
+
+# input files named in argv below, each written into the test's directory
+INPUT_FILES = {"stereo.csv": write_stereo_manifest, "v2.mvc": write_version_2_model}
+
+
 @pytest.mark.parametrize(
     "argv, scenario",
     [
@@ -511,6 +535,15 @@ def test_saved_model_on_a_scenario_that_sends_nothing_is_one_error_line(tmp_path
          None),
         (["tune-threshold", "--window-seconds", "nan"], None),
         (["tune-threshold", "--window-seconds", "inf"], None),
+        (["prep", "--overlap", "1.5"], None),
+        (["prep", "--feature-len", "9000"], None),
+        (["prep", "--highpass", "20000"], None),
+        (["eval", "--method", "knn_spectrum", "--classes", "2", "--clips-per-class", "2",
+          "--k", "10"], None),
+        (["prep", "--manifest", "stereo.csv"], None),
+        (["simulate", "--model", "v2.mvc"], "nodes = 1\n"),
+        (["simulate"], "nodes = 1\nclips_per_node = 1\nclip_seconds = 1.0\n"
+         "window_len = 2048\nmax_skew_ms = 1000\n[node 1]\nclock_skew_ms = -500\n"),
     ],
     ids=["prep-threshold", "scenario-threshold", "scenario-window", "sweep-method",
          "sweep-fraction", "sweep-k", "synth-seed", "prep-seed", "train-seed", "eval-seed",
@@ -520,9 +553,12 @@ def test_saved_model_on_a_scenario_that_sends_nothing_is_one_error_line(tmp_path
          "synth-classes-14", "synth-classes-2000", "scenario-classes-2000",
          "eval-snr-4000", "eval-snr-minus-4000", "eval-snr-minus-inf", "eval-snr-nan",
          "sweep-snr-4000", "eval-snr-minus-3070", "tune-threshold-window-nan",
-         "tune-threshold-window-inf"],
+         "tune-threshold-window-inf", "prep-overlap", "prep-feature-len",
+         "prep-highpass", "eval-folds", "manifest-stereo-wav", "simulate-model-v2",
+         "scenario-skew-before-0"],
 )
 def test_bad_setting_is_one_error_line(tmp_path, argv, scenario):
+    argv = [str(INPUT_FILES[a](tmp_path)) if a in INPUT_FILES else a for a in argv]
     argv = [*argv, "--out", str(tmp_path / "out")]
     if scenario is not None:
         (tmp_path / "bad.scn").write_text(scenario)
@@ -590,13 +626,21 @@ def test_gradcheck_negative_seed_is_one_error_line():
     assert proc.stderr.splitlines() == ["error: seed must be in [0, 2**64), got -1"]
 
 
-@pytest.mark.parametrize("samples", ["0", "-1"])
-def test_gradcheck_without_samples_is_one_error_line(capsys, samples):
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--samples", "0"], "n_samples must be >= 1, got 0"),
+        (["--samples", "-1"], "n_samples must be >= 1, got -1"),
+        (["--input-len", "2"], "input_len 2 < pool window 3"),
+    ],
+    ids=["samples-0", "samples-minus-1", "input-len-2"],
+)
+def test_gradcheck_bad_setting_is_one_error_line(capsys, argv, message):
     # no probed parameter would report a zero error without checking anything
-    assert dispatch(["gradcheck", "--samples", samples]) == 1
+    assert dispatch(["gradcheck", *argv]) == 1
     captured = capsys.readouterr()
     assert "gradient error" not in captured.out
-    assert captured.err.splitlines() == [f"error: n_samples must be >= 1, got {samples}"]
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 @pytest.mark.parametrize("flag", ["--classes", "--input-len"])

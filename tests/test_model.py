@@ -12,13 +12,11 @@ from mvcnn.autograd import Tensor, conv1d_same, cross_entropy
 from mvcnn.errors import (
     BadMagic,
     EmptyDataset,
-    InvalidConfig,
     InvalidSetting,
     LabelOutOfRange,
     LengthMismatch,
     MvcnnError,
     TrailingBytes,
-    VersionMismatch,
 )
 from mvcnn.model import (
     PREDICT_CHUNK,
@@ -79,21 +77,24 @@ class TestBuild:
 
     def test_input_too_short_for_pooling(self):
         for bad_len in (1, 2):
-            with pytest.raises(InvalidConfig):
+            with pytest.raises(InvalidSetting, match=f"input_len {bad_len} < pool window 3"):
                 build(tiny_config(input_len=bad_len))
 
     def test_bad_keep_prob(self):
         # the only check on the keep probability dropout receives
         for bad in (0.0, -0.5, 1.2, float("nan")):
-            with pytest.raises(InvalidConfig):
+            with pytest.raises(InvalidSetting, match=r"keep_prob must be in \(0, 1\]"):
                 build(tiny_config(keep_prob=bad))
 
-    @pytest.mark.parametrize("override", [
-        dict(dtype=np.int32), dict(dtype=np.float16), dict(seed=-1),
-        dict(layer_depths=()), dict(view_widths=(10, 0)),
+    @pytest.mark.parametrize("override, message", [
+        (dict(dtype=np.int32), "dtype must be float32 or float64"),
+        (dict(dtype=np.float16), "dtype must be float32 or float64"),
+        (dict(seed=-1), r"seed must be in \[0, 2\*\*64\), got -1"),
+        (dict(layer_depths=()), "view_widths and layer_depths must be nonempty"),
+        (dict(view_widths=(10, 0)), "view_widths and layer_depths must be nonempty"),
     ], ids=["int32", "float16", "seed", "no-layers", "zero-width"])
-    def test_config_rejected_on_construction(self, override):
-        with pytest.raises(InvalidConfig):
+    def test_config_rejected_on_construction(self, override, message):
+        with pytest.raises(InvalidSetting, match=message):
             ModelConfig(**override)
 
     def test_single_view_ablation_shares_code_path(self):
@@ -352,7 +353,7 @@ class TestSerialization:
         blob = bytearray(path.read_bytes())
         blob[4:6] = version.to_bytes(2, "little")
         path.write_bytes(bytes(blob))
-        with pytest.raises(VersionMismatch, match="retrain"):
+        with pytest.raises(BadMagic, match=f"model file version {version} is not 3; retrain"):
             load(path)
 
     def test_zero_views_rejected(self, tmp_path):

@@ -1,3 +1,6 @@
+import hashlib
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -223,23 +226,42 @@ class TestScenarioClips:
                 assert node_got[j].samples.tobytes() == ref.samples.tobytes()
 
     def test_only_replayed_clips_are_made(self, monkeypatch):
-        # 5 nodes x 2 clips over 4 classes: 3 clips per class, and clip 2
-        # of classes 2 and 3 (items 8 and 11) is never replayed
+        # 5 nodes x 2 clips over 4 classes: clips 0 and 1 of every class and
+        # clip 2 of classes 0 and 1, once each, in scenario order
         made = []
-        original = wasn.SyntheticClips.__getitem__
+        original = wasn.SyntheticClips.clip
 
-        def spy(self, index):
-            made.append(index)
-            return original(self, index)
+        def spy(self, cls, j):
+            made.append((cls, j))
+            return original(self, cls, j)
 
-        monkeypatch.setattr(wasn.SyntheticClips, "__getitem__", spy)
+        monkeypatch.setattr(wasn.SyntheticClips, "clip", spy)
         by_node = scenario_clips(Scenario(n_nodes=5, clips_per_node=2,
                                           clip_seconds=0.1, window_len=2048, seed=3))
         assert made == []  # nothing is synthesized up front
         for clips in by_node:
             for _ in clips:
                 pass
-        assert sorted(made) == [0, 1, 2, 3, 4, 5, 6, 7, 9, 10]  # not 8 or 11
+        assert made == [(g % 4, g // 4) for g in range(10)]
+
+    def test_clips_past_memory_are_read_by_number(self):
+        # 5 nodes x 2**30 clips: a corpus indexed by item would hold 40 GiB
+        # of labels, so under a 2 GiB address-space limit only arithmetic
+        # on the clip number reaches the last clip
+        code = (
+            "import hashlib, resource; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+            "from mvcnn.wasn import Scenario, scenario_clips; "
+            "clips = scenario_clips(Scenario(n_nodes=5, clips_per_node=2**30)); "
+            "print(hashlib.sha256(clips[-1][-1].samples.tobytes()).hexdigest())"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        g = 5 * 2**30 - 1
+        corpus = wasn.SyntheticClips(SyntheticSpec(clips_per_class=1, clip_seconds=2.0))
+        want = corpus.clip(g % 4, g // 4).samples.tobytes()
+        assert proc.stdout.strip() == hashlib.sha256(want).hexdigest()
 
 
 class TestServerClassify:
@@ -665,6 +687,24 @@ class TestScenarioIsAlwaysValid:
             Scenario(n_nodes=1, clips_per_node=2**30 + 1)
         with pytest.raises(InvalidScenario, match="u32"):
             Scenario(clips_per_node=2**63 - 1)
+
+    def test_skew_that_stamps_a_window_before_0_ms_is_refused(self):
+        # a node stamps its first window when 2048 samples at 24 kHz are in,
+        # 85 ms after the clip starts on its own clock
+        text = ("nodes = 1\nclips_per_node = 1\nclip_seconds = 1.0\nwindow_len = 2048\n"
+                "max_skew_ms = 1000\n[node 1]\nclock_skew_ms = {}\n")
+        with pytest.raises(InvalidScenario, match=r"^node 1 skew -500 ms stamps its "
+                           r"first window at -415 ms, before 0$"):
+            parse_scenario(text.format(-500))
+        with pytest.raises(InvalidScenario, match="at -1 ms, before 0"):
+            parse_scenario(text.format(-86))
+        scenario = parse_scenario(text.format(-85))
+        server = build(ModelConfig(input_len=scenario.feature_len, n_classes=4))
+        records = simulate(scenario, server).records
+        assert records[0].timestamp_ms == 0
+        for r in records:
+            msg = SpectrumMessage(r.node_id, r.sequence_no, r.timestamp_ms, np.zeros(1))
+            assert decode(encode(msg)).timestamp_ms == r.timestamp_ms
 
     def test_nodes_padded_to_n_nodes(self):
         assert small_scenario(nodes=(NodeSpec(clock_skew_ms=3),)).nodes == (
