@@ -301,12 +301,20 @@ def highpass_butterworth(clip: AudioClip, cutoff_hz: float) -> AudioClip:
 
 # --- noise injection ---
 
-def add_noise_snr(clip: AudioClip, snr_db: float, seed: int) -> AudioClip:
-    """Add i.i.d. Gaussian noise scaled to a target SNR in dB.
+def standard_normals(seed: int, out: np.ndarray) -> np.ndarray:
+    """Fill the float64 buffer out with i.i.d. standard normals from
+    Generator(PCG64(seed)) and return it. numpy releases the GIL while it
+    fills, and nothing is allocated beside the generator."""
+    return np.random.Generator(np.random.PCG64(seed)).standard_normal(out=out)
+
+
+def add_scaled_noise(clip: AudioClip, snr_db: float, normals: np.ndarray) -> AudioClip:
+    """The clip plus normals scaled to a target SNR in dB.
 
     Noise variance is P_signal / 10^(snr_db/10) with P_signal the mean
-    squared sample. Deterministic per seed. The output is not re-clipped
-    to [-1, 1].
+    squared sample. normals, one standard normal per sample, is scaled
+    in place and becomes the returned clip's samples. The output is not
+    re-clipped to [-1, 1].
 
     Raises:
         ZeroPowerSignal: the clip has no signal power.
@@ -314,10 +322,24 @@ def add_noise_snr(clip: AudioClip, snr_db: float, seed: int) -> AudioClip:
     power = float(np.mean(clip.samples**2))
     if power == 0.0:
         raise ZeroPowerSignal("cannot set an SNR against a zero-power signal")
-    sigma = np.sqrt(power / 10.0 ** (snr_db / 10.0))
-    rng = np.random.Generator(np.random.PCG64(seed))
-    noise = sigma * rng.standard_normal(len(clip.samples))
-    return AudioClip(clip.samples + noise, clip.sample_rate)
+    normals *= np.sqrt(power / 10.0 ** (snr_db / 10.0))
+    normals += clip.samples
+    return AudioClip(normals, clip.sample_rate)
+
+
+def add_noise_snr(clip: AudioClip, snr_db: float, seed: int) -> AudioClip:
+    """Add i.i.d. Gaussian noise scaled to a target SNR in dB,
+    deterministic per seed: `add_scaled_noise` of the clip and
+    `standard_normals(seed, ...)`, one per sample. The bits equal
+    clip.samples + rng.normal(0, sigma, n) for rng = Generator(PCG64(seed)).
+    `evaluation.clip_frame_features` calls the two steps itself, so that
+    one clip's draw overlaps the previous clip's features.
+
+    Raises:
+        ZeroPowerSignal: as `add_scaled_noise`.
+    """
+    normals = standard_normals(seed, np.empty(len(clip.samples)))
+    return add_scaled_noise(clip, snr_db, normals)
 
 
 def measure_snr(signal: AudioClip, noise: AudioClip) -> float:

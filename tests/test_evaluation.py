@@ -1,4 +1,5 @@
 import itertools
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 
 from mvcnn.audio import WAV_MAX_SAMPLES, AudioClip, rms
 from mvcnn import evaluation
-from mvcnn.errors import EmptyDataset, InvalidSetting, InvalidSpec
+from mvcnn.errors import EmptyDataset, InvalidSetting, InvalidSpec, ZeroPowerSignal
 from mvcnn.evaluation import (
     FEATURE_KINDS,
     FREQ_JITTER,
@@ -428,6 +429,88 @@ class TestSyntheticClips:
         lazy = SyntheticClips(SyntheticSpec(n_classes=2, clips_per_class=1,
                                             clip_seconds=0.1))
         assert lazy[0] is not lazy[0]
+
+
+class TestNoisyClipFeatures:
+    """With an SNR set, clip_frame_features draws clip i's standard normals on
+    one helper thread while it featurizes clip i-1; what it returns and
+    raises must be what the one-clip-at-a-time chain gives."""
+
+    SPEC = SyntheticSpec(n_classes=3, clips_per_class=3, clip_seconds=0.5, seed=4)
+
+    @staticmethod
+    def serial(dataset, pipeline):
+        return [
+            clip_features(
+                add_noise_snr(clip, pipeline.snr_db,
+                              (pipeline.noise_seed * 1_000_003 + i) & 0x7FFFFFFFFFFF),
+                pipeline,
+            )
+            for i, clip in enumerate(dataset.clips)
+        ]
+
+    def listed(self, insert_at=None, clip=None):
+        """The corpus as a list, with clip put in at index insert_at."""
+        ds = generate_synthetic(self.SPEC)
+        clips, labels = list(ds.clips), list(ds.labels)
+        if clip is not None:
+            clips.insert(insert_at, clip)
+            labels.insert(insert_at, 0)
+        return ClipDataset(clips, np.array(labels), ds.n_classes, ds.label_names)
+
+    def lazy(self):
+        clips = SyntheticClips(self.SPEC)
+        return ClipDataset(clips, clips.labels, self.SPEC.n_classes, clips.label_names)
+
+    @pytest.mark.parametrize("highpass_hz", [None, 200.0])
+    @pytest.mark.parametrize("feature_kind", FEATURE_KINDS)
+    @pytest.mark.parametrize("corpus", ["listed", "lazy"])
+    def test_features_equal_the_serial_chain_bit_for_bit(
+        self, corpus, feature_kind, highpass_hz
+    ):
+        # the listed corpus holds a 1000-sample tone, shorter than one window
+        short = AudioClip(0.3 * np.sin(0.2 * np.arange(1000)), 24000)
+        ds = self.listed(4, short) if corpus == "listed" else self.lazy()
+        pipe = replace(SMALL_PIPE, snr_db=-3.0, noise_seed=9,
+                       feature_kind=feature_kind, highpass_hz=highpass_hz)
+        got = clip_frame_features(ds, pipe)
+        want = self.serial(ds, pipe)
+        assert len(got) == len(want) == len(ds.labels)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert (len(got[4]) == 0) == (corpus == "listed")
+        assert all(len(f) for i, f in enumerate(got) if i != 4)
+
+    def test_each_lazy_clip_is_read_once(self, monkeypatch):
+        reads = []
+        original = SyntheticClips.clip
+
+        def spy(clips, cls, j):
+            reads.append((cls, j))
+            return original(clips, cls, j)
+
+        monkeypatch.setattr(SyntheticClips, "clip", spy)
+        clip_frame_features(self.lazy(), replace(SMALL_PIPE, snr_db=0.0))
+        assert sorted(reads) == [(c, j) for c in range(3) for j in range(3)]
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 9])
+    def test_zero_power_clip_raises_the_serial_error(self, k):
+        ds = self.listed(k, AudioClip(np.zeros(6000), 24000))
+        pipe = replace(SMALL_PIPE, snr_db=6.0)
+        with pytest.raises(ZeroPowerSignal) as serial:
+            self.serial(ds, pipe)
+        with pytest.raises(ZeroPowerSignal) as piped:
+            clip_frame_features(ds, pipe)
+        assert str(piped.value) == str(serial.value)
+
+    def test_helper_thread_ends_with_the_call(self):
+        before = threading.active_count()
+        clip_frame_features(self.lazy(), replace(SMALL_PIPE, snr_db=0.0))
+        assert threading.active_count() == before
+        ds = self.listed(2, AudioClip(np.zeros(6000), 24000))
+        with pytest.raises(ZeroPowerSignal):
+            clip_frame_features(ds, replace(SMALL_PIPE, snr_db=0.0))
+        assert threading.active_count() == before
 
 
 class TestPhasorSines:

@@ -135,7 +135,7 @@ ENTRY_POINTS = {
     "model.ModelConfig.__post_init__", "model.TrainConfig.__post_init__",
     "model.build", "model.forward_batch", "model.gradient_check", "model.load",
     "model.load.need", "model.predict", "model.save", "model.train",
-    "spectral.NormStats.__post_init__", "spectral.add_noise_snr",
+    "spectral.NormStats.__post_init__", "spectral.add_scaled_noise",
     "spectral.design_highpass", "spectral.measure_snr", "spectral.mel_filterbank",
     "wasn.NodeConfig.__post_init__", "wasn.Scenario.validate", "wasn._parse_range",
     "wasn._scenario_training_frames", "wasn.check_server_model", "wasn.decode",
