@@ -451,7 +451,7 @@ def clip_frame_features(dataset: ClipDataset, pipeline: PipelineConfig) -> list:
         for i, clip in enumerate(dataset.clips):
             seed = (pipeline.noise_seed * 1_000_003 + i) & 0x7FFFFFFFFFFF
             normals = np.empty(len(clip.samples))
-            if previous is not None:
+            if previous is not None:  # one draw in flight: clip i-1's ends first
                 previous = previous[0], previous[1].result()
             drawing = helper.submit(standard_normals, seed, normals)
             if previous is not None:

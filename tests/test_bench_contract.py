@@ -4,6 +4,8 @@
 and `perfbench/workloads.py` builds and calls package objects directly.
 Both are loaded here by path, unedited, so renaming or removing a name
 they use fails these tests and not only the benchmark's own self-test.
+The tracer keeps one span stack, so toy units also run inside its
+wrappers, and every probed call must stay on the calling thread.
 """
 
 import importlib.util
