@@ -19,7 +19,7 @@ closure that routes its output gradient to its parents, and calling
 ``backward()`` on a scalar loss fills ``.grad`` on every tensor that
 participated in producing it. In the package only ``model.train`` and
 ``model.gradient_check`` run the ops, through ``forward_batch``;
-inference runs a ``model.serving_plan``, which repeats their forward
+inference runs a ``ServingPlan(model, rows)``, which repeats their forward
 arithmetic on buffers of its own and builds no graph.
 conv1d_same skips the input-gradient product for an input whose
 requires_grad is False, such as the features forward_batch builds.

@@ -40,13 +40,14 @@ from .evaluation import (
     run_cv,
     run_sweep,
     save_dataset,
+    stack_frames,
     stratified_fraction_split,
     tune_silence_threshold,
     write_results_csv,
 )
 from .model import ModelConfig, TrainConfig, build, gradient_check, load, save, train
 from .wasn import (
-    check_server_model,
+    check_model,
     load_scenario,
     simulate,
     train_fallback_models,
@@ -172,8 +173,7 @@ def cmd_prep(args):
     if args.mfcc:
         pipeline = replace(pipeline, feature_kind="mfcc")
     per_clip = clip_frame_features(dataset, pipeline)
-    clip_index = np.repeat(np.arange(len(per_clip)), [len(f) for f in per_clip])
-    features = np.vstack(per_clip)
+    features, clip_index = stack_frames(per_clip, np.arange(len(per_clip)))
     np.savez(
         args.out,
         features=features,
@@ -203,8 +203,8 @@ def cmd_train(args):
         dataset.labels, 1.0 - args.val_fraction, seed=args.seed
     )
     fold = prepare_fold(per_clip, dataset.labels, train_idx, val_idx, True)
-    val_y = np.repeat(dataset.labels[val_idx], [len(f) for f in fold.test_features])
-    validation = (np.vstack(fold.test_features), val_y) if len(val_y) else None
+    val_X, val_y = stack_frames(fold.test_features, dataset.labels[val_idx])
+    validation = (val_X, val_y) if len(val_y) else None
     model = build(method.model_cfg)
     history = train(
         model, fold.train_features, fold.train_labels,
@@ -310,7 +310,7 @@ def cmd_simulate(args):
     scenario = load_scenario(args.scenario)
     if args.model:
         server = load(args.model)
-        check_server_model(scenario, server)  # before any fallback model trains
+        check_model(scenario, server)  # before any fallback model trains
     else:
         print("no --model given; training a server model on synthetic data")
         server = train_server_model(scenario, iterations=args.iters, seed=args.seed)

@@ -472,15 +472,18 @@ class FoldData:
     stats: object  # NormStats or None for raw features
 
 
+def stack_frames(per_clip, values):
+    """Per-clip [n_i, D] frame matrices as one [sum n_i, D] matrix, and each
+    clip's value repeated once per frame of that clip."""
+    return np.vstack(per_clip), np.repeat(values, [len(f) for f in per_clip])
+
+
 def prepare_fold(per_clip, labels, train_idx, test_idx, normalize_features: bool) -> FoldData:
     """Stack training frames and fit normalization on them alone."""
-    with_frames = [i for i in train_idx if len(per_clip[i])]
-    if not with_frames:
+    if not any(len(per_clip[i]) for i in train_idx):
         raise EmptyDataset("no training frames in fold")
-    train_X = np.vstack([per_clip[i] for i in with_frames])
-    train_y = np.concatenate(
-        [np.full(len(per_clip[i]), labels[i]) for i in with_frames]
-    )
+    train_X, train_y = stack_frames([per_clip[i] for i in train_idx],
+                                    np.asarray(labels)[train_idx])
     stats = None
     test_feats = [per_clip[i] for i in test_idx]
     if normalize_features:
@@ -609,12 +612,15 @@ def run_cv(
     Normalization statistics are fitted per fold on training frames
     only. Returns per-fold metrics plus the pooled confusion matrix.
     """
-    all_idx = np.arange(len(dataset.labels))
-    splits = [
-        (np.setdiff1d(all_idx, test_idx), test_idx)
-        for test_idx in kfold_split(dataset.labels, k, seed)
-    ]
+    splits = _cv_splits(dataset.labels, k, seed)
     return _run_splits(dataset, method, splits, seed, pipeline, clip_level, method_params)
+
+
+def _cv_splits(labels, k: int, seed: int) -> list:
+    """(train_idx, test_idx) per fold of kfold_split(labels, k, seed)."""
+    all_idx = np.arange(len(labels))
+    return [(np.setdiff1d(all_idx, test_idx), test_idx)
+            for test_idx in kfold_split(labels, k, seed)]
 
 
 def _run_splits(dataset, method, splits, seed, pipeline, clip_level,
@@ -710,9 +716,10 @@ def run_sweep(
     fold column. Rows come back sorted by (value, method, fold, seed).
 
     Raises:
-        InvalidSetting: unknown axis or method, or k too small for the axis
-            (train_fraction needs k >= 1 splits, CV axes k >= 2 folds),
-            before any feature extraction.
+        InvalidSetting: unknown axis or method, k too small for the axis
+            (train_fraction needs k >= 1 splits, CV axes k >= 2 folds), or
+            a grid value or seed that the pipeline, a method's configs or
+            the splits refuse, before any feature extraction.
     """
     grid = spec.resolved_grid()
     min_k = 1 if spec.axis == "train_fraction" else 2
@@ -723,27 +730,31 @@ def run_sweep(
             raise InvalidSetting(
                 f"unknown method {method!r}; expected one of {METHOD_NAMES}"
             )
+    points = {}  # (value, seed) -> pipeline, method parameters, splits
+    for value in grid:
+        for seed in spec.seeds:
+            pipe, params = _sweep_point(spec.axis, value, pipeline, method_params, seed)
+            if spec.axis == "train_fraction":
+                splits = [
+                    stratified_fraction_split(
+                        dataset.labels, float(value), seed=seed * 1009 + rep
+                    )
+                    for rep in range(spec.k)
+                ]
+            else:
+                splits = _cv_splits(dataset.labels, spec.k, seed)
+            for method in spec.methods:  # builds, so checks, each method's configs
+                feature_dim = pipeline_for_method(method, pipe).feature_dim
+                make_method(method, dataset.n_classes, feature_dim, seed * 101, **params)
+            points[value, seed] = pipe, params, splits
     rows = []
     for value in grid:
         for method in spec.methods:
             for seed in spec.seeds:
-                pipe, params = _sweep_point(
-                    spec.axis, value, pipeline, method_params, seed
+                pipe, params, splits = points[value, seed]
+                result = _run_splits(
+                    dataset, method, splits, seed, pipe, clip_level, params
                 )
-                if spec.axis == "train_fraction":
-                    splits = [
-                        stratified_fraction_split(
-                            dataset.labels, float(value), seed=seed * 1009 + rep
-                        )
-                        for rep in range(spec.k)
-                    ]
-                    result = _run_splits(
-                        dataset, method, splits, seed, pipe, clip_level, params
-                    )
-                else:
-                    result = run_cv(
-                        dataset, method, spec.k, seed, pipe, clip_level, **params
-                    )
                 rows += fold_rows(spec.axis, value, method, seed, result)
     rows.sort(key=lambda r: (float(r["value"]), r["method"], r["fold"], r["seed"]))
     return rows

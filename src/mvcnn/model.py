@@ -9,11 +9,11 @@ a dense+softmax head. A single-view ablation is the same code path with
 one stack.
 
 Training and the gradient check run the network on the autograd tape
-(`forward_batch`); inference runs it through a `serving_plan`, which
-repeats the tape's forward arithmetic, bit for bit, on read-only copies
-of the weights and buffers of its own, sized for the one row count it
-serves (`predict` builds a second plan for a shorter last chunk, so each
-chunk runs the GEMMs of its own rows). `forward_batch` checks the feature
+(`forward_batch`); inference runs it through a `ServingPlan(model,
+rows)`, which repeats the tape's forward arithmetic, bit for bit, on
+read-only copies of the weights and buffers of its own, sized for the
+one row count it serves (`predict` builds a second plan for a shorter
+last chunk, so each chunk runs the GEMMs of its own rows). `forward_batch` checks the feature
 shape of every tape pass, so `train` and `gradient_check` need no shape
 check of their own; `predict` checks its matrix once per call, and
 `wasn.server_classify` each payload.
@@ -224,7 +224,7 @@ def forward_batch(
 
 class ServingPlan:
     """Eval-mode inference of one model, `rows` rows per call, on buffers
-    of its own; `serving_plan` is the name callers build it by.
+    of its own.
 
     `probabilities` runs forward_batch(..., train=False)'s operations in
     the tape's order on read-only copies of the model's parameters, with
@@ -319,9 +319,6 @@ class ServingPlan:
         return logits
 
 
-serving_plan = ServingPlan
-
-
 # Rows per predict() pass, the training batch size: chunks of 8 to 32 rows
 # ran equally fast, and larger ones were slower and raised the process's
 # peak memory.
@@ -330,8 +327,8 @@ PREDICT_CHUNK = 16
 
 def predict(model: MultiViewCnn, features: np.ndarray) -> np.ndarray:
     """Eval-mode argmax labels for a [n, L] feature matrix, PREDICT_CHUNK
-    rows per pass: the full chunks share one PREDICT_CHUNK-row
-    `serving_plan`, and a shorter last chunk takes a plan of its size.
+    rows per pass: the full chunks share one `ServingPlan(model,
+    PREDICT_CHUNK)`, and a shorter last chunk takes a plan of its size.
 
     Builds no autograd graph.
 
@@ -348,7 +345,7 @@ def predict(model: MultiViewCnn, features: np.ndarray) -> np.ndarray:
     for start in range(0, len(features), PREDICT_CHUNK):
         chunk = features[start : start + PREDICT_CHUNK]
         if plan is None or plan.rows != len(chunk):
-            plan = serving_plan(model, len(chunk))
+            plan = ServingPlan(model, len(chunk))
         out[start : start + len(chunk)] = np.argmax(plan.probabilities(chunk), axis=1)
     return out
 

@@ -7,7 +7,7 @@ uploads a message in: `encode` and `decode` implement it, and acceptance
 criterion 9 round-trips it.
 `simulate` skips serialization and hands each message to
 `server_classify` in memory; its float32 payload holds the values a
-frame would carry. `simulate` builds one 1-row `model.serving_plan` per
+frame would carry. `simulate` builds one 1-row `ServingPlan(model, 1)` per
 server and fallback model when it starts, and classifies every message
 through one of them, one message at a time. A star topology relays
 non-hub traffic through node 1. During a node's link outage, or a server
@@ -57,16 +57,9 @@ from .evaluation import (
     clip_features,
     clip_frame_features,
     generate_synthetic,
+    stack_frames,
 )
-from .model import (
-    ModelConfig,
-    MultiViewCnn,
-    ServingPlan,
-    TrainConfig,
-    build,
-    serving_plan,
-    train,
-)
+from .model import ModelConfig, MultiViewCnn, ServingPlan, TrainConfig, build, train
 from .spectral import design_highpass, fit_normalizer, normalize
 
 SPM_MAGIC = b"SPM1"
@@ -182,7 +175,7 @@ def server_classify(
     msg: SpectrumMessage, plan: ServingPlan, latency_ms: int = 0
 ) -> ClassificationRecord:
     """Normalize a message payload with the plan's statistics and classify
-    it through the plan (`model.serving_plan`, built once per model).
+    it through the plan (a `ServingPlan(model, 1)`, built once per model).
 
     The server model and the nodes' fallback models both classify here.
     The record's probabilities are a copy, so the plan's buffers can take
@@ -489,17 +482,24 @@ def _node_config(scenario: Scenario, node_id: int) -> NodeConfig:
     )
 
 
-def check_server_model(scenario: Scenario, server_model: MultiViewCnn) -> None:
-    """Raises InvalidScenario unless server_model fits the scenario's input and classes."""
-    if scenario.feature_len != server_model.config.input_len:
+def check_model(scenario: Scenario, model: MultiViewCnn, node: int | None = None) -> None:
+    """Raises InvalidScenario unless model fits the scenario's feature length
+    and its classes: every class for the server model (node None), node
+    `node`'s fallback classes for that node's fallback model."""
+    who, classes = "server model", range(scenario.n_classes)
+    if node is not None:
+        if not 1 <= node <= scenario.n_nodes:
+            raise InvalidScenario(
+                f"fallback model for node {node} outside 1..{scenario.n_nodes}"
+            )
+        who, classes = f"node {node} fallback model", scenario.nodes[node - 1].fallback_classes
+        if not classes:
+            raise InvalidScenario(f"node {node} has a fallback model but no classes")
+    cfg = model.config
+    if (cfg.input_len, cfg.n_classes) != (scenario.feature_len, len(classes)):
         raise InvalidScenario(
-            f"scenario feature_len {scenario.feature_len} != server model "
-            f"input {server_model.config.input_len}"
-        )
-    if scenario.n_classes != server_model.config.n_classes:
-        raise InvalidScenario(
-            f"scenario n_classes {scenario.n_classes} != server model "
-            f"classes {server_model.config.n_classes}"
+            f"{who} maps {cfg.input_len} features to {cfg.n_classes} classes, "
+            f"scenario has {scenario.feature_len} features and {len(classes)} classes"
         )
 
 
@@ -521,33 +521,21 @@ def simulate(
     time. Records come back sorted by (node, sequence):
     in-order reliable delivery. Memory holds one clip and its messages
     at a time (see `scenario_clips`), plus the records. Each model
-    classifies through one 1-row `serving_plan`, built here.
+    classifies through one `ServingPlan(model, 1)`, built here.
 
     Raises:
-        InvalidScenario: missing/ill-fitted fallback model for a node that
-        needs one, a feature length or class count that differs from the
-        server model's, or a silence threshold that left no node a window
-        to send, so there is no record.
+        InvalidScenario: a server or fallback model that `check_model`
+        refuses, a missing fallback model for a node that needs one, or a
+        silence threshold that left no node a window to send, so there is
+        no record.
     """
     fallback_models = fallback_models or {}
-    check_server_model(scenario, server_model)
+    check_model(scenario, server_model)
     for num, fb in fallback_models.items():
-        if not 1 <= num <= scenario.n_nodes:
-            raise InvalidScenario(
-                f"fallback model for node {num} outside 1..{scenario.n_nodes}"
-            )
-        subset = scenario.nodes[num - 1].fallback_classes
-        if not subset:
-            raise InvalidScenario(f"node {num} has a fallback model but no classes")
-        if (fb.config.n_classes, fb.config.input_len) != (len(subset), scenario.feature_len):
-            raise InvalidScenario(
-                f"node {num} fallback model maps {fb.config.input_len} features to "
-                f"{fb.config.n_classes} classes, scenario has {scenario.feature_len} "
-                f"features and lists {len(subset)} classes"
-            )
+        check_model(scenario, fb, num)
 
-    server = serving_plan(server_model, 1)
-    fallbacks = {num: serving_plan(fb, 1) for num, fb in fallback_models.items()}
+    server = ServingPlan(server_model, 1)
+    fallbacks = {num: ServingPlan(fb, 1) for num, fb in fallback_models.items()}
     clip_ms = int(round(scenario.clip_seconds * 1000))
     records = []
     events = []
@@ -601,8 +589,7 @@ def simulate(
             f"silence_threshold {scenario.silence_threshold} leaves no node a "
             "window to send"
         )
-    records.sort(key=lambda r: (r.node_id, r.sequence_no))
-    events.sort(key=lambda e: (e[0], e[1]))
+    events.sort()
     return SimulationResult(records, events)
 
 
@@ -614,8 +601,8 @@ def _scenario_training_frames(scenario: Scenario, clips_per_class: int, seed: in
     Raises InvalidScenario when the silence threshold leaves a class no frame."""
     dataset = generate_synthetic(_corpus_spec(scenario, clips_per_class, seed + 7919))
     per_clip = clip_frame_features(dataset, _node_config(scenario, node_id=0))
-    frames = np.vstack(per_clip).astype(np.float32).astype(np.float64)  # as sent
-    labels = np.repeat(dataset.labels, [len(f) for f in per_clip])
+    frames, labels = stack_frames(per_clip, dataset.labels)
+    frames = frames.astype(np.float32).astype(np.float64)  # as sent
     counts = np.bincount(labels, minlength=scenario.n_classes)
     if not counts.all():  # each fallback model trains on a class subset
         raise InvalidScenario(f"silence_threshold {scenario.silence_threshold} leaves "
@@ -623,11 +610,17 @@ def _scenario_training_frames(scenario: Scenario, clips_per_class: int, seed: in
     return frames, labels
 
 
-def _fit(frames, labels, n_classes: int, iterations: int, seed: int) -> MultiViewCnn:
-    """A paper-default model trained on the frames normalized by their own
-    statistics, which it keeps for serving."""
+def _fit(frames, labels, classes, iterations: int, seed: int) -> MultiViewCnn:
+    """A paper-default model of the frames whose labels lie in classes,
+    renumbered 0..len(classes)-1 in that order, trained on those frames
+    normalized by their own statistics, which it keeps for serving. The
+    server model is the case of every class."""
+    mask = np.isin(labels, classes)
+    lookup = np.zeros(max(classes) + 1, dtype=np.int64)
+    lookup[list(classes)] = np.arange(len(classes))
+    frames, labels = frames[mask], lookup[labels[mask]]
     stats = fit_normalizer(frames)
-    model = build(ModelConfig(input_len=frames.shape[1], n_classes=n_classes, seed=seed))
+    model = build(ModelConfig(input_len=frames.shape[1], n_classes=len(classes), seed=seed))
     train(model, normalize(frames, stats), labels,
           TrainConfig(iterations=iterations, seed=seed))
     model.norm_stats = stats
@@ -639,7 +632,7 @@ def train_server_model(
 ) -> MultiViewCnn:
     """Train a full-class server model on scenario-matched synthetic data."""
     frames, labels = _scenario_training_frames(scenario, clips_per_class, seed)
-    return _fit(frames, labels, scenario.n_classes, iterations, seed)
+    return _fit(frames, labels, range(scenario.n_classes), iterations, seed)
 
 
 def train_fallback_models(
@@ -651,17 +644,11 @@ def train_fallback_models(
     whose labels fall in that node's class list, remapped to 0..len-1.
     """
     frames, labels = _scenario_training_frames(scenario, clips_per_class, seed)
-    models = {}
-    for num, spec in enumerate(scenario.nodes, start=1):
-        subset = spec.fallback_classes
-        if not subset:
-            continue
-        mask = np.isin(labels, subset)
-        lookup = np.zeros(scenario.n_classes, dtype=np.int64)
-        lookup[list(subset)] = np.arange(len(subset))
-        models[num] = _fit(frames[mask], lookup[labels[mask]], len(subset), iterations,
-                           seed + num)
-    return models
+    return {
+        num: _fit(frames, labels, spec.fallback_classes, iterations, seed + num)
+        for num, spec in enumerate(scenario.nodes, start=1)
+        if spec.fallback_classes
+    }
 
 
 RECORD_HEADER = "node,sequence,timestamp_ms,origin,predicted,latency_ms"

@@ -473,7 +473,7 @@ def _op_cases():
 class TestGraphNodes:
     @pytest.mark.parametrize("name", sorted(_op_cases()))
     def test_op_records_parents_and_backward(self, name):
-        # every op builds its graph node; inference runs model.serving_plan
+        # every op builds its graph node; inference runs a ServingPlan
         out = _op_cases()[name]()
         assert out._parents and out._backward is not None
 

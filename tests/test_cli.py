@@ -372,7 +372,8 @@ def test_model_with_other_class_count_is_one_error_line(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == [
-        "error: scenario n_classes 4 != server model classes 3"
+        "error: server model maps 512 features to 3 classes, "
+        "scenario has 512 features and 4 classes"
     ]
     assert not out.exists()
 
@@ -394,7 +395,8 @@ def test_mismatched_model_is_refused_before_fallback_training(tmp_path):
     assert proc.returncode == 1
     assert "training fallback models" not in proc.stdout
     assert proc.stderr.splitlines() == [
-        "error: scenario n_classes 4 != server model classes 3"
+        "error: server model maps 512 features to 3 classes, "
+        "scenario has 512 features and 4 classes"
     ]
     assert not out.exists()
 

@@ -31,6 +31,7 @@ from mvcnn.evaluation import (
     run_cv,
     run_sweep,
     save_dataset,
+    stack_frames,
     stratified_fraction_split,
     tune_silence_threshold,
     write_results_csv,
@@ -630,6 +631,19 @@ class TestRunCv:
         with pytest.raises(EmptyDataset, match="no training frames in fold"):
             prepare_fold(per_clip, np.array([0, 1, 0]), [0, 1], [2], True)
 
+    def test_clip_without_frames_between_two_others(self):
+        # the empty clip adds no frame and no label; its neighbours keep
+        # their own labels, in clip order
+        per_clip = [np.ones((2, 4)), np.zeros((0, 4)), np.full((1, 4), 2.0)]
+        X, y = stack_frames(per_clip, np.array([5, 6, 7]))
+        np.testing.assert_array_equal(X, [[1.0] * 4, [1.0] * 4, [2.0] * 4])
+        np.testing.assert_array_equal(y, [5, 5, 7])
+        fold = prepare_fold(per_clip, np.array([0, 1, 2]), [0, 1, 2], [1], False)
+        np.testing.assert_array_equal(fold.train_features, X)
+        np.testing.assert_array_equal(fold.train_labels, [0, 0, 2])
+        assert fold.train_labels.dtype == np.int64
+        assert [f.shape for f in fold.test_features] == [(0, 4)]
+
     def test_frame_level_toggle(self):
         ds = small_dataset()
         clip_res = run_cv(ds, "knn_spectrum", k=4, seed=0, pipeline=SMALL_PIPE)
@@ -749,6 +763,34 @@ class TestSweep:
         monkeypatch.setattr(evaluation, "clip_frame_features", fail)
         with pytest.raises(InvalidSetting, match=names):
             run_sweep(spec, small_dataset(), pipeline=SMALL_PIPE)
+
+    @pytest.mark.parametrize(
+        "axis, grid",
+        (
+            ("window_size", (2048, 3000)),
+            ("dropout", (0.5, 1.5)),
+            ("learning_rate", (0.001, -1.0)),
+            ("snr", (0.0, 5000.0)),
+            ("iterations", (2, -5)),
+            ("train_fraction", (0.5, 1.5)),
+        ),
+    )
+    def test_bad_last_grid_value_rejected_before_features(self, monkeypatch, axis, grid):
+        # the first value is valid, so a sweep that checked each value only
+        # when it reached it would extract features and train first
+        calls = []
+        extract = evaluation.clip_frame_features
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "clip_frame_features", spy)
+        spec = SweepSpec(axis, grid=grid, methods=("multiview",), k=2)
+        with pytest.raises(InvalidSetting):
+            run_sweep(spec, small_dataset(n_classes=2, clips_per_class=3),
+                      pipeline=SMALL_PIPE, iterations=2)
+        assert calls == []
 
     def test_row_count_is_cartesian_product(self):
         ds = small_dataset()

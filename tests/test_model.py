@@ -21,6 +21,7 @@ from mvcnn.errors import (
 from mvcnn.model import (
     PREDICT_CHUNK,
     ModelConfig,
+    ServingPlan,
     TrainConfig,
     accuracy,
     build,
@@ -30,7 +31,6 @@ from mvcnn.model import (
     max_relative_error,
     predict,
     save,
-    serving_plan,
     train,
 )
 from mvcnn.spectral import NormStats
@@ -38,7 +38,7 @@ from mvcnn.spectral import NormStats
 
 def serve_one(model, x):
     """Eval-mode probabilities [H] of one feature vector, through a 1-row plan."""
-    return serving_plan(model, 1).probabilities(np.asarray(x)[None])[0].copy()
+    return ServingPlan(model, 1).probabilities(np.asarray(x)[None])[0].copy()
 
 
 def tiny_config(**overrides):
@@ -648,7 +648,7 @@ def _perturbed(config, seed):
 
 
 class TestServingPlan:
-    """serving_plan runs forward_batch(..., train=False)'s operations on
+    """ServingPlan runs forward_batch(..., train=False)'s operations on
     buffers of its own: same bits, no graph."""
 
     def _model_and_rows(self, n):
@@ -671,7 +671,7 @@ class TestServingPlan:
         rng = np.random.Generator(np.random.PCG64(seed))
         X = rng.normal(size=(37, input_len))
         for rows, starts in ((1, range(5)), (PREDICT_CHUNK, (0, 16)), (5, (32,))):
-            plan = serving_plan(model, rows)
+            plan = ServingPlan(model, rows)
             for start in starts:
                 chunk = X[start : start + rows]
                 got = plan.probabilities(chunk)
@@ -685,9 +685,9 @@ class TestServingPlan:
 
         def planning(*args, **kwargs):
             plans.append(args[1])
-            return serving_plan(*args, **kwargs)
+            return ServingPlan(*args, **kwargs)
 
-        monkeypatch.setattr(model_module, "serving_plan", planning)
+        monkeypatch.setattr(model_module, "ServingPlan", planning)
         monkeypatch.setattr(model_module, "forward_batch",
                             lambda *a, **k: graphs.append(a))
         predict(model, X)
@@ -714,18 +714,18 @@ class TestServingPlan:
     def test_plan_keeps_the_weights_it_was_built_with(self):
         X, y = separable_dataset()
         model = build(tiny_config(n_classes=2, dtype=np.float32))
-        plan = serving_plan(model, 4)
+        plan = ServingPlan(model, 4)
         before = plan.probabilities(X[:4]).copy()
         train(model, X, y, TrainConfig(iterations=5, seed=0))
         np.testing.assert_array_equal(plan.probabilities(X[:4]), before)
-        fresh = serving_plan(model, 4).probabilities(X[:4])
+        fresh = ServingPlan(model, 4).probabilities(X[:4])
         assert fresh.tobytes() == forward_batch(model, X[:4]).data.tobytes()
         assert fresh.tobytes() != before.tobytes()
 
     def test_plan_parameters_and_stats_are_read_only_copies(self):
         model = build(tiny_config())
         model.norm_stats = NormStats(np.full(32, 0.5), np.full(32, 2.0))
-        plan = serving_plan(model, 1)
+        plan = ServingPlan(model, 1)
         convs = [layer for _, layers in plan._views for layer in layers]
         assert len(convs) == 9
         for array in (plan.norm_stats.mean, plan.norm_stats.std, plan._weights, plan._bias,

@@ -138,7 +138,7 @@ ENTRY_POINTS = {
     "spectral.NormStats.__post_init__", "spectral.add_scaled_noise",
     "spectral.design_highpass", "spectral.measure_snr", "spectral.mel_filterbank",
     "wasn.NodeConfig.__post_init__", "wasn.Scenario.validate", "wasn._parse_range",
-    "wasn._scenario_training_frames", "wasn.check_server_model", "wasn.decode",
+    "wasn._scenario_training_frames", "wasn.check_model", "wasn.decode",
     "wasn.load_scenario", "wasn.parse_scenario", "wasn.server_classify",
     "wasn.simulate",
 }

@@ -20,7 +20,7 @@ from mvcnn.errors import (
 )
 from mvcnn import wasn
 from mvcnn.evaluation import SyntheticSpec, generate_synthetic
-from mvcnn.model import ModelConfig, build, forward_batch, serving_plan
+from mvcnn.model import ModelConfig, ServingPlan, build, forward_batch
 from mvcnn.spectral import fit_normalizer, normalize
 from mvcnn.wasn import (
     ORIGIN_FALLBACK,
@@ -266,7 +266,7 @@ class TestScenarioClips:
 
 class TestServerClassify:
     def _plan(self):
-        return serving_plan(build(ModelConfig(input_len=64, n_classes=4, seed=0)), 1)
+        return ServingPlan(build(ModelConfig(input_len=64, n_classes=4, seed=0)), 1)
 
     def test_deterministic_records(self):
         plan = self._plan()
@@ -485,7 +485,7 @@ class TestSimulate:
         monkeypatch.setattr(wasn, "node_process", lambda *a, **k: pytest.fail("replayed"))
         message = (
             rf"^node 1 fallback model maps {input_len} features to {n_classes} classes, "
-            r"scenario has 64 features and lists 2 classes$"
+            r"scenario has 64 features and 2 classes$"
         )
         with pytest.raises(InvalidScenario, match=message):
             simulate(scenario, server, {1: fallback})
@@ -532,9 +532,65 @@ class TestSimulate:
         # scenario's classes is refused before any clip is replayed
         scenario = small_scenario()
         server = build(ModelConfig(input_len=64, n_classes=n_classes, seed=0))
-        message = rf"^scenario n_classes 3 != server model classes {n_classes}$"
+        message = (
+            rf"^server model maps 64 features to {n_classes} classes, "
+            r"scenario has 64 features and 3 classes$"
+        )
         with pytest.raises(InvalidScenario, match=message):
             simulate(scenario, server)
+
+    @pytest.mark.parametrize(
+        "server_shape, fallback_shapes, message",
+        (
+            ((64, 2), {}, r"^server model maps 64 features to 2 classes, "
+                          r"scenario has 64 features and 3 classes$"),
+            ((32, 3), {}, r"^server model maps 32 features to 3 classes, "
+                          r"scenario has 64 features and 3 classes$"),
+            ((64, 3), {4: (64, 2)}, r"^fallback model for node 4 outside 1\.\.3$"),
+            ((64, 3), {2: (64, 2)}, r"^node 2 has a fallback model but no classes$"),
+            ((64, 3), {1: (64, 3)}, r"^node 1 fallback model maps 64 features to 3 "
+                                    r"classes, scenario has 64 features and 2 classes$"),
+        ),
+        ids=["server-classes", "server-features", "fallback-node", "fallback-no-classes",
+             "fallback-classes"],
+    )
+    def test_check_model_refusals(self, monkeypatch, server_shape, fallback_shapes,
+                                  message):
+        # each refusal fires before any clip is replayed, from check_model
+        scenario = small_scenario(nodes=(NodeSpec(fallback_classes=(0, 1)),))
+
+        def model(shape):
+            return build(ModelConfig(input_len=shape[0], n_classes=shape[1], seed=0))
+
+        server = model(server_shape)
+        fallbacks = {num: model(shape) for num, shape in fallback_shapes.items()}
+        monkeypatch.setattr(wasn, "node_process", lambda *a, **k: pytest.fail("replayed"))
+        with pytest.raises(InvalidScenario, match=message):
+            simulate(scenario, server, fallbacks)
+        with pytest.raises(InvalidScenario, match=message):
+            for node, checked in [(None, server), *fallbacks.items()]:
+                wasn.check_model(scenario, checked, node)
+
+    @pytest.mark.parametrize("policy", ["local", "buffer"])
+    def test_records_come_in_node_and_sequence_order(self, policy):
+        # skewed clocks, a link outage and a server outage reorder no record:
+        # node by node, each node's sequence numbers counting up from 0
+        nodes = (
+            NodeSpec(clock_skew_ms=-20, fallback_classes=(0, 2), link_outages=((300, 900),)),
+            NodeSpec(clock_skew_ms=15, fallback_classes=(1, 2)),
+            NodeSpec(fallback_classes=(0, 1)),
+        )
+        scenario = small_scenario(nodes=nodes, server_outages=((600, 1400),),
+                                  fallback_policy=policy)
+        server, fallbacks = small_models(scenario, fallback_nodes=(1, 2, 3))
+        result = simulate(scenario, server, fallbacks)
+        keys = [(r.node_id, r.sequence_no) for r in result.records]
+        per_node = {num: [seq for n, seq in keys if n == num] for num in (1, 2, 3)}
+        assert keys == sorted(keys)
+        assert all(seqs == list(range(len(seqs))) and seqs for seqs in per_node.values())
+        assert result.events == sorted(result.events)
+        fallback = {r.node_id for r in result.records if r.origin == ORIGIN_FALLBACK}
+        assert fallback == ({1, 2, 3} if policy == "local" else set())
 
 
 SCENARIO_TEXT = """
@@ -731,7 +787,7 @@ class TestPlanServing:
         model = build(ModelConfig(input_len=64, n_classes=4, seed=0))
         model.norm_stats = fit_normalizer(np.abs(np.random.Generator(
             np.random.PCG64(6)).normal(size=(20, 64))))
-        plan = serving_plan(model, 1)
+        plan = ServingPlan(model, 1)
         rng = np.random.Generator(np.random.PCG64(7))
         for i in range(4):
             msg = SpectrumMessage(1, i, 10 * i, np.abs(rng.normal(size=64)))
@@ -799,9 +855,9 @@ class TestPlanServing:
 
         def planning(model, rows):
             built.append((model, rows))
-            return serving_plan(model, rows)
+            return ServingPlan(model, rows)
 
-        monkeypatch.setattr(wasn, "serving_plan", planning)
+        monkeypatch.setattr(wasn, "ServingPlan", planning)
         records = simulate(scenario, server, fallbacks).records
         assert len(records) > 2
         assert built == [(server, 1), (fallbacks[1], 1)]
