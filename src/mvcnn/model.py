@@ -13,10 +13,10 @@ Training and the gradient check run the network on the autograd tape
 rows)`, which repeats the tape's forward arithmetic, bit for bit, on
 read-only copies of the weights and buffers of its own, sized for the
 one row count it serves (`predict` builds a second plan for a shorter
-last chunk, so each chunk runs the GEMMs of its own rows). `forward_batch` checks the feature
-shape of every tape pass, so `train` and `gradient_check` need no shape
-check of their own; `predict` checks its matrix once per call, and
-`wasn.server_classify` each payload.
+last chunk, so each chunk runs the GEMMs of its own rows).
+`forward_batch` checks the feature shape of every tape pass, so `train`
+and `gradient_check` need no shape check of their own; `predict` checks
+its matrix once per call, and `wasn.server_classify` each payload.
 """
 
 from __future__ import annotations

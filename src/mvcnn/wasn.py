@@ -7,7 +7,7 @@ uploads a message in: `encode` and `decode` implement it, and acceptance
 criterion 9 round-trips it.
 `simulate` skips serialization and hands each message to
 `server_classify` in memory; its float32 payload holds the values a
-frame would carry. `simulate` builds one 1-row `ServingPlan(model, 1)` per
+frame would carry. `simulate` builds one `ServingPlan(model, 1)` per
 server and fallback model when it starts, and classifies every message
 through one of them, one message at a time. A star topology relays
 non-hub traffic through node 1. During a node's link outage, or a server
@@ -492,7 +492,8 @@ def check_model(scenario: Scenario, model: MultiViewCnn, node: int | None = None
             raise InvalidScenario(
                 f"fallback model for node {node} outside 1..{scenario.n_nodes}"
             )
-        who, classes = f"node {node} fallback model", scenario.nodes[node - 1].fallback_classes
+        who = f"node {node} fallback model"
+        classes = scenario.nodes[node - 1].fallback_classes
         if not classes:
             raise InvalidScenario(f"node {node} has a fallback model but no classes")
     cfg = model.config
