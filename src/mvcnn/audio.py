@@ -196,20 +196,18 @@ def segment(clip: AudioClip, window_len: int, overlap_fraction: float) -> np.nda
     Returns a read-only [n_frames, window_len] view of the clip's samples
     whose row i starts at sample i * hop_length(window_len,
     overlap_fraction). A clip shorter than one window gives a
-    [0, window_len] array.
+    [0, window_len] view.
 
     The arguments are not checked here: `PipelineConfig`, whose fields
     its one caller passes, refuses a window_len that is not a power of
     two and an overlap outside [0, 1) when it is built.
     """
     samples = clip.samples
-    if len(samples) < window_len:
-        return np.empty((0, window_len))
     hop = hop_length(window_len, overlap_fraction)
+    n_frames = max(0, (len(samples) - window_len) // hop + 1)
     (step,) = samples.strides
     return np.lib.stride_tricks.as_strided(
-        samples, ((len(samples) - window_len) // hop + 1, window_len), (hop * step, step),
-        writeable=False,
+        samples, (n_frames, window_len), (hop * step, step), writeable=False
     )
 
 

@@ -15,6 +15,7 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -461,9 +462,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
-    """Parse argv and run the verb; argparse itself exits 2 on usage errors."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse argv and run the verb; argparse itself exits 2 on usage errors.
+    It reads `-3,3` in `--grid -3,3` as an option, so that becomes `--grid=-3,3`."""
+    words = []
+    for word in argv:
+        if words and words[-1] in ("--grid", "--seeds") and re.match(r"-[\d.]", word):
+            words[-1] += f"={word}"
+        else:
+            words.append(word)
+    args = build_parser().parse_args(words)
     try:
         return args.func(args)
     except (MvcnnError, OSError) as exc:

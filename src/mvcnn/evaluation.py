@@ -613,7 +613,10 @@ def run_cv(
     only. Returns per-fold metrics plus the pooled confusion matrix.
     """
     splits = _cv_splits(dataset.labels, k, seed)
-    return _run_splits(dataset, method, splits, seed, pipeline, clip_level, method_params)
+    pipe = pipeline_for_method(method, pipeline)
+    per_clip = clip_frame_features(dataset, pipe)
+    return _run_splits(dataset, per_clip, method, splits, seed, pipe, clip_level,
+                       method_params)
 
 
 def _cv_splits(labels, k: int, seed: int) -> list:
@@ -623,16 +626,14 @@ def _cv_splits(labels, k: int, seed: int) -> list:
             for test_idx in kfold_split(labels, k, seed)]
 
 
-def _run_splits(dataset, method, splits, seed, pipeline, clip_level,
+def _run_splits(dataset, per_clip, method, splits, seed, pipe, clip_level,
                 method_params) -> CvResult:
-    """Fit and score one classifier per (train_idx, test_idx) split.
-
-    Features are extracted once; split f seeds its classifier with seed * 101 + f.
-    A test clip without frames cannot be scored; each such clip in a
-    split's test set counts once in `skipped_clips`.
+    """Fit and score one classifier per (train_idx, test_idx) split on
+    per_clip, the clips' features under pipe (the method's pipeline).
+    Split f seeds its classifier with seed * 101 + f; a test clip without
+    frames cannot be scored, and each such clip in a split's test set
+    counts once in `skipped_clips`.
     """
-    pipe = pipeline_for_method(method, pipeline)
-    per_clip = clip_frame_features(dataset, pipe)
     labels = dataset.labels
     normalize_features = pipe.feature_kind == "spectrum"
     pooled = np.zeros((dataset.n_classes, dataset.n_classes), dtype=np.int64)
@@ -715,6 +716,9 @@ def run_sweep(
     k stratified train/test splits at the given fraction, indexed by the
     fold column. Rows come back sorted by (value, method, fold, seed).
 
+    Each distinct method pipeline's features are extracted once, after every
+    run is checked, and dropped before the next pipeline's are.
+
     Raises:
         InvalidSetting: unknown axis or method, k too small for the axis
             (train_fraction needs k >= 1 splits, CV axes k >= 2 folds), or
@@ -725,37 +729,28 @@ def run_sweep(
     min_k = 1 if spec.axis == "train_fraction" else 2
     if spec.k < min_k:
         raise InvalidSetting(f"k must be >= {min_k} on the {spec.axis} axis, got {spec.k}")
-    for method in spec.methods:
-        if method not in METHOD_NAMES:
-            raise InvalidSetting(
-                f"unknown method {method!r}; expected one of {METHOD_NAMES}"
-            )
-    points = {}  # (value, seed) -> pipeline, method parameters, splits
+    runs = {}  # method pipeline -> its (value, method, seed, params, splits) runs
     for value in grid:
         for seed in spec.seeds:
             pipe, params = _sweep_point(spec.axis, value, pipeline, method_params, seed)
             if spec.axis == "train_fraction":
-                splits = [
-                    stratified_fraction_split(
-                        dataset.labels, float(value), seed=seed * 1009 + rep
-                    )
-                    for rep in range(spec.k)
-                ]
+                splits = [stratified_fraction_split(dataset.labels, float(value),
+                                                    seed=seed * 1009 + rep)
+                          for rep in range(spec.k)]
             else:
                 splits = _cv_splits(dataset.labels, spec.k, seed)
             for method in spec.methods:  # builds, so checks, each method's configs
-                feature_dim = pipeline_for_method(method, pipe).feature_dim
-                make_method(method, dataset.n_classes, feature_dim, seed * 101, **params)
-            points[value, seed] = pipe, params, splits
+                mpipe = pipeline_for_method(method, pipe)
+                make_method(method, dataset.n_classes, mpipe.feature_dim, seed * 101, **params)
+                runs.setdefault(mpipe, []).append((value, method, seed, params, splits))
     rows = []
-    for value in grid:
-        for method in spec.methods:
-            for seed in spec.seeds:
-                pipe, params, splits = points[value, seed]
-                result = _run_splits(
-                    dataset, method, splits, seed, pipe, clip_level, params
-                )
-                rows += fold_rows(spec.axis, value, method, seed, result)
+    for pipe, pipe_runs in runs.items():
+        per_clip = clip_frame_features(dataset, pipe)
+        for value, method, seed, params, splits in pipe_runs:
+            result = _run_splits(dataset, per_clip, method, splits, seed, pipe,
+                                 clip_level, params)
+            rows += fold_rows(spec.axis, value, method, seed, result)
+        del per_clip  # one feature set at a time
     rows.sort(key=lambda r: (float(r["value"]), r["method"], r["fold"], r["seed"]))
     return rows
 

@@ -244,7 +244,11 @@ class TestSegment:
             np.testing.assert_array_equal(row, samples[i * 8192 : i * 8192 + 16384])
 
     def test_short_clip_yields_nothing(self):
-        assert segment(AudioClip(np.zeros(100), 24000), 2048, 0.5).shape == (0, 2048)
+        for n in (0, 1, 100, 2047):
+            frames = segment(AudioClip(np.zeros(n), 24000), 2048, 0.5)
+            assert frames.shape == (0, 2048)
+            assert frames.dtype == np.float64
+            assert not frames.flags.writeable  # a read-only view, as for longer clips
 
     def test_no_overlap_tiles(self):
         samples = np.arange(4096.0)

@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 import sys
@@ -271,6 +272,55 @@ def test_sweep_row_count(tmp_path, capsys):
     lines = out.read_text().splitlines()
     # 2 values x 1 method x 2 folds x 2 seeds
     assert len(lines) == 2 + 8
+
+
+def test_sweep_grid_may_start_with_a_negative_number(tmp_path):
+    # argparse alone reads "-3,3" as an option; both spellings must run alike
+    bodies = []
+    for name, grid in (("spaced", ["--grid", "-3,3"]), ("joined", ["--grid=-3,3"])):
+        out = tmp_path / f"{name}.csv"
+        code = dispatch([
+            "sweep", *SMALL_DATA, *SMALL_PIPE, "--axis", "snr", *grid,
+            "--methods", "knn_spectrum", "--k", "2", "--out", str(out),
+        ])
+        assert code == 0
+        bodies.append([l for l in out.read_text().splitlines() if not l.startswith("#")])
+    assert bodies[0] == bodies[1]
+    assert [l.split(",")[1] for l in bodies[0][1:]] == ["-3", "-3", "3", "3"]
+
+
+def test_negative_seed_list_is_one_error_line(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvcnn", "sweep", *SMALL_DATA, *SMALL_PIPE,
+         "--axis", "snr", "--grid", "0", "--methods", "knn_spectrum",
+         "--seeds", "-1,0", "--k", "2", "--out", str(tmp_path / "sweep.csv")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "seed" in lines[0]
+
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "preset, want",
+    ((None, ("2", "2", "2")), ("1", ("2", "1", "2"))),
+    ids=("unset", "openblas-preset"),
+)
+def test_mvcnn_threads_caps_blas_pools(preset, want):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["MVCNN_THREADS"] = "2"
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import os, mvcnn.cli; print(*(os.environ[v] for v in {BLAS_THREAD_VARS}))"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert tuple(proc.stdout.split()) == want
 
 
 SCENARIO = """

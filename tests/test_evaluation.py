@@ -23,6 +23,7 @@ from mvcnn.evaluation import (
     compute_metrics,
     default_signatures,
     evaluate_split,
+    fold_rows,
     generate_synthetic,
     kfold_split,
     load_manifest,
@@ -743,6 +744,19 @@ class TestSweep:
         )
         assert SweepSpec("snr").resolved_grid() == (-6.0, -3.0, 0.0, 3.0, 6.0)
 
+    @staticmethod
+    def spy_features(monkeypatch) -> list:
+        """Record the pipeline of every clip_frame_features call."""
+        calls = []
+        extract = evaluation.clip_frame_features
+
+        def spy(dataset, pipeline):
+            calls.append(pipeline)
+            return extract(dataset, pipeline)
+
+        monkeypatch.setattr(evaluation, "clip_frame_features", spy)
+        return calls
+
     @pytest.mark.parametrize(
         "spec, names",
         (
@@ -778,19 +792,58 @@ class TestSweep:
     def test_bad_last_grid_value_rejected_before_features(self, monkeypatch, axis, grid):
         # the first value is valid, so a sweep that checked each value only
         # when it reached it would extract features and train first
-        calls = []
-        extract = evaluation.clip_frame_features
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return extract(*args, **kwargs)
-
-        monkeypatch.setattr(evaluation, "clip_frame_features", spy)
+        calls = self.spy_features(monkeypatch)
         spec = SweepSpec(axis, grid=grid, methods=("multiview",), k=2)
         with pytest.raises(InvalidSetting):
             run_sweep(spec, small_dataset(n_classes=2, clips_per_class=3),
                       pipeline=SMALL_PIPE, iterations=2)
         assert calls == []
+
+    def test_method_parameter_sweep_extracts_features_once(self, monkeypatch):
+        calls = self.spy_features(monkeypatch)
+        spec = SweepSpec("iterations", grid=(2, 3), methods=("multiview", "knn_spectrum"),
+                         seeds=(0, 1), k=2)
+        rows = run_sweep(spec, small_dataset(n_classes=2, clips_per_class=3),
+                         pipeline=SMALL_PIPE, batch_size=4)
+        assert calls == [SMALL_PIPE]
+        assert len(rows) == 2 * 2 * 2 * 2
+
+    def test_snr_sweep_extracts_once_per_value_seed_and_kind(self, monkeypatch):
+        calls = self.spy_features(monkeypatch)
+        spec = SweepSpec("snr", grid=(0.0, 6.0),
+                         methods=("knn_spectrum", "knn_mfcc", "single_view_cnn"),
+                         seeds=(0, 1), k=2)
+        run_sweep(spec, small_dataset(n_classes=2, clips_per_class=3),
+                  pipeline=SMALL_PIPE, iterations=2, batch_size=4)
+        assert calls == [
+            replace(SMALL_PIPE, snr_db=value, noise_seed=seed, feature_kind=kind)
+            for value in spec.grid for seed in spec.seeds for kind in FEATURE_KINDS
+        ]
+
+    def test_run_cv_extracts_features_once(self, monkeypatch):
+        calls = self.spy_features(monkeypatch)
+        run_cv(small_dataset(), "knn_mfcc", k=3, pipeline=SMALL_PIPE)
+        assert calls == [replace(SMALL_PIPE, feature_kind="mfcc")]
+
+    @pytest.mark.parametrize("clip_level", (True, False))
+    def test_rows_match_per_run_reference_when_a_pipeline_recurs(self, clip_level):
+        # per (value, seed) the methods' pipelines run spectrum, mfcc, spectrum:
+        # the spectrum pipeline comes up again after the mfcc one
+        ds = small_dataset(n_classes=2, clips_per_class=4)
+        params = dict(iterations=2, batch_size=4)
+        spec = SweepSpec("snr", grid=(6.0, 0.0),
+                         methods=("knn_spectrum", "knn_mfcc", "single_view_cnn"),
+                         seeds=(1, 0), k=2)
+        rows = run_sweep(spec, ds, pipeline=SMALL_PIPE, clip_level=clip_level, **params)
+        expected = []
+        for value in spec.grid:
+            for method in spec.methods:
+                for seed in spec.seeds:
+                    pipe = replace(SMALL_PIPE, snr_db=value, noise_seed=seed)
+                    result = run_cv(ds, method, spec.k, seed, pipe, clip_level, **params)
+                    expected += fold_rows("snr", value, method, seed, result)
+        expected.sort(key=lambda r: (r["value"], r["method"], r["fold"], r["seed"]))
+        assert rows == expected
 
     def test_row_count_is_cartesian_product(self):
         ds = small_dataset()
