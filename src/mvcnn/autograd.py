@@ -3,6 +3,8 @@
 Implements exactly the layer set the classifier needs: 1D convolution
 with same-shape zero padding, tanh, max pooling, channel concatenation,
 a fused dense+softmax head, inverted dropout, cross-entropy, and Adam.
+The loss reads the log_probs that dense_softmax puts on its output, and
+the head has one gradient: (probs - one_hot)/B with respect to the logits.
 Tensors carry a [batch, ...] leading axis; the network in this package
 uses [B, L, C] for convolutional activations and [B, F] after
 flattening. The convolution runs as one GEMM over block-Toeplitz rows,
@@ -38,7 +40,7 @@ import numpy as np
 class Tensor:
     """Dense n-dimensional array plus the autograd bookkeeping."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "log_probs", "_parents", "_backward")
 
     def __init__(self, data, parents=(), backward=None):
         self.data = np.asarray(data)
@@ -331,21 +333,23 @@ def dense_softmax(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     """Fully-connected layer followed by a row-wise softmax.
 
     Logits are shifted by their row max before exponentiation, so the
-    output is shift-invariant and never overflows.
+    output is shift-invariant and never overflows. The output keeps its
+    log-probabilities for cross_entropy, and the backward takes the loss's
+    gradient with respect to the logits through the affine map.
     """
     logits = x.data @ weights.data + bias.data
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    total = exp.sum(axis=1, keepdims=True)
 
-    def backward(grad):
-        # through the softmax jacobian, then the affine map
-        dlogits = probs * (grad - (grad * probs).sum(axis=1, keepdims=True))
+    def backward(dlogits):
         _accumulate(weights, x.data.T @ dlogits)
         _accumulate(bias, dlogits.sum(axis=0))
         _accumulate(x, dlogits @ weights.data.T)
 
-    return Tensor(probs, (x, weights, bias), backward)
+    out = Tensor(exp / total, (x, weights, bias), backward)
+    out.log_probs = shifted - np.log(total)
+    return out
 
 
 def dropout(x: Tensor, keep_prob: float, train: bool, seed: int = 0) -> Tensor:
@@ -370,28 +374,22 @@ def dropout(x: Tensor, keep_prob: float, train: bool, seed: int = 0) -> Tensor:
     return Tensor(out_data, (x,), backward)
 
 
-PROB_FLOOR = 1e-12
-
-
 def cross_entropy(probs: Tensor, one_hot) -> Tensor:
     """Mean negative log-probability of the true class.
 
-    probs is [B, H] (rows summing to 1); one_hot is a matching 0/1
-    array with exactly one 1 per row. Probabilities are clipped to
-    [1e-12, 1] before the log, so the loss is always finite.
+    probs must be a dense_softmax output [B, H], whose log_probs the loss
+    reads, so it is finite and exact however confident the prediction;
+    one_hot is a matching 0/1 array with exactly one 1 per row. The node
+    takes the dense layer's parents and hands it the logits' gradient.
     """
     labels = np.asarray(one_hot)
     batch = probs.data.shape[0]
-    clipped = np.clip(probs.data, PROB_FLOOR, 1.0)
-    loss = -(labels * np.log(clipped)).sum() / batch
+    loss = -(labels * probs.log_probs).sum() / batch
 
     def backward(grad):
-        # clip is flat below the floor, so those entries get no gradient
-        inside = probs.data >= PROB_FLOOR
-        dp = -(labels * inside) / clipped / batch
-        _accumulate(probs, dp * grad)
+        probs._backward((probs.data - labels) * grad / batch)
 
-    return Tensor(np.asarray(loss, dtype=probs.data.dtype), (probs,), backward)
+    return Tensor(np.asarray(loss, dtype=probs.data.dtype), probs._parents, backward)
 
 
 # --- optimizer ---

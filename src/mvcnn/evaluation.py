@@ -721,14 +721,16 @@ def run_sweep(
 
     Raises:
         InvalidSetting: unknown axis or method, k too small for the axis
-            (train_fraction needs k >= 1 splits, CV axes k >= 2 folds), or
-            a grid value or seed that the pipeline, a method's configs or
-            the splits refuse, before any feature extraction.
+            (train_fraction needs k >= 1 splits, CV axes k >= 2 folds), a
+            negative seed, or a grid value or seed that the pipeline, a
+            method's configs or the splits refuse, before any feature pass.
     """
     grid = spec.resolved_grid()
     min_k = 1 if spec.axis == "train_fraction" else 2
     if spec.k < min_k:
         raise InvalidSetting(f"k must be >= {min_k} on the {spec.axis} axis, got {spec.k}")
+    if min(spec.seeds, default=0) < 0:
+        raise InvalidSetting(f"seed must be >= 0, got {min(spec.seeds)}")
     runs = {}  # method pipeline -> its (value, method, seed, params, splits) runs
     for value in grid:
         for seed in spec.seeds:

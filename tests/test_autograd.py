@@ -135,6 +135,14 @@ class TestMaxpool:
         np.testing.assert_array_equal(sums, np.ones(4))
 
 
+def head(logits):
+    """dense_softmax output with the given [B, H] logits: x = I, W = logits."""
+    logits = np.asarray(logits, dtype=np.float64)
+    return dense_softmax(
+        Tensor(np.eye(len(logits))), Tensor(logits), Tensor(np.zeros(logits.shape[1]))
+    )
+
+
 class TestDenseSoftmax:
     def test_uniform_for_zero_parameters(self):
         x = Tensor(np.ones((1, 3)))
@@ -157,6 +165,15 @@ class TestDenseSoftmax:
             p = dense_softmax(x, w, Tensor(rng.normal(size=5)))
             assert np.all(p.data > 0)
             np.testing.assert_allclose(p.data.sum(axis=1), np.ones(3), atol=1e-9)
+
+    def test_log_probs_stay_finite_where_probabilities_underflow(self):
+        rng = np.random.Generator(np.random.PCG64(4))
+        p = dense_softmax(Tensor(rng.normal(size=(3, 6))), Tensor(rng.normal(size=(6, 5))),
+                          Tensor(np.zeros(5)))
+        np.testing.assert_allclose(p.log_probs, np.log(p.data), rtol=1e-12)
+        saturated = head([[800.0, -800.0]])
+        np.testing.assert_array_equal(saturated.data, [[1.0, 0.0]])
+        np.testing.assert_array_equal(saturated.log_probs, [[0.0, -1600.0]])
 
 
 class TestDropout:
@@ -198,23 +215,33 @@ class TestDropout:
 
 class TestCrossEntropy:
     def test_perfect_prediction(self):
-        p = Tensor(np.array([[0.0, 1.0, 0.0]]))
-        loss = cross_entropy(p, np.array([[0, 1, 0]]))
+        loss = cross_entropy(head([[-60.0, 60.0, -60.0]]), np.array([[0, 1, 0]]))
         assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_fourteen_classes(self):
-        p = Tensor(np.full((1, 14), 1.0 / 14))
-        loss = cross_entropy(p, np.eye(14)[3:4])
+        loss = cross_entropy(head(np.zeros((1, 14))), np.eye(14)[3:4])
         assert float(loss.data) == pytest.approx(np.log(14), rel=1e-9)
 
-    def test_zero_probability_clipped(self):
-        p = Tensor(np.array([[1.0, 0.0]]))
-        loss = cross_entropy(p, np.array([[0, 1]]))
-        assert float(loss.data) == pytest.approx(-np.log(1e-12), rel=1e-9)
+    def test_saturated_wrong_prediction_keeps_its_gradient(self):
+        # logits (+60, -60) with the true class on the low one: the loss is
+        # the full margin and the logits' gradient is p - y = (+1, -1)
+        x, b, y = Tensor(np.ones((1, 1))), Tensor(np.zeros(2)), [[0, 1]]
+        w = Tensor(np.array([[60.0, -60.0]]))
+        loss = cross_entropy(dense_softmax(x, w, b), y)
+        loss.backward()
+        assert float(loss.data) == 120.0
+        np.testing.assert_array_equal(w.grad, [[1.0, -1.0]])
+
+        def value(weights):
+            return float(cross_entropy(dense_softmax(x, Tensor(weights), b), y).data)
+
+        h = 1e-5
+        numeric = [(value(w.data + d) - value(w.data - d)) / (2 * h)
+                   for d in h * np.eye(2)[:, None]]
+        np.testing.assert_allclose(w.grad[0], numeric, rtol=1e-6)
 
     def test_batch_mean(self):
-        p = Tensor(np.array([[1.0, 0.0], [0.5, 0.5]]))
-        loss = cross_entropy(p, np.array([[1, 0], [0, 1]]))
+        loss = cross_entropy(head([[60.0, -60.0], [0.0, 0.0]]), np.array([[1, 0], [0, 1]]))
         assert float(loss.data) == pytest.approx(0.5 * (-np.log(0.5)), rel=1e-9)
 
 
@@ -457,7 +484,6 @@ def _op_cases():
     fb = bank(rng.normal(size=(3, 2, 4)), rng.normal(size=3))
     flat = Tensor(rng.normal(size=(2, 6)))
     w, b = Tensor(rng.normal(size=(6, 3))), Tensor(rng.normal(size=3))
-    probs = Tensor(np.full((2, 3), 1.0 / 3.0))
     return {
         "conv1d_same": lambda: conv1d_same(x, fb),
         "tanh_act": lambda: tanh_act(x),
@@ -466,7 +492,9 @@ def _op_cases():
         "flatten": lambda: flatten(x),
         "dense_softmax": lambda: dense_softmax(flat, w, b),
         "dropout": lambda: dropout(flat, 0.5, train=True, seed=3),
-        "cross_entropy": lambda: cross_entropy(probs, np.eye(3)[[0, 2]]),
+        "cross_entropy": lambda: cross_entropy(
+            dense_softmax(flat, w, b), np.eye(3)[[0, 2]]
+        ),
     }
 
 

@@ -778,6 +778,16 @@ class TestSweep:
         with pytest.raises(InvalidSetting, match=names):
             run_sweep(spec, small_dataset(), pipeline=SMALL_PIPE)
 
+    @pytest.mark.parametrize("axis", ("train_fraction", "snr"))
+    def test_negative_seed_named_as_given_before_features(self, monkeypatch, axis):
+        # train_fraction derives split seeds seed * 1009 + rep, and the snr
+        # axis passes the seed on as the noise seed; neither is what was given
+        calls = self.spy_features(monkeypatch)
+        spec = SweepSpec(axis, grid=(0.5,), methods=("knn_spectrum",), seeds=(0, -1), k=2)
+        with pytest.raises(InvalidSetting, match=r"^seed must be >= 0, got -1$"):
+            run_sweep(spec, small_dataset(), pipeline=SMALL_PIPE)
+        assert calls == []
+
     @pytest.mark.parametrize(
         "axis, grid",
         (
