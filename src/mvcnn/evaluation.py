@@ -43,12 +43,13 @@ from .model import ModelConfig, TrainConfig, build, predict, train
 from .spectral import (
     MFCC_COEFFS,
     add_scaled_noise,
-    fit_normalizer,
+    fit_standardizer,
     highpass_butterworth,
+    log_features,
     mfcc_features,
-    normalize,
     spectrum_features,
     standard_normals,
+    standardize,
 )
 
 METHOD_NAMES = ("multiview", "single_view_cnn", "knn_spectrum", "knn_mfcc")
@@ -484,13 +485,20 @@ def prepare_fold(per_clip, labels, train_idx, test_idx, normalize_features: bool
         raise EmptyDataset("no training frames in fold")
     train_X, train_y = stack_frames([per_clip[i] for i in train_idx],
                                     np.asarray(labels)[train_idx])
-    stats = None
+    train_y = train_y.astype(np.int64)
     test_feats = [per_clip[i] for i in test_idx]
     if normalize_features:
-        stats = fit_normalizer(train_X)
-        train_X = normalize(train_X, stats)
-        test_feats = [normalize(f, stats) for f in test_feats]
-    return FoldData(train_X, train_y.astype(np.int64), test_feats, stats)
+        return _standardized_fold(log_features(train_X), train_y,
+                                  [log_features(f) for f in test_feats])
+    return FoldData(train_X, train_y, test_feats, None)
+
+
+def _standardized_fold(train_X, train_y, test_feats) -> FoldData:
+    """A fold of log_features rows, standardized by statistics fitted on its
+    training rows alone."""
+    stats = fit_standardizer(train_X)
+    return FoldData(standardize(train_X, stats), train_y,
+                    [standardize(f, stats) for f in test_feats], stats)
 
 
 # --- methods ---
@@ -583,18 +591,22 @@ class CvResult:
 
 def evaluate_split(labels, test_idx, fold: FoldData, classifier, n_classes: int,
                    clip_level: bool = True) -> np.ndarray:
-    """Fit a classifier on a fold's training data and score its test clips;
-    returns the [H, H] int64 confusion counts, rows true classes."""
+    """Fit a classifier on a fold's training data and score its test clips
+    with one predict over all their frames; a clip's votes are its frames'
+    predictions. Returns the [H, H] int64 confusion counts, rows true classes."""
     classifier.fit(fold.train_features, fold.train_labels)
     cm = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for clip_i, feats in zip(test_idx, fold.test_features):
-        if len(feats) == 0:
-            continue
-        votes = np.bincount(classifier.predict(feats), minlength=n_classes)
-        if clip_level:
-            cm[labels[clip_i], np.argmax(votes)] += 1
-        else:
-            cm[labels[clip_i]] += votes
+    scored = [(i, f) for i, f in zip(test_idx, fold.test_features) if len(f)]
+    if not scored:
+        return cm
+    feats, clip_of_frame = stack_frames([f for _, f in scored], np.arange(len(scored)))
+    votes = np.zeros((len(scored), n_classes), dtype=np.int64)
+    np.add.at(votes, (clip_of_frame, classifier.predict(feats)), 1)
+    truth = np.asarray(labels)[[i for i, _ in scored]]
+    if clip_level:
+        np.add.at(cm, (truth, np.argmax(votes, axis=1)), 1)
+    else:
+        np.add.at(cm, truth, votes)
     return cm
 
 
@@ -636,12 +648,17 @@ def _run_splits(dataset, per_clip, method, splits, seed, pipe, clip_level,
     """
     labels = dataset.labels
     normalize_features = pipe.feature_kind == "spectrum"
+    if normalize_features:  # each clip logged once; each fold standardizes
+        per_clip = [log_features(f) for f in per_clip]
     pooled = np.zeros((dataset.n_classes, dataset.n_classes), dtype=np.int64)
     fold_metrics = []
     skipped = 0
     for f, (train_idx, test_idx) in enumerate(splits):
         skipped += sum(len(per_clip[i]) == 0 for i in test_idx)
-        fold = prepare_fold(per_clip, labels, train_idx, test_idx, normalize_features)
+        fold = prepare_fold(per_clip, labels, train_idx, test_idx, False)
+        if normalize_features:
+            fold = _standardized_fold(fold.train_features, fold.train_labels,
+                                      fold.test_features)
         clf = make_method(
             method, dataset.n_classes, pipe.feature_dim, seed * 101 + f, **method_params
         )

@@ -61,6 +61,11 @@ def _nearest_labels(model: KnnModel, queries: np.ndarray, depth: int) -> np.ndar
         # squared distances ‖q‖² − 2 q·x + ‖x‖²: no sqrt, the ranking is the same
         d2 = np.einsum("ij,ij->i", block, block)[:, None] - 2.0 * (block @ train.T)
         d2 += train_sq
+        # only the depth nearest are read: distances past the depth-th smallest
+        # become +inf, those equal to it stay, so ties at the cut keep index order
+        if depth < len(train):
+            cut = np.partition(d2, depth - 1, axis=1)[:, depth - 1:depth]
+            d2[d2 > cut] = np.inf
         # stable sort keeps lower training indices first on distance ties
         order[start:start + rows] = np.argsort(d2, axis=1, kind="stable")[:, :depth]
     return model.training_labels[order]

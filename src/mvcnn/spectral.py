@@ -9,7 +9,7 @@ two. Every transform goes through power_spectra, which runs numpy's real
 FFT over the whole batch.
 
 The frame kernels (power_spectra, the bin averaging, spectrum_features
-and mfcc_features), fit_normalizer and normalize do not check their
+and mfcc_features) and the normalization halves do not check their
 arguments. Values are checked where they enter: `PipelineConfig` refuses
 a window length that is not a power of two and a feature length outside
 [1, N/2 + 1], `evaluation.py` hands the kernels only frames of that
@@ -121,25 +121,33 @@ class NormStats:
         return cls(np.zeros(length), np.ones(length))
 
 
-def fit_normalizer(training_features: np.ndarray) -> NormStats:
-    """Fit per-dimension mean/std of log(1+x) over a nonempty [n, L] matrix.
+def log_features(features: np.ndarray) -> np.ndarray:
+    """log(1+x) of [L] or [n, L] raw features: normalization's first half."""
+    return np.log1p(np.asarray(features, dtype=np.float64))
 
-    Std is floored at 1e-8 so constant dimensions normalize to zero.
-    """
-    feats = np.asarray(training_features, dtype=np.float64)
-    logged = np.log1p(feats)
-    mean = logged.mean(axis=0)
-    std = np.maximum(logged.std(axis=0), STD_FLOOR)
-    return NormStats(mean, std)
+
+def fit_standardizer(logged: np.ndarray) -> NormStats:
+    """Per-dimension mean/std over a nonempty [n, L] matrix of log_features
+    rows. Std is floored at STD_FLOOR so constant dimensions map to zero."""
+    return NormStats(logged.mean(axis=0), np.maximum(logged.std(axis=0), STD_FLOOR))
+
+
+def standardize(logged: np.ndarray, stats: NormStats) -> np.ndarray:
+    """(logged - mean) / std per dimension: normalization's second half."""
+    out = logged - stats.mean
+    out /= stats.std
+    return out
+
+
+def fit_normalizer(training_features: np.ndarray) -> NormStats:
+    """Fit per-dimension mean/std of log(1+x) over a nonempty [n, L] matrix."""
+    return fit_standardizer(log_features(training_features))
 
 
 def normalize(features: np.ndarray, stats: NormStats) -> np.ndarray:
     """Apply (log(1+x) - mean) / std per dimension to [L] or [n, L] rows of
     the statistics' length."""
-    out = np.log1p(np.asarray(features, dtype=np.float64))
-    out -= stats.mean
-    out /= stats.std
-    return out
+    return standardize(log_features(features), stats)
 
 
 # --- Butterworth high-pass ---
@@ -397,11 +405,14 @@ def mel_filterbank(n_filters: int, n_fft: int, sample_rate: int) -> np.ndarray:
     return fbank
 
 
+@lru_cache(maxsize=8)
 def dct_matrix(n: int) -> np.ndarray:
-    """Orthonormal DCT-II matrix, rows indexed by coefficient."""
+    """Orthonormal DCT-II matrix, rows indexed by coefficient; read-only and
+    built once per size, because mfcc_features asks for it for every clip."""
     i = np.arange(n)
     mat = np.cos(np.pi * np.outer(i, 2 * i + 1) / (2 * n)) * np.sqrt(2.0 / n)
     mat[0] /= np.sqrt(2.0)
+    mat.flags.writeable = False
     return mat
 
 

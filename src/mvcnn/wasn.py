@@ -60,7 +60,7 @@ from .evaluation import (
     stack_frames,
 )
 from .model import ModelConfig, MultiViewCnn, ServingPlan, TrainConfig, build, train
-from .spectral import design_highpass, fit_normalizer, normalize
+from .spectral import design_highpass, fit_standardizer, log_features, normalize, standardize
 
 SPM_MAGIC = b"SPM1"
 _HEADER_FMT = "<4sHIQI"
@@ -620,9 +620,10 @@ def _fit(frames, labels, classes, iterations: int, seed: int) -> MultiViewCnn:
     lookup = np.zeros(max(classes) + 1, dtype=np.int64)
     lookup[list(classes)] = np.arange(len(classes))
     frames, labels = frames[mask], lookup[labels[mask]]
-    stats = fit_normalizer(frames)
+    logged = log_features(frames)
+    stats = fit_standardizer(logged)
     model = build(ModelConfig(input_len=frames.shape[1], n_classes=len(classes), seed=seed))
-    train(model, normalize(frames, stats), labels,
+    train(model, standardize(logged, stats), labels,
           TrainConfig(iterations=iterations, seed=seed))
     model.norm_stats = stats
     return model

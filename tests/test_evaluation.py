@@ -734,6 +734,117 @@ class TestSkippedClips:
         assert [r["skipped_clips"] for r in rows] == [want] * 4
 
 
+def mixed_frame_dataset():
+    """18 clips under SMALL_PIPE: 10 frames each, except three one-frame clips
+    (cut to 2600 samples) and two silent ones that keep no frame."""
+    ds = small_dataset(clips_per_class=6)
+    clips = list(ds.clips)
+    for i in (1, 8, 15):
+        clips[i] = AudioClip(clips[i].samples[:2600], clips[i].sample_rate)
+    for i in (4, 11):
+        clips[i] = AudioClip(np.zeros(6000), clips[i].sample_rate)
+    return ClipDataset(clips, ds.labels, ds.n_classes, ds.label_names)
+
+
+class _CountingClassifier:
+    """Predicts each frame's first feature mod 3 and records each predict call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def fit(self, features, labels):
+        return self
+
+    def predict(self, features):
+        self.calls.append(len(features))
+        return np.floor(np.abs(features[:, 0])).astype(np.int64) % 3
+
+
+def per_clip_confusion(labels, test_idx, fold, classifier, n_classes, clip_level):
+    """The scoring loop of one predict call per test clip, as a reference."""
+    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
+    for clip_i, feats in zip(test_idx, fold.test_features):
+        if len(feats):
+            votes = np.bincount(classifier.predict(feats), minlength=n_classes)
+            if clip_level:
+                cm[labels[clip_i], np.argmax(votes)] += 1
+            else:
+                cm[labels[clip_i]] += votes
+    return cm
+
+
+class TestBatchedScoring:
+    """evaluate_split scores a fold's test clips with one predict call."""
+
+    def test_one_predict_per_fold(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(evaluation, "make_method",
+                            lambda *a, **kw: made.append(_CountingClassifier()) or made[-1])
+        ds = mixed_frame_dataset()
+        res = run_cv(ds, "knn_spectrum", k=3, seed=0, pipeline=SMALL_PIPE)
+        frames = [len(f) for f in clip_frame_features(ds, SMALL_PIPE)]
+        assert res.skipped_clips == 2
+        assert len(made) == 3
+        for clf, test_idx in zip(made, kfold_split(ds.labels, 3, seed=0)):
+            assert clf.calls == [sum(frames[i] for i in test_idx)]
+        # a fold whose test clips are all frameless calls no predict
+        per_clip = [np.ones((3, 4)), np.zeros((0, 4)), np.zeros((0, 4))]
+        fold = prepare_fold(per_clip, np.array([0, 1, 2]), [0], [1, 2], False)
+        clf = _CountingClassifier()
+        cm = evaluate_split(np.array([0, 1, 2]), [1, 2], fold, clf, 3)
+        assert clf.calls == []
+        np.testing.assert_array_equal(cm, np.zeros((3, 3), dtype=np.int64))
+
+    @pytest.mark.parametrize("clip_level", [True, False])
+    @pytest.mark.parametrize("method", ["knn_spectrum", "knn_mfcc", "multiview"])
+    def test_batched_confusion_equals_per_clip_confusion(self, method, clip_level,
+                                                         monkeypatch):
+        ds = mixed_frame_dataset()
+        pipe = evaluation.pipeline_for_method(method, SMALL_PIPE)
+        per_clip = clip_frame_features(ds, pipe)
+        params = {"iterations": 10} if method == "multiview" else {}
+        assert {len(f) for f in per_clip} == {0, 1, 10}
+        for f, test_idx in enumerate(kfold_split(ds.labels, 3, seed=1)):
+            train_idx = np.setdiff1d(np.arange(len(ds)), test_idx)
+            fold = prepare_fold(per_clip, ds.labels, train_idx, test_idx,
+                                pipe.feature_kind == "spectrum")
+            counted = make_method(method, 3, pipe.feature_dim, f, **params)
+            calls = []
+            monkeypatch.setattr(counted, "predict",
+                                lambda x, real=counted.predict: calls.append(len(x)) or real(x))
+            batched = evaluate_split(ds.labels, test_idx, fold, counted, 3, clip_level)
+            assert calls == [sum(len(per_clip[i]) for i in test_idx)]
+            clf = make_method(method, 3, pipe.feature_dim, f, **params)
+            clf.fit(fold.train_features, fold.train_labels)
+            want = per_clip_confusion(ds.labels, test_idx, fold, clf, 3, clip_level)
+            np.testing.assert_array_equal(batched, want)
+
+    def test_folds_equal_normalize_of_fit_normalizer_bit_for_bit(self, monkeypatch):
+        # run_cv logs each clip once and standardizes per fold; prepare_fold
+        # logs per call: both give normalize(x, fit_normalizer(train)) exactly
+        seen = []
+        real = evaluation.evaluate_split
+        monkeypatch.setattr(evaluation, "evaluate_split",
+                            lambda labels, test_idx, fold, *a: seen.append(fold)
+                            or real(labels, test_idx, fold, *a))
+        ds = mixed_frame_dataset()
+        per_clip = clip_frame_features(ds, SMALL_PIPE)
+        run_cv(ds, "knn_spectrum", k=3, seed=2, pipeline=SMALL_PIPE)
+        splits = kfold_split(ds.labels, 3, seed=2)
+        assert len(seen) == len(splits)
+        for fold, test_idx in zip(seen, splits):
+            train_idx = np.setdiff1d(np.arange(len(ds)), test_idx)
+            train_X = np.vstack([per_clip[i] for i in train_idx])
+            stats = fit_normalizer(train_X)
+            for got in (fold, prepare_fold(per_clip, ds.labels, train_idx, test_idx, True)):
+                np.testing.assert_array_equal(got.stats.mean, stats.mean)
+                np.testing.assert_array_equal(got.stats.std, stats.std)
+                np.testing.assert_array_equal(got.train_features, normalize(train_X, stats))
+                assert len(got.test_features) == len(test_idx)
+                for feats, i in zip(got.test_features, test_idx):
+                    np.testing.assert_array_equal(feats, normalize(per_clip[i], stats))
+
+
 class TestSweep:
     def test_default_grids(self):
         assert SweepSpec("train_fraction").resolved_grid() == (

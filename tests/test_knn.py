@@ -175,17 +175,26 @@ class TestSearchOracle:
     @pytest.mark.parametrize("step", [1.0, 0.25])
     def test_grid_ties_offset(self, step):
         # integer (step 1) and dyadic (step 1/4) grids: exact ties abound, and
-        # every coordinate and distance is exact in float64
+        # every coordinate and distance is exact in float64. At every depth,
+        # ties straddle the depth-th distance, where the ranking is cut, and
+        # the 7-row sets are ranked whole at depth 7
         rng = np.random.Generator(np.random.PCG64(12))
-        for _ in range(5):
-            feats = rng.integers(0, 4, size=(120, 6)) * step + 1000.0
+        straddled = whole = 0
+        for n_train in (120, 120, 120, 120, 120, 7, 7):
+            feats = rng.integers(0, 4, size=(n_train, 6)) * step + 1000.0
             queries = rng.integers(0, 4, size=(60, 6)) * step + 1000.0
-            labels = np.arange(120)
-            model = KnnModel(feats, labels, k=7)
-            np.testing.assert_array_equal(
-                _nearest_labels(model, queries, 7),
-                oracle_nearest(feats, labels, queries, 7),
-            )
+            labels = np.arange(n_train)
+            dists = np.sort(((queries[:, None] - feats) ** 2).sum(axis=2), axis=1)
+            for depth in range(1, 8):
+                model = KnnModel(feats, labels, k=depth)
+                np.testing.assert_array_equal(
+                    _nearest_labels(model, queries, depth),
+                    oracle_nearest(feats, labels, queries, depth),
+                )
+                if depth < n_train:
+                    straddled += int(np.sum(dists[:, depth - 1] == dists[:, depth]))
+                whole += depth >= n_train
+        assert straddled > 100 and whole == 2
 
     @pytest.mark.parametrize("block", [None, 300 * 7])
     def test_batch_rows_match_single_queries(self, block, monkeypatch):

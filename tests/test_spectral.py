@@ -11,13 +11,16 @@ from mvcnn.spectral import (
     dct_matrix,
     design_highpass,
     fit_normalizer,
+    fit_standardizer,
     highpass_butterworth,
+    log_features,
     measure_snr,
     mel_filterbank,
     mfcc_features,
     normalize,
     power_spectra,
     spectrum_features,
+    standardize,
     _GROUP_BLOCKS,
     _average_groups,
     _highpass_operators,
@@ -147,6 +150,19 @@ class TestNormalizer:
         z = normalize(feats, stats)
         np.testing.assert_allclose(z.mean(axis=0), np.zeros(16), atol=1e-9)
         np.testing.assert_allclose(z.std(axis=0), np.ones(16), atol=1e-6)
+
+    def test_halves_compose_to_the_normalizer_bit_for_bit(self):
+        rng = np.random.Generator(np.random.PCG64(5))
+        feats = rng.uniform(0.0, 5.0, size=(50, 16))
+        feats[:, 3] = 2.0  # a constant dimension meets the std floor
+        stats = fit_normalizer(feats)
+        logged = log_features(feats)
+        halves = fit_standardizer(logged)
+        np.testing.assert_array_equal(halves.mean, stats.mean)
+        np.testing.assert_array_equal(halves.std, stats.std)
+        np.testing.assert_array_equal(standardize(logged, halves), normalize(feats, stats))
+        np.testing.assert_array_equal(standardize(logged[7], halves), normalize(feats[7], stats))
+        np.testing.assert_array_equal(logged, np.log1p(feats))  # standardize left it as is
 
 
 def steady_gain(freq_hz, sr, cutoff_hz=200.0):
@@ -419,3 +435,11 @@ class TestMfcc:
     def test_dct_matrix_orthonormal(self):
         mat = dct_matrix(26)
         np.testing.assert_allclose(mat @ mat.T, np.eye(26), atol=1e-12)
+
+    def test_dct_matrix_is_shared_read_only_and_equals_a_fresh_build(self):
+        mat = dct_matrix(26)
+        assert dct_matrix(26) is mat
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+        fresh = dct_matrix.__wrapped__(26)
+        np.testing.assert_array_equal(mat, fresh)
