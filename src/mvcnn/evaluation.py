@@ -648,13 +648,14 @@ def _run_splits(dataset, per_clip, method, splits, seed, pipe, clip_level,
     """
     labels = dataset.labels
     normalize_features = pipe.feature_kind == "spectrum"
-    if normalize_features:  # each clip logged once; each fold standardizes
+    if normalize_features:  # log each clip once; each fold fits its own z-score
         per_clip = [log_features(f) for f in per_clip]
     pooled = np.zeros((dataset.n_classes, dataset.n_classes), dtype=np.int64)
     fold_metrics = []
     skipped = 0
     for f, (train_idx, test_idx) in enumerate(splits):
         skipped += sum(len(per_clip[i]) == 0 for i in test_idx)
+        # stacks the (logged) rows and refuses a fold without training frames
         fold = prepare_fold(per_clip, labels, train_idx, test_idx, False)
         if normalize_features:
             fold = _standardized_fold(fold.train_features, fold.train_labels,

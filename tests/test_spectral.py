@@ -151,18 +151,25 @@ class TestNormalizer:
         np.testing.assert_allclose(z.mean(axis=0), np.zeros(16), atol=1e-9)
         np.testing.assert_allclose(z.std(axis=0), np.ones(16), atol=1e-6)
 
-    def test_halves_compose_to_the_normalizer_bit_for_bit(self):
+    def test_halves_give_the_one_pass_formula_bit_for_bit(self):
         rng = np.random.Generator(np.random.PCG64(5))
         feats = rng.uniform(0.0, 5.0, size=(50, 16))
         feats[:, 3] = 2.0  # a constant dimension meets the std floor
-        stats = fit_normalizer(feats)
+        # the formula written out in one pass, in place, as a reference
+        mean = np.log1p(feats).mean(axis=0)
+        std = np.maximum(np.log1p(feats).std(axis=0), 1e-8)
+        want = np.log1p(feats)
+        want -= mean
+        want /= std
         logged = log_features(feats)
-        halves = fit_standardizer(logged)
-        np.testing.assert_array_equal(halves.mean, stats.mean)
-        np.testing.assert_array_equal(halves.std, stats.std)
-        np.testing.assert_array_equal(standardize(logged, halves), normalize(feats, stats))
-        np.testing.assert_array_equal(standardize(logged[7], halves), normalize(feats[7], stats))
-        np.testing.assert_array_equal(logged, np.log1p(feats))  # standardize left it as is
+        stats = fit_standardizer(logged)
+        np.testing.assert_array_equal(stats.mean, mean)
+        np.testing.assert_array_equal(stats.std, std)
+        np.testing.assert_array_equal(standardize(logged, stats), want)
+        np.testing.assert_array_equal(standardize(logged[7], stats), want[7])
+        # run_cv standardizes one clip's logged rows in every fold: never in place
+        np.testing.assert_array_equal(logged, np.log1p(feats))
+        np.testing.assert_array_equal(normalize(feats, fit_normalizer(feats)), want)
 
 
 def steady_gain(freq_hz, sr, cutoff_hz=200.0):
