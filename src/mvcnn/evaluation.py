@@ -42,7 +42,7 @@ from .knn import KnnModel, knn_classify_batch, tune_k
 from .model import ModelConfig, TrainConfig, build, predict, train
 from .spectral import (
     MFCC_COEFFS,
-    add_scaled_noise,
+    add_noise_snr,
     fit_standardizer,
     highpass_butterworth,
     log_features,
@@ -431,35 +431,35 @@ def clip_frame_features(dataset: ClipDataset, pipeline: PipelineConfig) -> list:
     """Per-clip [n_frames, D] feature matrices (pre-normalization): the
     optional SNR noise, deterministic per clip index, then clip_features.
 
-    Clip i's features equal clip_features(add_noise_snr(clip_i, snr_db,
-    seed_i)) bit for bit, but the two steps of add_noise_snr are split:
-    one helper thread fills clip i's standard normals (a buffer allocated
-    here) while this thread scales clip i-1's onto it and featurizes it.
-    numpy releases the GIL during the fill. One draw is in flight at a
-    time and each clip is read once, so at most two clips are held. Only
-    `standard_normals` runs on the helper: every package function the
-    benchmark's single-stack tracer wraps runs on the calling thread.
+    Clip i's features are clip_features(add_noise_snr(clip_i, snr_db,
+    standard_normals(seed_i, ...))). One helper thread fills the normals:
+    clip i+1's draw is submitted before clip i is scaled and featurized
+    here, and numpy releases the GIL during the fill. One draw is in
+    flight at a time and each clip is read once, so at most two clips are
+    held. Only `standard_normals` runs on the helper: every package
+    function the benchmark's single-stack tracer wraps runs on the
+    calling thread.
     """
     if pipeline.snr_db is None:
         return [clip_features(clip, pipeline) for clip in dataset.clips]
 
-    def noisy_features(clip, normals):
-        return clip_features(add_scaled_noise(clip, pipeline.snr_db, normals), pipeline)
-
+    n = len(dataset.clips)
     out = []
     with ThreadPoolExecutor(1) as helper:
-        previous = None  # clip i-1 and the future filling its normals
-        for i, clip in enumerate(dataset.clips):
+
+        def draw(i):
+            """Read clip i and submit the fill of its normals to the helper."""
+            clip = dataset.clips[i]
             seed = (pipeline.noise_seed * 1_000_003 + i) & 0x7FFFFFFFFFFF
-            normals = np.empty(len(clip.samples))
-            if previous is not None:  # one draw in flight: clip i-1's ends first
-                previous = previous[0], previous[1].result()
-            drawing = helper.submit(standard_normals, seed, normals)
-            if previous is not None:
-                out.append(noisy_features(*previous))
-            previous = clip, drawing
-        if previous is not None:
-            out.append(noisy_features(previous[0], previous[1].result()))
+            return clip, helper.submit(standard_normals, seed, np.empty(len(clip.samples)))
+
+        upcoming = draw(0) if n else None
+        for i in range(n):
+            clip, drawing = upcoming
+            normals = drawing.result()  # one draw in flight: clip i's ends first
+            if i + 1 < n:
+                upcoming = draw(i + 1)
+            out.append(clip_features(add_noise_snr(clip, pipeline.snr_db, normals), pipeline))
     return out
 
 

@@ -3,6 +3,10 @@
 FFT magnitude spectra, bin-averaged feature vectors, log/z-score
 normalization, a Butterworth high-pass for wind rejection, MFCCs for
 the baseline classifiers, and SNR-controlled Gaussian noise injection.
+Each step is one function. Statistics are fit_standardizer of
+log_features rows and normalize applies them; noise is add_noise_snr of
+the normals that standard_normals(seed, ...) fills, so a caller may
+draw them ahead.
 
 Frames arrive as one Hamming-windowed [n, N] matrix with N a power of
 two. Every transform goes through power_spectra, which runs numpy's real
@@ -137,11 +141,6 @@ def standardize(logged: np.ndarray, stats: NormStats) -> np.ndarray:
     out = logged - stats.mean
     out /= stats.std
     return out
-
-
-def fit_normalizer(training_features: np.ndarray) -> NormStats:
-    """Fit per-dimension mean/std of log(1+x) over a nonempty [n, L] matrix."""
-    return fit_standardizer(log_features(training_features))
 
 
 def normalize(features: np.ndarray, stats: NormStats) -> np.ndarray:
@@ -316,13 +315,15 @@ def standard_normals(seed: int, out: np.ndarray) -> np.ndarray:
     return np.random.Generator(np.random.PCG64(seed)).standard_normal(out=out)
 
 
-def add_scaled_noise(clip: AudioClip, snr_db: float, normals: np.ndarray) -> AudioClip:
-    """The clip plus normals scaled to a target SNR in dB.
+def add_noise_snr(clip: AudioClip, snr_db: float, normals: np.ndarray) -> AudioClip:
+    """The clip plus i.i.d. Gaussian noise scaled to a target SNR in dB.
 
-    Noise variance is P_signal / 10^(snr_db/10) with P_signal the mean
-    squared sample. normals, one standard normal per sample, is scaled
-    in place and becomes the returned clip's samples. The output is not
-    re-clipped to [-1, 1].
+    normals holds one standard normal per sample, as
+    `standard_normals(seed, np.empty(n))` fills it; it is scaled in place
+    and becomes the returned clip's samples. Noise variance is
+    P_signal / 10^(snr_db/10) with P_signal the mean squared sample, so
+    the bits equal clip.samples + rng.normal(0, sigma, n) for
+    rng = Generator(PCG64(seed)). The output is not re-clipped to [-1, 1].
 
     Raises:
         ZeroPowerSignal: the clip has no signal power.
@@ -333,21 +334,6 @@ def add_scaled_noise(clip: AudioClip, snr_db: float, normals: np.ndarray) -> Aud
     normals *= np.sqrt(power / 10.0 ** (snr_db / 10.0))
     normals += clip.samples
     return AudioClip(normals, clip.sample_rate)
-
-
-def add_noise_snr(clip: AudioClip, snr_db: float, seed: int) -> AudioClip:
-    """Add i.i.d. Gaussian noise scaled to a target SNR in dB,
-    deterministic per seed: `add_scaled_noise` of the clip and
-    `standard_normals(seed, ...)`, one per sample. The bits equal
-    clip.samples + rng.normal(0, sigma, n) for rng = Generator(PCG64(seed)).
-    `evaluation.clip_frame_features` calls the two steps itself, so that
-    one clip's draw overlaps the previous clip's features.
-
-    Raises:
-        ZeroPowerSignal: as `add_scaled_noise`.
-    """
-    normals = standard_normals(seed, np.empty(len(clip.samples)))
-    return add_scaled_noise(clip, snr_db, normals)
 
 
 def measure_snr(signal: AudioClip, noise: AudioClip) -> float:

@@ -38,6 +38,7 @@ from mvcnn.spectral import (
     measure_snr,
     mfcc_features,
     power_spectra,
+    standard_normals,
 )
 from mvcnn.wasn import (
     NodeSpec,
@@ -120,7 +121,7 @@ def test_c03_snr_fidelity():
         for target in (-6.0, 0.0, 6.0):
             measured = []
             for seed in range(10):
-                noisy = add_noise_snr(clip, target, seed)
+                noisy = add_noise_snr(clip, target, standard_normals(seed, np.empty(sr)))
                 noise = AudioClip(noisy.samples - clip.samples, sr)
                 measured.append(measure_snr(clip, noise))
             mean = float(np.mean(measured))

@@ -11,7 +11,7 @@ wrappers, and every probed call must stay on the calling thread.
 import importlib.util
 import sys
 import threading
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -77,10 +77,12 @@ def test_probed_functions_run_on_the_calling_thread(bench):
     # noise helper would be filed under whatever span the caller has open
     tracer, layers = bench["tracer"], bench["layers"]
     threads = defaultdict(set)
+    calls = Counter()
 
     class ThreadRecorder(tracer.Tracer):
         def call(self, name, fn, args, kwargs):
             threads[name].add(threading.get_ident())
+            calls[name] += 1
             return super().call(name, fn, args, kwargs)
 
     ds = evaluation.generate_synthetic(
@@ -95,7 +97,9 @@ def test_probed_functions_run_on_the_calling_thread(bench):
         "evaluation.clip_frame_features", "spectral.highpass_butterworth",
         "audio.remove_silence", "audio.segment", "spectral.power_spectra",
         "spectral.spectrum_features", "spectral.mfcc_features",
+        "spectral.add_noise_snr",
     } <= set(threads)
+    assert calls["spectral.add_noise_snr"] == 2 * len(ds)  # once per noisy clip
     assert set().union(*threads.values()) == {threading.main_thread().ident}
 
 

@@ -39,9 +39,11 @@ from mvcnn.evaluation import (
 )
 from mvcnn.spectral import (
     add_noise_snr,
-    fit_normalizer,
+    fit_standardizer,
     highpass_butterworth,
+    log_features,
     normalize,
+    standard_normals,
 )
 
 
@@ -188,7 +190,7 @@ class TestSynthetic:
             SyntheticSpec(n_classes=2, clips_per_class=4, clip_seconds=1.0, seed=1)
         )
         feats = clip_frame_features(ds, PipelineConfig())
-        stats = fit_normalizer(np.vstack(feats))
+        stats = fit_standardizer(log_features(np.vstack(feats)))
         for fa in feats[0]:
             for fb in feats[4]:
                 gap = np.linalg.norm(normalize(fa, stats) - normalize(fb, stats))
@@ -273,7 +275,8 @@ class TestSynthetic:
     def test_config_keeps_every_snr_with_a_finite_noise_level(self, snr_db):
         clip = small_dataset().clips[0]
         assert replace(SMALL_PIPE, snr_db=snr_db).snr_db == snr_db
-        assert np.all(np.isfinite(add_noise_snr(clip, snr_db, seed=1).samples))
+        normals = standard_normals(1, np.empty(len(clip.samples)))
+        assert np.all(np.isfinite(add_noise_snr(clip, snr_db, normals).samples))
 
     def test_feature_len_is_free_for_mfcc(self):
         assert replace(SMALL_PIPE, feature_kind="mfcc", feature_len=9000).feature_dim == 13
@@ -281,7 +284,9 @@ class TestSynthetic:
     def test_noise_goes_in_before_the_high_pass(self):
         ds = small_dataset()
         pipe = replace(SMALL_PIPE, snr_db=0.0, noise_seed=3, highpass_hz=200.0)
-        noisy = add_noise_snr(ds.clips[1], 0.0, seed=3 * 1_000_003 + 1)
+        clip = ds.clips[1]
+        normals = standard_normals(3 * 1_000_003 + 1, np.empty(len(clip.samples)))
+        noisy = add_noise_snr(clip, 0.0, normals)
         want = clip_features(noisy, replace(pipe, snr_db=None))
         np.testing.assert_array_equal(clip_frame_features(ds, pipe)[1], want)
 
@@ -434,8 +439,8 @@ class TestSyntheticClips:
 
 
 class TestNoisyClipFeatures:
-    """With an SNR set, clip_frame_features draws clip i's standard normals on
-    one helper thread while it featurizes clip i-1; what it returns and
+    """With an SNR set, clip_frame_features draws clip i+1's standard normals
+    on one helper thread while it featurizes clip i; what it returns and
     raises must be what the one-clip-at-a-time chain gives."""
 
     SPEC = SyntheticSpec(n_classes=3, clips_per_class=3, clip_seconds=0.5, seed=4)
@@ -444,8 +449,10 @@ class TestNoisyClipFeatures:
     def serial(dataset, pipeline):
         return [
             clip_features(
-                add_noise_snr(clip, pipeline.snr_db,
-                              (pipeline.noise_seed * 1_000_003 + i) & 0x7FFFFFFFFFFF),
+                add_noise_snr(clip, pipeline.snr_db, standard_normals(
+                    (pipeline.noise_seed * 1_000_003 + i) & 0x7FFFFFFFFFFF,
+                    np.empty(len(clip.samples)),
+                )),
                 pipeline,
             )
             for i, clip in enumerate(dataset.clips)
@@ -821,7 +828,8 @@ class TestBatchedScoring:
 
     def test_folds_equal_normalize_of_fit_normalizer_bit_for_bit(self, monkeypatch):
         # run_cv logs each clip once and standardizes per fold; prepare_fold
-        # logs per call: both give normalize(x, fit_normalizer(train)) exactly
+        # logs per call: both give normalize(x, stats) exactly, for stats
+        # fit_standardizer(log_features(train))
         seen = []
         real = evaluation.evaluate_split
         monkeypatch.setattr(evaluation, "evaluate_split",
@@ -835,7 +843,7 @@ class TestBatchedScoring:
         for fold, test_idx in zip(seen, splits):
             train_idx = np.setdiff1d(np.arange(len(ds)), test_idx)
             train_X = np.vstack([per_clip[i] for i in train_idx])
-            stats = fit_normalizer(train_X)
+            stats = fit_standardizer(log_features(train_X))
             for got in (fold, prepare_fold(per_clip, ds.labels, train_idx, test_idx, True)):
                 np.testing.assert_array_equal(got.stats.mean, stats.mean)
                 np.testing.assert_array_equal(got.stats.std, stats.std)

@@ -21,7 +21,7 @@ from mvcnn.errors import (
 from mvcnn import wasn
 from mvcnn.evaluation import SyntheticSpec, generate_synthetic
 from mvcnn.model import ModelConfig, ServingPlan, build, forward_batch
-from mvcnn.spectral import fit_normalizer, normalize
+from mvcnn.spectral import fit_standardizer, log_features, normalize
 from mvcnn.wasn import (
     ORIGIN_FALLBACK,
     ORIGIN_SERVER,
@@ -785,8 +785,8 @@ def _graph_probabilities(model, payload):
 class TestPlanServing:
     def test_server_classify_matches_graph_path(self):
         model = build(ModelConfig(input_len=64, n_classes=4, seed=0))
-        model.norm_stats = fit_normalizer(np.abs(np.random.Generator(
-            np.random.PCG64(6)).normal(size=(20, 64))))
+        model.norm_stats = fit_standardizer(log_features(np.abs(np.random.Generator(
+            np.random.PCG64(6)).normal(size=(20, 64)))))
         plan = ServingPlan(model, 1)
         rng = np.random.Generator(np.random.PCG64(7))
         for i in range(4):
